@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -212,21 +211,25 @@ def _build_trial_config(raw: dict, spec, gen) -> TrialConfig:
     for key in ("phi_true", "shots_per_trial", "n_trials", "rng_seed", "search_interval"):
         if key not in section:
             raise ParseError(f"trial section is missing {key!r}")
+    for key in ("shots_per_trial", "n_trials", "rng_seed"):
+        value = section[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParseError(f"trial {key} must be an integer, got {value!r}")
     interval = section["search_interval"]
     if not (isinstance(interval, list) and len(interval) == 2):
         raise ParseError("search_interval must be a [lo, hi] pair")
     povm = _resolve_povm(section.get("povm", "optimal"), spec, gen)
     return TrialConfig(
         phi_true=float(section["phi_true"]),
-        shots_per_trial=int(section["shots_per_trial"]),
-        n_trials=int(section["n_trials"]),
-        rng_seed=int(section["rng_seed"]),
+        shots_per_trial=section["shots_per_trial"],
+        n_trials=section["n_trials"],
+        rng_seed=section["rng_seed"],
         povm=tuple(povm),
         search_interval=(float(interval[0]), float(interval[1])),
     )
 
 
-def _render_output(entry: dict, raw: dict, spec, gen, probe) -> bytes:
+def _render_output(entry: dict, raw: dict, spec, gen, probe, config: TrialConfig | None) -> bytes:
     kind = entry["type"]
     if kind == "report":
         evolved = evolve(probe, gen.generator, float(raw.get("phi", 0.0)))
@@ -238,9 +241,6 @@ def _render_output(entry: dict, raw: dict, spec, gen, probe) -> bytes:
             raise ValidationError("mu_sweep grid must have at least 2 points")
         rows = mu_sweep(gen, np.linspace(0.0, 1.0, grid))
         return _csv_text(["mu", "shifted_expectation", "stddev"], [list(r) for r in rows]).encode()
-    if "trial" not in raw:
-        raise ValidationError("scenario requests a trial artifact but has no trial section")
-    config = _build_trial_config(raw, spec, gen)
     result = precision_trial(gen, probe, config)
     return (canonical_json(result.to_dict()) + "\n").encode()
 
@@ -248,21 +248,18 @@ def _render_output(entry: dict, raw: dict, spec, gen, probe) -> bytes:
 def cmd_run(args) -> int:
     raw = load_scenario(args.scenario)
     spec, gen, probe = realize_scenario(raw)
-    if any(entry["type"] == "trial" for entry in raw.get("outputs", [])):
+    outputs = raw.get("outputs", [])
+    config = None
+    if any(entry["type"] == "trial" for entry in outputs):
         if "trial" not in raw:
             raise ValidationError("scenario requests a trial artifact but has no trial section")
-        _build_trial_config(raw, spec, gen)  # all validation before any computation
-    outputs = raw.get("outputs", [])
+        config = _build_trial_config(raw, spec, gen)  # all validation before any computation
     for entry in outputs:
         parent = os.path.dirname(entry["path"]) or "."
         os.makedirs(parent, exist_ok=True)
         if not os.access(parent, os.W_OK):
             raise ValidationError(f"output directory {parent!r} is not writable")
-    if args.parallel and len(outputs) > 1:
-        with ThreadPoolExecutor(max_workers=len(outputs)) as pool:
-            contents = list(pool.map(lambda e: _render_output(e, raw, spec, gen, probe), outputs))
-    else:
-        contents = [_render_output(entry, raw, spec, gen, probe) for entry in outputs]
+    contents = [_render_output(entry, raw, spec, gen, probe, config) for entry in outputs]
     written = []
     try:
         for entry, blob in zip(outputs, contents):
@@ -394,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario file and write its artifacts")
     p_run.add_argument("scenario", help="path to a scenario JSON file")
-    p_run.add_argument("--parallel", action="store_true", help="render independent artifacts concurrently")
     p_run.set_defaults(func=cmd_run)
 
     p_est = sub.add_parser("estimate", help="run the scenario's Monte-Carlo trial, print the result")

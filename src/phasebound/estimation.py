@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BoundaryWarning, UsageError, ValidationError
 from .metrology import classical_fisher, outcome_probabilities, validate_povm
-from .opalg import HermitianOperator, PureState, evolve, hermitian_eigensystem, tensor_product
+from .opalg import NORM_TOL, HermitianOperator, PureState, evolve, hermitian_eigensystem, tensor_product
 from .procedures import JointGenerator
 from .states import _extreme_columns
 
@@ -43,6 +43,8 @@ class TrialConfig:
             raise ValidationError("shots_per_trial must be >= 1")
         if self.n_trials < 1:
             raise ValidationError("n_trials must be >= 1")
+        if self.rng_seed < 0:
+            raise ValidationError("rng_seed must be >= 0")
         povm = tuple(self.povm)
         validate_povm(list(povm))
         lo, hi = (float(self.search_interval[0]), float(self.search_interval[1]))
@@ -139,36 +141,73 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2
 
 
-def mle_estimate(counts, model, interval: tuple[float, float]) -> float:
-    """Maximize the multinomial log-likelihood of the counts over the interval.
+def _floored_log(probs: np.ndarray) -> np.ndarray:
+    return np.log(np.clip(probs, 1e-300, None))
 
-    A 1000-point grid scan brackets the maximum (first occurrence wins, so
-    exact ties resolve to the smaller phase), then golden-section search
-    tightens the bracket to 1e-8.  A maximum on the interval edge raises
-    BoundaryWarning since the true optimum may lie outside.
+
+def _outcome_table(state: PureState, gen: HermitianOperator, povm, grid: np.ndarray) -> np.ndarray:
+    """P[g, k] = outcome_probabilities(evolve(state, gen, grid[g]), povm)[k].
+
+    The probe is evolved to every grid phase at once (a phase matrix for a
+    diagonal generator, the cached eigensystem otherwise), then contracted
+    against one POVM element at a time, so no K x G x d intermediate exists.
+    The per-point checks hold row by row: evolved norms within NORM_TOL,
+    probabilities below -1e-12 rejected, the rest clipped at 0.
     """
+    if gen.is_diagonal:
+        evolved = np.exp(-1j * grid[:, None] * np.diagonal(gen.entries).real) * state.amplitudes
+    else:
+        spec = hermitian_eigensystem(gen)
+        coeffs = spec.eigenvectors.conj().T @ state.amplitudes
+        evolved = (np.exp(-1j * grid[:, None] * spec.eigenvalues) * coeffs) @ spec.eigenvectors.T
+    norm_defect = np.max(np.abs(np.sum(np.abs(evolved) ** 2, axis=1) - 1.0))
+    if norm_defect > NORM_TOL:
+        raise ValidationError(f"evolved state is not normalized: max |sum |a|^2 - 1| = {norm_defect!r}")
+    bra = evolved.conj()
+    table = np.empty((grid.size, len(povm)))
+    for k, element in enumerate(povm):
+        table[:, k] = np.einsum("gi,gi->g", bra, evolved @ element.entries.T).real
+    if table.min() < -1e-12:
+        raise ValidationError(f"negative outcome probability {table.min():.3e}")
+    return np.clip(table, 0.0, None)
+
+
+def _scan_and_refine(counts, log_table: np.ndarray, grid: np.ndarray, model) -> float:
+    # grid scan over the tabulated log-probabilities, golden refinement on the model
     counts = np.asarray(counts, dtype=float)
-    lo, hi = (float(interval[0]), float(interval[1]))
-    if not lo < hi:
-        raise UsageError(f"interval must satisfy lo < hi, got ({lo}, {hi})")
 
     def loglik(phi: float) -> float:
-        p = np.clip(np.asarray(model(phi), dtype=float), 1e-300, None)
-        return float(np.dot(counts, np.log(p)))
+        return float(np.dot(counts, _floored_log(np.asarray(model(phi), dtype=float))))
 
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    values = np.array([loglik(phi) for phi in grid])
-    best = int(np.argmax(values))
-    if best in (0, GRID_POINTS - 1):
+    best = int(np.argmax(log_table @ counts))
+    if best in (0, grid.size - 1):
         warnings.warn(
             "likelihood maximum sits on the search-interval boundary; the interval may not "
             "contain the true phase",
             BoundaryWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     left = grid[max(best - 1, 0)]
-    right = grid[min(best + 1, GRID_POINTS - 1)]
+    right = grid[min(best + 1, grid.size - 1)]
     return _golden_max(loglik, float(left), float(right), REFINE_TOL)
+
+
+def mle_estimate(counts, model, interval: tuple[float, float]) -> float:
+    """Maximize the multinomial log-likelihood of the counts over the interval.
+
+    The model is tabulated on a 1000-point grid whose scan brackets the
+    maximum (first occurrence wins, so exact ties resolve to the smaller
+    phase), then golden-section search on the model tightens the bracket to
+    1e-8.  A maximum on the interval edge raises BoundaryWarning since the
+    true optimum may lie outside.  precision_trial runs the same scan and
+    refinement on a table it builds once per trial run.
+    """
+    lo, hi = (float(interval[0]), float(interval[1]))
+    if not lo < hi:
+        raise UsageError(f"interval must satisfy lo < hi, got ({lo}, {hi})")
+    grid = np.linspace(lo, hi, GRID_POINTS)
+    table = np.array([np.asarray(model(phi), dtype=float) for phi in grid])
+    return _scan_and_refine(counts, _floored_log(table), grid, model)
 
 
 def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) -> TrialResult:
@@ -176,7 +215,10 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
 
     Each trial draws its RNG stream from (rng_seed, trial_index), so the
     result does not depend on scheduling; the predicted error is the
-    Cramer-Rao value 1/sqrt(shots * F) at the true phase.
+    Cramer-Rao value 1/sqrt(shots * F) at the true phase.  The outcome
+    probabilities over mle_estimate's grid are tabulated once per call, so
+    each trial's grid scan is one table-vector product; the golden-section
+    refinement evaluates the probe exactly as mle_estimate would.
     """
     if state.dim != gen.dim:
         raise UsageError(f"dimension mismatch: state {state.dim} vs generator {gen.dim}")
@@ -188,22 +230,25 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
             f"search interval width {hi - lo:g} exceeds the likelihood period "
             f"{2 * math.pi / gen.seminorm:g}; local estimation would be ambiguous"
         )
+    povm = list(config.povm)
 
     def state_at(phi: float) -> PureState:
         return evolve(state, gen.generator, phi)
 
     def model(phi: float) -> np.ndarray:
-        return outcome_probabilities(state_at(phi), list(config.povm))
+        return outcome_probabilities(state_at(phi), povm)
 
-    fisher = classical_fisher(list(config.povm), state_at, config.phi_true)
+    fisher = classical_fisher(povm, state_at, config.phi_true)
     if fisher <= 0:
         raise ValidationError("measurement carries no phase information at phi_true")
+    grid = np.linspace(lo, hi, GRID_POINTS)
+    log_table = _floored_log(_outcome_table(state, gen.generator, povm, grid))
     truth = state_at(config.phi_true)
     estimates = np.empty(config.n_trials)
     for trial in range(config.n_trials):
         stream = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(trial,))
         counts = sample_outcomes(truth, config.povm, config.shots_per_trial, stream)
-        estimates[trial] = mle_estimate(counts, model, config.search_interval)
+        estimates[trial] = _scan_and_refine(counts, log_table, grid, model)
     rmse = float(np.sqrt(np.mean((estimates - config.phi_true) ** 2)))
     crb = 1.0 / math.sqrt(config.shots_per_trial * fisher)
     return TrialResult(estimates, rmse, crb)

@@ -169,18 +169,6 @@ def test_run_is_deterministic_across_invocations(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
-def test_run_parallel_matches_serial(tmp_path, monkeypatch):
-    scen = str(SCENARIOS / "linear_n3_optimal.json")
-    blobs = []
-    for sub, flag in (("serial", []), ("parallel", ["--parallel"])):
-        workdir = tmp_path / sub
-        workdir.mkdir()
-        monkeypatch.chdir(workdir)
-        assert cli.main(["run", scen] + flag) == 0
-        blobs.append((workdir / "out/linear_n3_report.json").read_bytes())
-    assert blobs[0] == blobs[1]
-
-
 def test_run_malformed_json_exits_2_without_artifacts(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     bad = tmp_path / "broken.json"
@@ -260,6 +248,59 @@ def test_run_unknown_povm_token_exits_3(tmp_path, monkeypatch, capsys):
     )
     path = write_scenario(tmp_path, payload)
     assert cli.main(["run", path]) == 3
+
+
+def trial_scenario(**trial_overrides):
+    trial = {
+        "phi_true": 0.4,
+        "shots_per_trial": 10,
+        "n_trials": 2,
+        "rng_seed": 1,
+        "search_interval": [0.1, 0.9],
+    }
+    trial.update(trial_overrides)
+    return minimal_scenario(
+        outputs=[
+            {"type": "report", "path": "out/report.json"},
+            {"type": "trial", "path": "out/trial.json"},
+        ],
+        trial=trial,
+    )
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_trials", True),
+        ("n_trials", 2.0),
+        ("shots_per_trial", "10"),
+        ("shots_per_trial", False),
+        ("rng_seed", 1.5),
+        ("rng_seed", "1"),
+        ("rng_seed", None),
+    ],
+)
+def test_run_non_integer_trial_counts_exit_2(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.chdir(tmp_path)
+    path = write_scenario(tmp_path, trial_scenario(**{key: value}))
+    assert cli.main(["run", path]) == 2
+    assert "parse-error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_negative_rng_seed_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = write_scenario(tmp_path, trial_scenario(rng_seed=-1))
+    assert cli.main(["run", path]) == 3
+    assert "validation-error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_has_no_parallel_flag(tmp_path, capsys):
+    path = write_scenario(tmp_path, minimal_scenario())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", path, "--parallel"])
+    assert exc.value.code == 2
 
 
 # --------------------------------------------------------------------- estimate

@@ -7,18 +7,23 @@ from numpy.testing import assert_allclose
 
 from phasebound.errors import BoundaryWarning, ValidationError
 from phasebound.estimation import (
+    GRID_POINTS,
+    REFINE_TOL,
     RNG_ALGORITHM,
     TrialConfig,
+    _outcome_table,
     mle_estimate,
     optimal_povm,
     precision_trial,
     sample_outcomes,
     tensor_power_povm,
 )
-from phasebound.metrology import validate_povm
+from phasebound.metrology import outcome_probabilities, validate_povm
 from phasebound.opalg import HermitianOperator, PureState, evolve, hermitian_eigensystem
 from phasebound.procedures import JointGenerator, ProcedureSpec, build_generator
 from phasebound.states import mode_number_generator, noon_state, product_balanced_state
+
+from util import random_hermitian, random_state_vector, random_unitary, rng
 
 
 def binary_model(phi):
@@ -131,6 +136,8 @@ def test_trial_config_validation():
         TrialConfig(0.4, 100, 10, 1, povm, (0.9, 0.1))
     with pytest.raises(ValidationError):
         TrialConfig(1.5, 100, 10, 1, povm, (0.1, 0.9))
+    with pytest.raises(ValidationError):
+        TrialConfig(0.4, 100, 10, -1, povm, (0.1, 0.9))
 
 
 def test_trial_interval_must_fit_one_period():
@@ -202,3 +209,87 @@ def test_trial_result_serialization_fields():
     d = res.to_dict()
     assert set(d) >= {"estimates", "empirical_rmse", "predicted_crb", "rng_algorithm"}
     assert isinstance(d["estimates"], list)
+
+
+# -------------------------------------------------------- likelihood table
+
+TABLE_ATOL = 1e-12  # float64 rounding of d <= 64 contractions sits far below this
+
+
+def per_point_table(state, generator, povm, grid):
+    return np.array([outcome_probabilities(evolve(state, generator, phi), list(povm)) for phi in grid])
+
+
+def site_product_case(n):
+    gen = build_generator(ProcedureSpec("linear", n, (0.0, 1.0)))
+    probe = product_balanced_state(n, hermitian_eigensystem(qubit_base()))
+    povm = tensor_power_povm(optimal_povm(JointGenerator(qubit_base(), 1, 0.0, 1.0)), n)
+    return gen, probe, povm
+
+
+def nondiagonal_case(dim=6, seed=17):
+    gen = rng(seed)
+    generator = HermitianOperator(random_hermitian(gen, dim))
+    probe = PureState(random_state_vector(gen, dim))
+    basis = random_unitary(gen, dim)
+    povm = [HermitianOperator(np.outer(basis[:, k], basis[:, k].conj())) for k in range(dim)]
+    return generator, probe, povm
+
+
+def test_table_matches_per_point_noon_diagonal():
+    gen = mode_number_generator(3)
+    grid = np.linspace(0.1, 0.9, GRID_POINTS)
+    table = _outcome_table(noon_state(3), gen.generator, optimal_povm(gen), grid)
+    assert table.shape == (GRID_POINTS, 2)
+    assert_allclose(table, per_point_table(noon_state(3), gen.generator, optimal_povm(gen), grid), rtol=0, atol=TABLE_ATOL)
+
+
+def test_table_matches_per_point_nondiagonal_generator():
+    generator, probe, povm = nondiagonal_case()
+    assert not generator.is_diagonal
+    grid = np.linspace(-1.0, 1.0, GRID_POINTS)
+    table = _outcome_table(probe, generator, povm, grid)
+    assert_allclose(table, per_point_table(probe, generator, povm, grid), rtol=0, atol=TABLE_ATOL)
+    assert_allclose(table.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_table_matches_per_point_site_product():
+    gen, probe, povm = site_product_case(3)
+    assert len(povm) == 8
+    grid = np.linspace(0.2, 1.2, GRID_POINTS)
+    table = _outcome_table(probe, gen.generator, povm, grid)
+    assert_allclose(table, per_point_table(probe, gen.generator, povm, grid), rtol=0, atol=TABLE_ATOL)
+
+
+def test_table_rejects_negative_probabilities():
+    gen = mode_number_generator(1)
+    bad = [HermitianOperator.from_diagonal([1.1, 1.0]), HermitianOperator.from_diagonal([-0.1, 0.0])]
+    with pytest.raises(ValidationError):
+        _outcome_table(noon_state(1), gen.generator, bad, np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("case, phi_true", [("noon", 0.12), ("noon", 0.88), ("site-product", 0.7)])
+def test_trial_matches_per_trial_mle_estimate(case, phi_true):
+    if case == "noon":
+        gen = mode_number_generator(3)
+        probe, povm = noon_state(3), optimal_povm(gen)
+        cfg = TrialConfig(phi_true, 200, 12, 5, povm, (0.1, 0.9))
+    else:
+        gen, probe, povm = site_product_case(3)
+        cfg = TrialConfig(phi_true, 300, 4, 8, povm, (0.2, 1.2))
+    model = lambda phi: outcome_probabilities(evolve(probe, gen.generator, phi), list(povm))
+    truth = evolve(probe, gen.generator, cfg.phi_true)
+    with warnings.catch_warnings(record=True) as batched:
+        warnings.simplefilter("always", BoundaryWarning)
+        res = precision_trial(gen, probe, cfg)
+    reference = []
+    with warnings.catch_warnings(record=True) as scalar:
+        warnings.simplefilter("always", BoundaryWarning)
+        for trial in range(cfg.n_trials):
+            stream = np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(trial,))
+            counts = sample_outcomes(truth, povm, cfg.shots_per_trial, stream)
+            reference.append(mle_estimate(counts, model, cfg.search_interval))
+    assert_allclose(res.estimates, reference, rtol=0, atol=REFINE_TOL)
+    assert len(batched) == len(scalar)
+    if case == "noon":
+        assert len(scalar) > 0  # phi_true next to an edge puts some maxima on it
