@@ -48,6 +48,30 @@ _STATE_KEYS = {"kind", "mu", "rel_phase", "n_photons", "alpha", "cutoff"}
 _TRIAL_KEYS = {"phi_true", "shots_per_trial", "n_trials", "rng_seed", "search_interval", "povm"}
 _SCENARIO_KEYS = {"schema", "name", "procedure", "state", "phi", "trial", "outputs"}
 _OUTPUT_KEYS = {"type", "path", "grid"}
+_REQUIRED_KEYS = {
+    "procedure": ("kind", "n_systems", "base_eigs"),
+    "state": ("kind",),
+    "trial": ("phi_true", "shots_per_trial", "n_trials", "rng_seed", "search_interval"),
+}
+# JSON type of every typed field; each key means the same in every section it appears in
+_FIELD_TYPES = {
+    "kind": "string",
+    "povm": "string",
+    "n_systems": "integer",
+    "body_order": "integer",
+    "repetitions": "integer",
+    "subsystem_dim": "integer",
+    "n_photons": "integer",
+    "cutoff": "integer",
+    "shots_per_trial": "integer",
+    "n_trials": "integer",
+    "rng_seed": "integer",
+    "mu": "number",
+    "rel_phase": "number",
+    "phi_true": "number",
+    "base_eigs": "pair",
+    "search_interval": "pair",
+}
 
 
 def format_float(x: float) -> str:
@@ -105,6 +129,38 @@ def _check_keys(section: dict, allowed: set, label: str) -> None:
         raise ParseError(f"unknown {label} keys: {sorted(unknown)}")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond float range
+        return False
+
+
+def _check_fields(section: dict, label: str) -> None:
+    # typed parse: every field has its JSON type before any constructor runs
+    for key in _REQUIRED_KEYS.get(label, ()):
+        if key not in section:
+            raise ParseError(f"{label} section is missing {key!r}")
+    for key, value in section.items():
+        kind = _FIELD_TYPES.get(key)
+        if kind == "string" and not isinstance(value, str):
+            raise ParseError(f"{label} {key} must be a string, got {value!r}")
+        if kind == "integer" and not _is_integer(value):
+            raise ParseError(f"{label} {key} must be an integer, got {value!r}")
+        if kind == "number" and not _is_number(value):
+            raise ParseError(f"{label} {key} must be a finite number, got {value!r}")
+        if kind == "pair" and not (
+            isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)
+        ):
+            raise ParseError(f"{label} {key} must be a pair of finite numbers, got {value!r}")
+
+
 def load_scenario(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -121,14 +177,13 @@ def load_scenario(path: str) -> dict:
         raise ParseError("scenario needs a string name")
     if "state" not in raw:
         raise ParseError("scenario needs a state section")
-    _check_keys(_expect_dict(raw["state"], "state"), _STATE_KEYS, "state")
-    if "procedure" in raw:
-        _check_keys(_expect_dict(raw["procedure"], "procedure"), _PROCEDURE_KEYS, "procedure")
-    if "trial" in raw:
-        _check_keys(_expect_dict(raw["trial"], "trial"), _TRIAL_KEYS, "trial")
-    phi = raw.get("phi", 0.0)
-    if not isinstance(phi, (int, float)) or isinstance(phi, bool):
-        raise ParseError("phi must be a number")
+    for label, allowed in (("state", _STATE_KEYS), ("procedure", _PROCEDURE_KEYS), ("trial", _TRIAL_KEYS)):
+        if label in raw:
+            section = _expect_dict(raw[label], label)
+            _check_keys(section, allowed, label)
+            _check_fields(section, label)
+    if not _is_number(raw.get("phi", 0.0)):
+        raise ParseError(f"phi must be a finite number, got {raw['phi']!r}")
     outputs = raw.get("outputs", [])
     if not isinstance(outputs, list):
         raise ParseError("outputs must be a list")
@@ -144,11 +199,11 @@ def load_scenario(path: str) -> dict:
 
 
 def _parse_alpha(value):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value):
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
         return complex(value[0], value[1])
-    raise ParseError("alpha must be a number or a [re, im] pair")
+    raise ParseError("alpha must be a finite number or a [re, im] pair")
 
 
 def _build_family(section: dict) -> StateFamily:
@@ -160,11 +215,8 @@ def _build_family(section: dict) -> StateFamily:
 
 def _build_spec(section: dict) -> ProcedureSpec:
     kwargs = dict(section)
-    if "base_eigs" in kwargs:
-        eigs = kwargs["base_eigs"]
-        if not (isinstance(eigs, list) and len(eigs) == 2):
-            raise ParseError("base_eigs must be a [lambda_min, lambda_max] pair")
-        kwargs["base_eigs"] = (float(eigs[0]), float(eigs[1]))
+    eigs = kwargs["base_eigs"]
+    kwargs["base_eigs"] = (float(eigs[0]), float(eigs[1]))
     return ProcedureSpec(**kwargs)
 
 
@@ -207,17 +259,8 @@ def _resolve_povm(token: str, spec: ProcedureSpec | None, gen: JointGenerator):
 
 
 def _build_trial_config(raw: dict, spec, gen) -> TrialConfig:
-    section = dict(raw["trial"])
-    for key in ("phi_true", "shots_per_trial", "n_trials", "rng_seed", "search_interval"):
-        if key not in section:
-            raise ParseError(f"trial section is missing {key!r}")
-    for key in ("shots_per_trial", "n_trials", "rng_seed"):
-        value = section[key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParseError(f"trial {key} must be an integer, got {value!r}")
+    section = raw["trial"]
     interval = section["search_interval"]
-    if not (isinstance(interval, list) and len(interval) == 2):
-        raise ParseError("search_interval must be a [lo, hi] pair")
     povm = _resolve_povm(section.get("povm", "optimal"), spec, gen)
     return TrialConfig(
         phi_true=float(section["phi_true"]),

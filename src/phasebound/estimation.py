@@ -155,7 +155,7 @@ def _outcome_table(state: PureState, gen: HermitianOperator, povm, grid: np.ndar
     probabilities below -1e-12 rejected, the rest clipped at 0.
     """
     if gen.is_diagonal:
-        evolved = np.exp(-1j * grid[:, None] * np.diagonal(gen.entries).real) * state.amplitudes
+        evolved = np.exp(-1j * grid[:, None] * gen.diagonal) * state.amplitudes
     else:
         spec = hermitian_eigensystem(gen)
         coeffs = spec.eigenvectors.conj().T @ state.amplitudes

@@ -155,7 +155,7 @@ def validate_povm(povm: list[HermitianOperator]) -> None:
 
 
 def outcome_probabilities(state: PureState, povm: list[HermitianOperator]) -> np.ndarray:
-    probs = np.array([float(np.vdot(state.amplitudes, e.entries @ state.amplitudes).real) for e in povm])
+    probs = np.array([float(np.vdot(state.amplitudes, e.apply(state.amplitudes)).real) for e in povm])
     if probs.min() < -1e-12:
         raise ValidationError(f"negative outcome probability {probs.min():.3e}")
     return np.clip(probs, 0.0, None)

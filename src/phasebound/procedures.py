@@ -6,9 +6,9 @@ generator over the subset), ``exponential`` one box per nonempty subset, and
 ``sequential-wrapped`` repeats an inner evolution T times, which scales the
 generator and the query count by T.
 
-When the base generator is diagonal the joint generator is assembled as a
-diagonal vector over product basis states, which keeps the eigensystem work
-trivial; a non-diagonal base falls back to dense embedded sums.  Both paths
+When the base generator is diagonal the joint generator is assembled and
+kept as a diagonal vector over product basis states, so no d x d matrix is
+built; a non-diagonal base falls back to dense embedded sums.  Both paths
 sum subset terms in a fixed lexicographic order so results are reproducible
 bit for bit.
 """
@@ -104,11 +104,16 @@ class JointGenerator:
     def __post_init__(self):
         if self.query_complexity is not None and self.query_complexity < 1:
             raise ValidationError("query_complexity must be >= 1 when defined")
-        spec = hermitian_eigensystem(self.generator)
-        if abs(spec.lambda_min - self.h_min) > EXTREME_TOL or abs(spec.lambda_max - self.h_max) > EXTREME_TOL:
+        if self.generator.is_diagonal:
+            v = self.generator.diagonal
+            lo, hi = float(v.min()), float(v.max())
+        else:
+            spec = hermitian_eigensystem(self.generator)
+            lo, hi = spec.lambda_min, spec.lambda_max
+        if abs(lo - self.h_min) > EXTREME_TOL or abs(hi - self.h_max) > EXTREME_TOL:
             raise ValidationError(
                 f"stated extremes ({self.h_min}, {self.h_max}) disagree with the spectrum "
-                f"({spec.lambda_min}, {spec.lambda_max}) beyond {EXTREME_TOL:.0e}"
+                f"({lo}, {hi}) beyond {EXTREME_TOL:.0e}"
             )
         seminorm = self.h_max - self.h_min
         if seminorm < 0:
@@ -152,7 +157,7 @@ def _lifted_site_values(values: np.ndarray, site: int, n: int, d: int) -> np.nda
 def _joint_from_subsets(spec: ProcedureSpec, base: HermitianOperator, subsets, q: int) -> JointGenerator:
     n, d = spec.n_systems, spec.subsystem_dim
     if base.is_diagonal:
-        v = np.diagonal(base.entries).real
+        v = base.diagonal
         lifted = [_lifted_site_values(v, j, n, d) for j in range(n)]
         total = np.zeros(d**n)
         for subset in subsets:
@@ -164,6 +169,10 @@ def _joint_from_subsets(spec: ProcedureSpec, base: HermitianOperator, subsets, q
         return JointGenerator(op, q, float(total.min()), float(total.max()))
     acc = np.zeros((d**n, d**n), dtype=complex)
     for subset in subsets:
+        if len(subset) == 2 and subset[0] == subset[1]:
+            # self pair (j, j): the product H_j H_j is base^2 on the one site j
+            acc += embed_operator(base.entries @ base.entries, subset[:1], n, d)
+            continue
         small = base.entries
         for _ in subset[1:]:
             small = np.kron(small, base.entries)
@@ -189,8 +198,9 @@ def kbody_generator(
     """One box per size-k subset, each a k-fold tensor power of the base, Q = C(N,k).
 
     ``include_self_pairs`` (two-body only) adds the N same-site squared terms
-    so the term count becomes N(N+1)/2; it exists for comparing the strict
-    pair convention against the laxer one and changes Q accordingly.
+    (base^2 on site j), so the term count becomes N(N+1)/2; it exists for
+    comparing the strict pair convention against the laxer one and changes
+    Q accordingly.
     """
     if spec.kind != "kbody":
         raise UsageError(f"kbody_generator got kind {spec.kind!r}")
@@ -292,8 +302,8 @@ def snl_baseline(spec: ProcedureSpec) -> tuple[float, float]:
             f"separable baseline is defined for the linear kind only, got {spec.kind!r}; "
             "no separable benchmark is established for entangling procedures"
         )
-    base = HermitianOperator.from_diagonal(base_diagonal(spec))
-    v = np.diagonal(base.entries).real
+    v = base_diagonal(spec)
+    base = HermitianOperator.from_diagonal(v)
     amps = np.zeros(spec.subsystem_dim, dtype=complex)
     amps[int(np.argmin(v))] = 1 / math.sqrt(2)
     amps[int(np.argmax(v))] += 1 / math.sqrt(2)

@@ -65,10 +65,8 @@ def _extreme_columns(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     # which the stable diagonal sort maps to the smallest basis index
     w = spectrum.eigenvalues
     scale = max(1.0, abs(w[0]), abs(w[-1]))
-    vec_min = spectrum.eigenvectors[:, 0]
     top = int(np.argmax(w >= w[-1] - _DEGENERACY_TOL * scale))
-    vec_max = spectrum.eigenvectors[:, top]
-    return vec_min, vec_max
+    return spectrum.column(0), spectrum.column(top)
 
 
 def optimal_state(gen: JointGenerator, mu: float, rel_phase: float = 0.0) -> PureState:

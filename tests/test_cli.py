@@ -288,6 +288,56 @@ def test_run_non_integer_trial_counts_exit_2(tmp_path, monkeypatch, capsys, key,
     assert not (tmp_path / "out").exists()
 
 
+def noon_scenario(n_photons):
+    return minimal_scenario(procedure=None, state={"kind": "noon", "n_photons": n_photons})
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        minimal_scenario(procedure={"kind": "linear", "n_systems": "3", "base_eigs": [0.0, 1.0]}),
+        minimal_scenario(procedure={"kind": "linear", "n_systems": 2, "base_eigs": ["a", 1]}),
+        minimal_scenario(state={"kind": "optimal_mu", "mu": "0.5"}),
+        noon_scenario("3"),
+        noon_scenario(3.0),
+        minimal_scenario(procedure={"kind": "kbody", "n_systems": 3, "base_eigs": [0.0, 1.0], "body_order": "2"}),
+        trial_scenario(search_interval=[0.2, "x"]),
+        trial_scenario(phi_true="0.4"),
+        minimal_scenario(procedure={"kind": "linear", "base_eigs": [0.0, 1.0]}),
+    ],
+    ids=[
+        "n_systems-str",
+        "base_eigs-str",
+        "mu-str",
+        "n_photons-str",
+        "n_photons-float",
+        "body_order-str",
+        "search_interval-str",
+        "phi_true-str",
+        "n_systems-missing",
+    ],
+)
+def test_run_mistyped_field_exits_2(tmp_path, monkeypatch, capsys, payload):
+    monkeypatch.chdir(tmp_path)
+    payload = {key: value for key, value in payload.items() if value is not None}
+    path = write_scenario(tmp_path, payload)
+    assert cli.main(["run", path]) == 2
+    assert "parse-error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_out_of_range_float_literal_exits_2(tmp_path, monkeypatch, capsys):
+    # 1e400 parses to inf; before the typed parse it reached eigh as a NaN
+    monkeypatch.chdir(tmp_path)
+    text = json.dumps(minimal_scenario()).replace('"base_eigs": [0.0, 1.0]', '"base_eigs": [0, 1e400]')
+    assert "1e400" in text
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert cli.main(["run", str(path)]) == 2
+    assert "parse-error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_negative_rng_seed_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     path = write_scenario(tmp_path, trial_scenario(rng_seed=-1))

@@ -189,6 +189,18 @@ def test_kbody_self_pairs_extension():
     assert_allclose(joint_diagonal(gen), expected, atol=1e-12)
 
 
+def test_kbody_self_pairs_on_rotated_base_keep_spectrum():
+    # a self pair is base^2 on one site, so rotating every site leaves the spectrum
+    w = random_unitary(rng(43), 2)
+    rotated = HermitianOperator(w @ np.diag([0.2, 0.9]) @ w.conj().T, hermitian_tol=1e-12)
+    spec = ProcedureSpec("kbody", 3, (0.2, 0.9), body_order=2)
+    plain = kbody_generator(spec, include_self_pairs=True)
+    dense = kbody_generator(spec, base=rotated, include_self_pairs=True)
+    assert not dense.generator.is_diagonal
+    assert dense.query_complexity == plain.query_complexity == 6
+    assert_allclose(np.linalg.eigvalsh(dense.generator.entries), np.sort(joint_diagonal(plain)), atol=1e-9)
+
+
 def test_kbody_self_pairs_limited_to_pairs():
     spec = ProcedureSpec("kbody", 4, (0.0, 1.0), body_order=3)
     with pytest.raises(UsageError):

@@ -60,3 +60,24 @@ def kron_all(mats):
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
+
+
+def dense_diagonal_operator(values):
+    """diag(values) in the dense operator form: the reference for the diagonal form."""
+    from phasebound.opalg import HermitianOperator
+
+    return HermitianOperator(np.diag(np.asarray(values, dtype=complex)))
+
+
+def subset_product_diagonal(site_values, n, subsets):
+    """Diagonal of sum over subsets of prod_{j in subset} diag(site_values) on site j.
+
+    Built as explicit Kronecker products of per-site vectors (ones off the
+    subset), not by the index arithmetic the package uses.
+    """
+    site_values = np.asarray(site_values, dtype=float)
+    ones = np.ones_like(site_values)
+    total = np.zeros(site_values.size**n)
+    for subset in subsets:
+        total = total + kron_all([site_values if j in subset else ones for j in range(n)])
+    return total
