@@ -191,8 +191,8 @@ def load_scenario(path: str) -> dict:
         _check_keys(_expect_dict(entry, "output"), _OUTPUT_KEYS, "output")
         if entry.get("type") not in ("report", "mu_sweep", "trial"):
             raise ParseError(f"output type must be report, mu_sweep or trial, got {entry.get('type')!r}")
-        if not isinstance(entry.get("path"), str):
-            raise ParseError("every output needs a string path")
+        if not isinstance(entry.get("path"), str) or not entry["path"]:
+            raise ParseError("every output needs a non-empty string path")
         if "grid" in entry and (not isinstance(entry["grid"], int) or isinstance(entry["grid"], bool)):
             raise ParseError("output grid must be an integer")
     return raw
@@ -267,7 +267,7 @@ def _build_trial_config(raw: dict, spec, gen) -> TrialConfig:
         shots_per_trial=section["shots_per_trial"],
         n_trials=section["n_trials"],
         rng_seed=section["rng_seed"],
-        povm=tuple(povm),
+        povm=povm,
         search_interval=(float(interval[0]), float(interval[1])),
     )
 
@@ -299,7 +299,10 @@ def cmd_run(args) -> int:
         config = _build_trial_config(raw, spec, gen)  # all validation before any computation
     for entry in outputs:
         parent = os.path.dirname(entry["path"]) or "."
-        os.makedirs(parent, exist_ok=True)
+        try:
+            os.makedirs(parent, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot create output directory {parent!r}: {exc}") from exc
         if not os.access(parent, os.W_OK):
             raise ValidationError(f"output directory {parent!r} is not writable")
     contents = [_render_output(entry, raw, spec, gen, probe, config) for entry in outputs]
@@ -309,13 +312,13 @@ def cmd_run(args) -> int:
             with open(entry["path"], "wb") as fh:
                 fh.write(blob)
             written.append(entry["path"])
-    except OSError:
+    except OSError as exc:
         for path in written:
             try:
                 os.unlink(path)
             except OSError:
                 pass
-        raise
+        raise ValidationError(f"cannot write output {entry['path']!r}: {exc}") from exc
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -1,5 +1,10 @@
 """Monte-Carlo measurement sampling and maximum-likelihood phase estimation.
 
+Measurements are ``metrology.Measurement`` values: the joint optimal POVM is
+one site of two d x d elements, and the site-product POVM from
+``tensor_power_povm`` is one validated site factor applied to every site, so
+its probabilities never need an element of the joint space.
+
 Estimation is local: the true phase is assumed to sit inside a known search
 interval shorter than the likelihood period set by the generator's spectrum,
 so the global phase ambiguity never enters.  Outcome sampling is multinomial
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryWarning, UsageError, ValidationError
-from .metrology import classical_fisher, outcome_probabilities, validate_povm
-from .opalg import NORM_TOL, HermitianOperator, PureState, evolve, hermitian_eigensystem, tensor_product
+from .metrology import Measurement, _as_measurement, classical_fisher, outcome_probabilities
+from .opalg import NORM_TOL, HermitianOperator, PureState, evolve, hermitian_eigensystem
 from .procedures import JointGenerator
 from .states import _extreme_columns
 
@@ -29,13 +34,17 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True, eq=False)
 class TrialConfig:
-    """Inputs of one Monte-Carlo estimation run."""
+    """Inputs of one Monte-Carlo estimation run.
+
+    ``povm`` is a Measurement or a list of elements; a list is validated and
+    wrapped here, a Measurement is kept as built.
+    """
 
     phi_true: float
     shots_per_trial: int
     n_trials: int
     rng_seed: int
-    povm: tuple
+    povm: Measurement
     search_interval: tuple[float, float]
 
     def __post_init__(self):
@@ -45,8 +54,7 @@ class TrialConfig:
             raise ValidationError("n_trials must be >= 1")
         if self.rng_seed < 0:
             raise ValidationError("rng_seed must be >= 0")
-        povm = tuple(self.povm)
-        validate_povm(list(povm))
+        povm = _as_measurement(self.povm)
         lo, hi = (float(self.search_interval[0]), float(self.search_interval[1]))
         if not lo < hi:
             raise ValidationError(f"search interval must satisfy lo < hi, got ({lo}, {hi})")
@@ -97,14 +105,13 @@ def optimal_povm(gen: JointGenerator) -> list[HermitianOperator]:
     return [HermitianOperator((eye + x) / 2), HermitianOperator((eye - x) / 2)]
 
 
-def tensor_power_povm(povm: list[HermitianOperator], n: int) -> list[HermitianOperator]:
-    """n-fold tensor power: one outcome per length-n word of single-site outcomes."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    out = list(povm)
-    for _ in range(n - 1):
-        out = [tensor_product(a, b) for a in out for b in povm]
-    return out
+def tensor_power_povm(povm: list[HermitianOperator], n: int) -> Measurement:
+    """n-fold tensor power of a site POVM: one outcome per length-n word of site outcomes.
+
+    Words are numbered with site 0 most significant.  The result is the site
+    factor, validated once, applied to each of the n sites.
+    """
+    return Measurement(povm, n)
 
 
 def sample_outcomes(state: PureState, povm, shots: int, seed) -> np.ndarray:
@@ -115,7 +122,7 @@ def sample_outcomes(state: PureState, povm, shots: int, seed) -> np.ndarray:
     """
     if shots < 1:
         raise UsageError("shots must be >= 1")
-    probs = outcome_probabilities(state, list(povm))
+    probs = outcome_probabilities(state, povm)
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"outcome probabilities sum to {total!r}, not 1")
@@ -149,10 +156,10 @@ def _outcome_table(state: PureState, gen: HermitianOperator, povm, grid: np.ndar
     """P[g, k] = outcome_probabilities(evolve(state, gen, grid[g]), povm)[k].
 
     The probe is evolved to every grid phase at once (a phase matrix for a
-    diagonal generator, the cached eigensystem otherwise), then contracted
-    against one POVM element at a time, so no K x G x d intermediate exists.
-    The per-point checks hold row by row: evolved norms within NORM_TOL,
-    probabilities below -1e-12 rejected, the rest clipped at 0.
+    diagonal generator, the cached eigensystem otherwise), then the whole
+    batch goes through the measurement's probability kernel, site axis by
+    site axis.  The per-point checks hold row by row: evolved norms within
+    NORM_TOL, probabilities below -1e-12 rejected, the rest clipped at 0.
     """
     if gen.is_diagonal:
         evolved = np.exp(-1j * grid[:, None] * gen.diagonal) * state.amplitudes
@@ -163,13 +170,7 @@ def _outcome_table(state: PureState, gen: HermitianOperator, povm, grid: np.ndar
     norm_defect = np.max(np.abs(np.sum(np.abs(evolved) ** 2, axis=1) - 1.0))
     if norm_defect > NORM_TOL:
         raise ValidationError(f"evolved state is not normalized: max |sum |a|^2 - 1| = {norm_defect!r}")
-    bra = evolved.conj()
-    table = np.empty((grid.size, len(povm)))
-    for k, element in enumerate(povm):
-        table[:, k] = np.einsum("gi,gi->g", bra, evolved @ element.entries.T).real
-    if table.min() < -1e-12:
-        raise ValidationError(f"negative outcome probability {table.min():.3e}")
-    return np.clip(table, 0.0, None)
+    return _as_measurement(povm).probabilities(evolved)
 
 
 def _scan_and_refine(counts, log_table: np.ndarray, grid: np.ndarray, model) -> float:
@@ -222,7 +223,7 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
     """
     if state.dim != gen.dim:
         raise UsageError(f"dimension mismatch: state {state.dim} vs generator {gen.dim}")
-    if config.povm[0].dim != gen.dim:
+    if config.povm.dim != gen.dim:
         raise UsageError("POVM dimension does not match the generator")
     lo, hi = config.search_interval
     if gen.seminorm > 0 and hi - lo > 2 * math.pi / gen.seminorm:
@@ -230,7 +231,7 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
             f"search interval width {hi - lo:g} exceeds the likelihood period "
             f"{2 * math.pi / gen.seminorm:g}; local estimation would be ambiguous"
         )
-    povm = list(config.povm)
+    povm = config.povm
 
     def state_at(phi: float) -> PureState:
         return evolve(state, gen.generator, phi)
@@ -247,7 +248,7 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
     estimates = np.empty(config.n_trials)
     for trial in range(config.n_trials):
         stream = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(trial,))
-        counts = sample_outcomes(truth, config.povm, config.shots_per_trial, stream)
+        counts = sample_outcomes(truth, povm, config.shots_per_trial, stream)
         estimates[trial] = _scan_and_refine(counts, log_table, grid, model)
     rmse = float(np.sqrt(np.mean((estimates - config.phi_true) ** 2)))
     crb = 1.0 / math.sqrt(config.shots_per_trial * fisher)

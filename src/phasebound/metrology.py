@@ -1,10 +1,16 @@
-"""Resource counts, precision bounds, Fisher information, error propagation.
+"""Resource counts, precision bounds, measurements, Fisher information, error propagation.
 
 Three resource counts are in play: the query count Q carried by the
 generator, the standard deviation of the generator in the probe, and the
 expectation of the generator above its ground state.  Each feeds its own
 lower bound on the phase uncertainty; for the balanced extreme-eigenvector
 superpositions all of them collapse to the same number.
+
+A measurement is a ``Measurement``: one validated site factor applied to
+each of N sites, with a plain list of elements as the N = 1 case.  One
+kernel gives the outcome probabilities of a single state or of a batch of
+states by contracting the amplitudes site axis by site axis, so a
+site-product measurement never needs an element of the joint space.
 
 Bounds that would be infinite (zero resource, e.g. an eigenstate probe or a
 flat generator) are reported as the NO_SENSITIVITY sentinel instead of a
@@ -14,7 +20,7 @@ float so serialized reports stay finite and explicit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +40,8 @@ ZERO_RESOURCE_TOL = 1e-12
 DEFAULT_DERIVATIVE_STEP = 1e-5
 POVM_TOL = 1e-9
 _PROB_FLOOR = 1e-12
+# site-eigenbasis amplitudes one chunk of a probability batch may hold (4 MB)
+_CHUNK_AMPLITUDES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +147,11 @@ def qfi_pure(state: PureState, gen: HermitianOperator) -> float:
 
 
 def validate_povm(povm: list[HermitianOperator]) -> None:
+    """Reject an empty list, mixed dimensions, a negative eigenvalue or a sum other than I.
+
+    Each element's eigensystem is computed, and cached on the element, on
+    the way; ``Measurement`` reads it from that cache.
+    """
     if not povm:
         raise ValidationError("POVM must have at least one element")
     dim = povm[0].dim
@@ -154,15 +167,102 @@ def validate_povm(povm: list[HermitianOperator]) -> None:
         raise ValidationError(f"POVM does not sum to identity: defect {defect:.3e}")
 
 
-def outcome_probabilities(state: PureState, povm: list[HermitianOperator]) -> np.ndarray:
-    probs = np.array([float(np.vdot(state.amplitudes, e.apply(state.amplitudes)).real) for e in povm])
-    if probs.min() < -1e-12:
-        raise ValidationError(f"negative outcome probability {probs.min():.3e}")
-    return np.clip(probs, 0.0, None)
+def _contract_sites(x: np.ndarray, matrix_t: np.ndarray, n: int) -> np.ndarray:
+    """Apply matrix_t.T (b x a) to each of the n site axes of every row of x: (G, a^n) -> (G, b^n).
+
+    Each pass contracts the leading site axis and appends its image as the
+    trailing one, so after n passes the sites are back in order.
+    """
+    g, a = x.shape[0], matrix_t.shape[0]
+    for _ in range(n):
+        x = (x.reshape(g, a, -1).transpose(0, 2, 1).reshape(-1, a) @ matrix_t).reshape(g, -1)
+    return x
+
+
+@dataclass(frozen=True, eq=False)
+class Measurement:
+    """A POVM given by one site factor applied to each of ``n_sites`` sites.
+
+    Outcome (k_0, ..., k_{N-1}) has the element E_{k_0} (x) ... (x) E_{k_{N-1}}
+    of the ``site`` elements; outcomes are numbered in word order, site 0 most
+    significant (the package's tensor order).  A plain list of elements is the
+    N = 1 case.  The site elements are validated once, here.  Each is kept as
+    the rows of its eigensystem (eigenvalues within rounding of zero dropped)
+    and its signed eigenvalues: a probability is |amplitudes contracted with
+    the rows on every site axis|^2, contracted with those eigenvalues on every
+    axis.  That is exact for non-projective and non-commuting elements, builds
+    no operator on the joint space, and costs O(N d) per state for a
+    projective qubit site.
+    """
+
+    site: tuple
+    n_sites: int = 1
+    dim: int = field(init=False)
+    n_outcomes: int = field(init=False)
+    _rows_t: np.ndarray = field(init=False, repr=False)
+    _weights_t: np.ndarray = field(init=False, repr=False)
+    _chunk: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        site = tuple(self.site)
+        if self.n_sites < 1:
+            raise UsageError(f"site count must be >= 1, got {self.n_sites}")
+        validate_povm(site)
+        columns, weights = [], []
+        for k, element in enumerate(site):
+            spec = hermitian_eigensystem(element)  # cached by validate_povm
+            keep = np.abs(spec.eigenvalues) > element.dim * np.finfo(float).eps
+            columns.append(spec.eigenvectors[:, keep].conj())
+            block = np.zeros((np.count_nonzero(keep), len(site)))
+            block[:, k] = spec.eigenvalues[keep]
+            weights.append(block)
+        rows_t = np.hstack(columns)  # (d_s, R): the eigen-rows, transposed
+        for name, value in (
+            ("site", site),
+            ("dim", site[0].dim**self.n_sites),
+            ("n_outcomes", len(site) ** self.n_sites),
+            ("_rows_t", rows_t),
+            ("_weights_t", np.vstack(weights)),  # (R, K): signed eigenvalues by outcome
+            ("_chunk", max(1, _CHUNK_AMPLITUDES // rows_t.shape[1] ** self.n_sites)),
+        ):
+            object.__setattr__(self, name, value)
+
+    def probabilities(self, amplitudes) -> np.ndarray:
+        """Outcome probabilities of one state (dim,) or of each row of a batch (G, dim).
+
+        Probabilities below -1e-12 raise ValidationError; the rest are clipped
+        at 0.  A batch is contracted in chunks of grid states, so no chunk holds
+        more than _CHUNK_AMPLITUDES site-eigenbasis amplitudes.
+        """
+        psi = np.asarray(amplitudes)
+        if psi.shape[-1] != self.dim:
+            raise UsageError(f"dimension mismatch: state {psi.shape[-1]} vs measurement {self.dim}")
+        batch = psi.reshape(-1, self.dim)
+        n, step = self.n_sites, self._chunk
+        probs = np.concatenate([
+            _contract_sites(np.abs(_contract_sites(batch[i:i + step], self._rows_t, n)) ** 2, self._weights_t, n)
+            for i in range(0, batch.shape[0], step)
+        ])
+        if probs.min() < -1e-12:
+            raise ValidationError(f"negative outcome probability {probs.min():.3e}")
+        return np.maximum(probs, 0.0).reshape(psi.shape[:-1] + (self.n_outcomes,))
+
+
+def _as_measurement(povm) -> Measurement:
+    # a raw element list is the one-site case, validated as it is wrapped
+    return povm if isinstance(povm, Measurement) else Measurement(povm)
+
+
+def outcome_probabilities(state: PureState, povm) -> np.ndarray:
+    """Outcome probabilities of a Measurement, or of a list of elements, in ``state``.
+
+    A list is validated on every call; a Measurement built once is not.
+    """
+    return _as_measurement(povm).probabilities(state.amplitudes)
 
 
 def classical_fisher(
-    povm: list[HermitianOperator],
+    povm,
     state_at,
     phi: float,
     eps: float = DEFAULT_DERIVATIVE_STEP,
@@ -170,10 +270,11 @@ def classical_fisher(
 ) -> float:
     """Fisher information of the POVM statistics, sum over (dp/dphi)^2 / p.
 
-    The derivative is a central difference; outcomes with probability under
-    1e-12 are skipped before dividing.
+    ``povm`` is a Measurement, used as built, or a list of elements,
+    validated here.  The derivative is a central difference; outcomes with
+    probability under 1e-12 are skipped before dividing.
     """
-    validate_povm(povm)
+    povm = _as_measurement(povm)
     p0 = outcome_probabilities(state_at(phi), povm)
     dp = (outcome_probabilities(state_at(phi + eps), povm) - outcome_probabilities(state_at(phi - eps), povm)) / (
         2 * eps

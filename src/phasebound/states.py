@@ -53,11 +53,16 @@ class StateFamily:
         if self.kind == "coherent":
             if self.alpha is None or self.cutoff is None:
                 raise ValidationError("coherent needs alpha and cutoff")
-            if self.cutoff < 10 * abs(self.alpha) ** 2:
+            if self.cutoff < _min_cutoff(self.alpha):
                 raise ValidationError(
-                    f"cutoff {self.cutoff} is below 10*|alpha|^2 = {10 * abs(self.alpha) ** 2:g}; "
+                    f"cutoff {self.cutoff} is below 10*|alpha|^2 = {_min_cutoff(self.alpha):g}; "
                     "truncation would be uncontrolled"
                 )
+
+
+def _min_cutoff(alpha: complex) -> float:
+    # a float product overflows to inf where ** 2 would raise OverflowError
+    return 10.0 * abs(alpha) * abs(alpha)
 
 
 def _extreme_columns(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -130,9 +135,9 @@ def coherent_state(alpha: complex, cutoff: int) -> PureState:
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    if cutoff < 10 * abs(alpha) ** 2:
+    if cutoff < _min_cutoff(alpha):
         raise ValidationError(
-            f"cutoff {cutoff} is below 10*|alpha|^2 = {10 * abs(alpha) ** 2:g}"
+            f"cutoff {cutoff} is below 10*|alpha|^2 = {_min_cutoff(alpha):g}"
         )
     n = np.arange(cutoff + 1)
     if alpha == 0:

@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phasebound.cli as cli
 from phasebound.errors import NumericalIntegrityError
@@ -206,6 +213,31 @@ def test_run_invalid_state_exits_3_without_artifacts(tmp_path, monkeypatch, caps
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_run_empty_output_path_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = write_scenario(tmp_path, minimal_scenario(outputs=[{"type": "report", "path": ""}]))
+    assert cli.main(["run", path]) == 2
+    assert "parse-error:" in capsys.readouterr().err
+
+
+def test_run_unwritable_output_exits_3_and_removes_earlier_artifacts(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out" / "taken").mkdir(parents=True)
+    outputs = [{"type": "report", "path": "out/report.json"}, {"type": "report", "path": "out/taken"}]
+    path = write_scenario(tmp_path, minimal_scenario(outputs=outputs))
+    assert cli.main(["run", path]) == 3
+    assert "validation-error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_run_huge_coherent_amplitude_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    payload = minimal_scenario(procedure=None, state={"kind": "coherent", "alpha": 1e300, "cutoff": 40})
+    del payload["procedure"]
+    assert cli.main(["run", write_scenario(tmp_path, payload)]) == 3
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_trial_validated_before_any_write(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     payload = minimal_scenario(
@@ -351,6 +383,106 @@ def test_run_has_no_parallel_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", path, "--parallel"])
     assert exc.value.code == 2
+
+
+def test_run_site_product_trial_at_n10_stays_small(tmp_path, monkeypatch):
+    # the site factor is kept as such: 1024 joint outcomes, no 1024 x 1024 element
+    monkeypatch.chdir(tmp_path)
+    payload = minimal_scenario(
+        procedure={"kind": "linear", "n_systems": 10, "base_eigs": [0.0, 1.0]},
+        state={"kind": "product_balanced"},
+        trial={
+            "phi_true": 1.0,
+            "shots_per_trial": 100,
+            "n_trials": 2,
+            "rng_seed": 5,
+            "search_interval": [0.8, 1.2],
+            "povm": "site-product",
+        },
+        outputs=[{"type": "trial", "path": "out/trial.json"}],
+    )
+    path = write_scenario(tmp_path, payload)
+    tracemalloc.start()
+    try:
+        rc = cli.main(["run", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 128 * 2**20
+    assert len(json.loads((tmp_path / "out" / "trial.json").read_text())["estimates"]) == 2
+
+
+# -------------------------------------------------- exit-code property test
+
+PROPERTY_MAX_SYSTEMS = 6
+WRONG_TYPES = (None, True, "text", 1.5, 3, [], [1.0], {})
+
+
+def shrunk_bundled(path: Path) -> dict:
+    """A bundled scenario cut to property-test size: at most 6 systems, 2 trials of 20 shots."""
+    raw = json.loads(path.read_text())
+    if "procedure" in raw:
+        raw["procedure"]["n_systems"] = min(raw["procedure"]["n_systems"], PROPERTY_MAX_SYSTEMS)
+    if "trial" in raw:
+        raw["trial"].update(n_trials=2, shots_per_trial=20)
+    return raw
+
+
+def out_of_range(value) -> list:
+    # integers stay small so that a mutated count never makes a long run
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [-1, 0, 1, PROPERTY_MAX_SYSTEMS]
+    if isinstance(value, float):
+        return [-1.0, 0.0, -1e300, 1e300]
+    if isinstance(value, str):
+        return ["", "bogus"]
+    if isinstance(value, list) and len(value) == 2:
+        return [value[::-1], [value[0], value[0]], [value[0], 1e300]]
+    return list(WRONG_TYPES)
+
+
+def mutable_keys(raw: dict) -> list:
+    """(owner, key) for every top-level key, section key and output-entry key."""
+    keys = [(raw, key) for key in raw]
+    for value in raw.values():
+        if isinstance(value, dict):
+            keys += [(value, key) for key in value]
+    if isinstance(raw.get("outputs"), list):
+        keys += [(entry, key) for entry in raw["outputs"] if isinstance(entry, dict) for key in entry]
+    return keys
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_run_exit_code_contract_holds_for_mutated_scenarios(data):
+    raw = shrunk_bundled(data.draw(st.sampled_from(sorted(SCENARIOS.glob("*.json"))), label="bundled"))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        keys = mutable_keys(raw)
+        if not keys:
+            break
+        owner, key = data.draw(st.sampled_from(keys), label="key")
+        action = data.draw(st.sampled_from(("delete", "wrong-type", "out-of-range")), label="action")
+        if action == "delete":
+            del owner[key]
+        else:
+            choices = WRONG_TYPES if action == "wrong-type" else out_of_range(owner[key])
+            owner[key] = copy.deepcopy(data.draw(st.sampled_from(choices), label="value"))
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main(["run", str(scenario)])
+        finally:
+            os.chdir(cwd)
+        assert rc in (0, 2, 3, 4)
+        if rc != 0:
+            assert [p for p in Path(tmp).rglob("*") if p.is_file()] == [scenario]
 
 
 # --------------------------------------------------------------------- estimate

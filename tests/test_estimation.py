@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from phasebound.errors import BoundaryWarning, ValidationError
+from phasebound.errors import BoundaryWarning, UsageError, ValidationError
 from phasebound.estimation import (
     GRID_POINTS,
     REFINE_TOL,
@@ -18,12 +18,12 @@ from phasebound.estimation import (
     sample_outcomes,
     tensor_power_povm,
 )
-from phasebound.metrology import outcome_probabilities, validate_povm
+from phasebound.metrology import Measurement, outcome_probabilities, validate_povm
 from phasebound.opalg import HermitianOperator, PureState, evolve, hermitian_eigensystem
 from phasebound.procedures import JointGenerator, ProcedureSpec, build_generator
 from phasebound.states import mode_number_generator, noon_state, product_balanced_state
 
-from util import random_hermitian, random_state_vector, random_unitary, rng
+from util import dense_product_probabilities, random_hermitian, random_state_vector, random_unitary, rng
 
 
 def binary_model(phi):
@@ -50,8 +50,14 @@ def test_optimal_povm_is_valid_and_binary():
 def test_tensor_power_povm_counts_and_completeness():
     site = optimal_povm(JointGenerator(qubit_base(), 1, 0.0, 1.0))
     joint = tensor_power_povm(site, 3)
-    assert len(joint) == 8
-    validate_povm(joint)
+    assert (joint.n_outcomes, joint.dim, joint.n_sites) == (8, 8, 3)
+    g = rng(3)
+    for _ in range(5):
+        psi = random_state_vector(g, 8)
+        probs = joint.probabilities(psi)
+        dense = dense_product_probabilities([e.entries for e in site], 3, psi)
+        assert_allclose(probs, dense, rtol=0, atol=1e-12)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # ------------------------------------------------------------------- sampling
@@ -217,7 +223,7 @@ TABLE_ATOL = 1e-12  # float64 rounding of d <= 64 contractions sits far below th
 
 
 def per_point_table(state, generator, povm, grid):
-    return np.array([outcome_probabilities(evolve(state, generator, phi), list(povm)) for phi in grid])
+    return np.array([outcome_probabilities(evolve(state, generator, phi), povm) for phi in grid])
 
 
 def site_product_case(n):
@@ -255,7 +261,7 @@ def test_table_matches_per_point_nondiagonal_generator():
 
 def test_table_matches_per_point_site_product():
     gen, probe, povm = site_product_case(3)
-    assert len(povm) == 8
+    assert povm.n_outcomes == 8
     grid = np.linspace(0.2, 1.2, GRID_POINTS)
     table = _outcome_table(probe, gen.generator, povm, grid)
     assert_allclose(table, per_point_table(probe, gen.generator, povm, grid), rtol=0, atol=TABLE_ATOL)
@@ -277,7 +283,7 @@ def test_trial_matches_per_trial_mle_estimate(case, phi_true):
     else:
         gen, probe, povm = site_product_case(3)
         cfg = TrialConfig(phi_true, 300, 4, 8, povm, (0.2, 1.2))
-    model = lambda phi: outcome_probabilities(evolve(probe, gen.generator, phi), list(povm))
+    model = lambda phi: outcome_probabilities(evolve(probe, gen.generator, phi), povm)
     truth = evolve(probe, gen.generator, cfg.phi_true)
     with warnings.catch_warnings(record=True) as batched:
         warnings.simplefilter("always", BoundaryWarning)
@@ -293,3 +299,119 @@ def test_trial_matches_per_trial_mle_estimate(case, phi_true):
     assert len(batched) == len(scalar)
     if case == "noon":
         assert len(scalar) > 0  # phi_true next to an edge puts some maxima on it
+
+
+# ------------------------------------------------- site-factored measurements
+
+REFERENCE_ATOL = 1e-12
+
+
+def qubit_optimal_site():
+    return optimal_povm(JointGenerator(qubit_base(), 1, 0.0, 1.0))
+
+
+def qutrit_optimal_site():
+    # (I +/- X)/2 with X = |2><0| + h.c.: eigenvalue 1/2 on |1>, so not projective
+    return optimal_povm(JointGenerator(HermitianOperator.from_diagonal([0.0, 0.5, 1.0]), 1, 0.0, 1.0))
+
+
+def random_three_outcome_site(seed=33):
+    # E_k = S^(-1/2) A_k S^(-1/2) for random positive A_k and S = sum A_k
+    g = rng(seed)
+    parts = []
+    for _ in range(3):
+        z = g.normal(size=(2, 2)) + 1j * g.normal(size=(2, 2))
+        parts.append(z @ z.conj().T)
+    w, v = np.linalg.eigh(sum(parts))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    elements = [inv_sqrt @ a @ inv_sqrt for a in parts]
+    return [HermitianOperator((e + e.conj().T) / 2) for e in elements]
+
+
+SITES = {"qubit-optimal": qubit_optimal_site, "qutrit-optimal": qutrit_optimal_site, "random-3": random_three_outcome_site}
+
+
+def test_reference_sites_are_what_they_claim():
+    qutrit = [e.entries for e in qutrit_optimal_site()]
+    assert np.max(np.abs(qutrit[0] @ qutrit[0] - qutrit[0])) > 0.1
+    site = [e.entries for e in random_three_outcome_site()]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert np.max(np.abs(site[i] @ site[j] - site[j] @ site[i])) > 0.05
+    assert min(np.linalg.eigvalsh(e).min() for e in site) > 0.05  # full rank: nothing projective
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("name", sorted(SITES))
+def test_site_product_matches_dense_reference(name, n):
+    site = SITES[name]()
+    mats = [e.entries for e in site]
+    meas = tensor_power_povm(site, n)
+    dim = site[0].dim ** n
+    assert (meas.dim, meas.n_outcomes) == (dim, len(site) ** n)
+    g = rng(100 + n)
+    probe = PureState(random_state_vector(g, dim))
+    probs = outcome_probabilities(probe, meas)
+    assert_allclose(probs, dense_product_probabilities(mats, n, probe.amplitudes), rtol=0, atol=REFERENCE_ATOL)
+    # the grid table against the dense reference on independently evolved states
+    gen = build_generator(ProcedureSpec("linear", n, (0.0, 1.0), subsystem_dim=site[0].dim))
+    grid = np.linspace(-0.7, 1.3, 9)
+    evolved = np.exp(-1j * grid[:, None] * np.diag(gen.generator.entries).real) * probe.amplitudes
+    table = _outcome_table(probe, gen.generator, meas, grid)
+    assert_allclose(table, dense_product_probabilities(mats, n, evolved), rtol=0, atol=REFERENCE_ATOL)
+
+
+def test_sample_outcomes_match_dense_reference():
+    site = random_three_outcome_site()
+    n, shots, seed = 4, 5000, 77
+    psi = random_state_vector(rng(8), 2**n)
+    counts = sample_outcomes(PureState(psi), tensor_power_povm(site, n), shots, seed)
+    dense = dense_product_probabilities([e.entries for e in site], n, psi)
+    reference = np.random.default_rng(seed).multinomial(shots, dense / dense.sum())
+    assert counts.tolist() == reference.tolist()
+
+
+def test_product_measurement_rejects_negative_probability():
+    # -delta passes the POVM tolerance but <000|E_0 (x) E_1 (x) E_1|000> = -delta (1 + delta)^2
+    delta = 5e-10
+    site = [HermitianOperator.from_diagonal([-delta, 1.0]), HermitianOperator.from_diagonal([1.0 + delta, 0.0])]
+    meas = tensor_power_povm(site, 3)
+    probe = PureState.basis_vector(8, 0)
+    assert dense_product_probabilities([e.entries for e in site], 3, probe.amplitudes)[3] < -1e-12
+    with pytest.raises(ValidationError, match="negative outcome probability"):
+        outcome_probabilities(probe, meas)
+    gen = build_generator(ProcedureSpec("linear", 3, (0.0, 1.0)))
+    with pytest.raises(ValidationError, match="negative outcome probability"):
+        _outcome_table(probe, gen.generator, meas, np.linspace(0.0, 1.0, 5))
+
+
+def test_measurement_dimension_mismatch_is_usage_error():
+    meas = tensor_power_povm(qubit_optimal_site(), 3)
+    with pytest.raises(UsageError):
+        outcome_probabilities(PureState.basis_vector(4, 0), meas)
+    with pytest.raises(UsageError):
+        tensor_power_povm(qubit_optimal_site(), 0)
+    gen = build_generator(ProcedureSpec("linear", 2, (0.0, 1.0)))
+    cfg = TrialConfig(0.7, 10, 2, 1, meas, (0.2, 1.2))
+    with pytest.raises(UsageError):
+        precision_trial(gen, product_balanced_state(2, hermitian_eigensystem(qubit_base())), cfg)
+
+
+def test_measurement_is_validated_once(monkeypatch):
+    import phasebound.metrology as metrology
+
+    calls = []
+    original = metrology.validate_povm
+    monkeypatch.setattr(metrology, "validate_povm", lambda povm: calls.append(len(povm)) or original(povm))
+    gen, probe, povm = site_product_case(3)
+    assert calls == [2]
+    cfg = TrialConfig(0.7, 50, 2, 4, povm, (0.2, 1.2))
+    precision_trial(gen, probe, cfg)
+    assert calls == [2]
+    TrialConfig(0.7, 50, 2, 4, qubit_optimal_site(), (0.2, 1.2))
+    assert calls == [2, 2]
+
+
+def test_invalid_site_rejected_at_construction():
+    with pytest.raises(ValidationError):
+        tensor_power_povm([HermitianOperator.from_diagonal([0.5, 0.5])], 4)
+    assert isinstance(tensor_power_povm(qubit_optimal_site(), 2), Measurement)

@@ -5,6 +5,8 @@ polynomial roots instead of eigh, explicit kron chains instead of the
 embedding helper, and per-eigenvalue probability sums instead of vector
 moments.
 """
+import itertools
+
 import numpy as np
 
 
@@ -60,6 +62,22 @@ def kron_all(mats):
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
+
+
+def dense_product_probabilities(site_mats, n, amplitudes):
+    """<psi|E_{k_0} (x) ... (x) E_{k_{n-1}}|psi> for every word k, site 0 most significant.
+
+    ``amplitudes`` is one state (d,) or a batch (G, d).  Each word's element
+    is an explicit kron chain of the site matrices, built one at a time, so
+    the reference holds no more than one joint element.
+    """
+    psi = np.asarray(amplitudes, dtype=complex)
+    batch = psi.reshape(-1, psi.shape[-1])
+    columns = []
+    for word in itertools.product(range(len(site_mats)), repeat=n):
+        element = kron_all([np.asarray(site_mats[k], dtype=complex) for k in word])
+        columns.append(np.einsum("gi,gi->g", batch.conj(), batch @ element.T).real)
+    return np.stack(columns, axis=1).reshape(psi.shape[:-1] + (-1,))
 
 
 def dense_diagonal_operator(values):
