@@ -29,6 +29,8 @@ from .states import _extreme_columns
 RNG_ALGORITHM = "pcg64"  # numpy default_rng bit generator
 GRID_POINTS = 1000
 REFINE_TOL = 1e-8
+MAX_TRIALS = 10**6
+MAX_SHOTS = 10**9  # multinomial draws need a C long, 32 bits on some platforms
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -37,7 +39,8 @@ class TrialConfig:
     """Inputs of one Monte-Carlo estimation run.
 
     ``povm`` is a Measurement or a list of elements; a list is validated and
-    wrapped here, a Measurement is kept as built.
+    wrapped here, a Measurement is kept as built.  ``n_trials`` may not exceed
+    MAX_TRIALS (10^6) and ``shots_per_trial`` may not exceed MAX_SHOTS (10^9).
     """
 
     phi_true: float
@@ -48,10 +51,10 @@ class TrialConfig:
     search_interval: tuple[float, float]
 
     def __post_init__(self):
-        if self.shots_per_trial < 1:
-            raise ValidationError("shots_per_trial must be >= 1")
-        if self.n_trials < 1:
-            raise ValidationError("n_trials must be >= 1")
+        if not 1 <= self.shots_per_trial <= MAX_SHOTS:
+            raise ValidationError(f"shots_per_trial must lie in [1, {MAX_SHOTS}], got {self.shots_per_trial}")
+        if not 1 <= self.n_trials <= MAX_TRIALS:
+            raise ValidationError(f"n_trials must lie in [1, {MAX_TRIALS}], got {self.n_trials}")
         if self.rng_seed < 0:
             raise ValidationError("rng_seed must be >= 0")
         povm = _as_measurement(self.povm)

@@ -5,15 +5,21 @@ A network is an alternating chain of fixed unitaries and black-box slots,
 subsystems.  Each box applies ``exp(-i * phi * H)`` for a positive Hermitian
 ``H`` on its target subsystems; the fixed unitaries act on the full space.
 
+A box acts on its target axes only: a box on k subsystems of dimension d_s
+is applied to a d x m matrix by contracting its d_s^k x d_s^k matrix with
+those k tensor axes, at O(d * m * d_s^k), and no d x d box matrix is built.
+
 The generator of the composite evolution is extracted two ways: numerically,
 as ``i * dU/dphi * U^dag`` by central differences, and analytically, as the
-sum of Q unitary conjugations of the embedded box generators.  The two routes
+sum of Q unitary conjugations of the box generators.  The two routes
 cross-check each other; the numeric definition is the authoritative sign
 convention.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +49,12 @@ class BlackBox:
     shift: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        targets = tuple(int(i) for i in self.target_subsystems)
+        try:
+            if any(isinstance(i, bool) for i in self.target_subsystems):
+                raise TypeError
+            targets = tuple(operator.index(i) for i in self.target_subsystems)
+        except TypeError:
+            raise ValidationError(f"box targets must be integers, got {self.target_subsystems!r}") from None
         if len(set(targets)) != len(targets):
             raise ValidationError(f"box targets repeat a subsystem: {targets}")
         order = self.order or len(targets)
@@ -86,7 +97,7 @@ class QuantumNetwork:
                 if v.shape != (dim, dim):
                     raise ValidationError(f"fixed unitary at layer {pos} has shape {v.shape}, expected {(dim, dim)}")
                 defect = np.max(np.abs(v @ v.conj().T - np.eye(dim)))
-                if defect > UNITARY_TOL:
+                if not defect <= UNITARY_TOL:
                     raise ValidationError(f"layer {pos} is not unitary: defect {defect:.3e}")
             else:
                 if not isinstance(layer, BlackBox):
@@ -132,14 +143,29 @@ def embed_operator(entries: np.ndarray, sites: tuple[int, ...], n: int, d: int) 
     return np.ascontiguousarray(t.reshape(d**n, d**n))
 
 
-def _box_generator_full(net: QuantumNetwork, box: BlackBox) -> np.ndarray:
-    return embed_operator(box.base_generator.entries, box.target_subsystems, net.n_subsystems, net.subsystem_dim)
+def _apply_on_sites(small: np.ndarray, sites: tuple[int, ...], m: np.ndarray, n: int, d: int) -> np.ndarray:
+    """(``small`` embedded on ``sites``) @ m, contracting only the target axes of m.
+
+    The target axes of m, viewed as ``[d] * n + [columns]``, are moved side by
+    side in box order, so one batched matmul applies the box.  The moves are
+    views; reshaping copies only when the targets are not already adjacent
+    and ascending.
+    """
+    k, first = len(sites), min(sites)
+    block = range(first, first + k)
+    t = np.moveaxis(m.reshape([d] * n + [-1]), sites, block)
+    out = small @ t.reshape(d**first, d**k, -1)
+    return np.moveaxis(out.reshape(t.shape), block, sites).reshape(m.shape)
 
 
-def _box_unitary_full(net: QuantumNetwork, box: BlackBox, phi: float) -> np.ndarray:
+def _box_unitary(box: BlackBox, phi: float) -> np.ndarray:
     spec = hermitian_eigensystem(box.base_generator)
-    small = (spec.eigenvectors * np.exp(-1j * phi * spec.eigenvalues)) @ spec.eigenvectors.conj().T
-    return embed_operator(small, box.target_subsystems, net.n_subsystems, net.subsystem_dim)
+    return (spec.eigenvectors * np.exp(-1j * phi * spec.eigenvalues)) @ spec.eigenvectors.conj().T
+
+
+def _check_phi(phi: float) -> None:
+    if not math.isfinite(phi):
+        raise ValidationError(f"phi must be finite, got {phi!r}")
 
 
 def query_count(net: QuantumNetwork) -> int:
@@ -149,10 +175,12 @@ def query_count(net: QuantumNetwork) -> int:
 
 def network_unitary(net: QuantumNetwork, phi: float) -> np.ndarray:
     """Compose V_Q O(phi) ... V_1 O(phi) V_0 into a dense unitary."""
+    _check_phi(phi)
+    n, d = net.n_subsystems, net.subsystem_dim
     u = net.layers[0]
     for pos in range(1, len(net.layers), 2):
-        u = _box_unitary_full(net, net.layers[pos], phi) @ u
-        u = net.layers[pos + 1] @ u
+        box = net.layers[pos]
+        u = net.layers[pos + 1] @ _apply_on_sites(_box_unitary(box, phi), box.target_subsystems, u, n, d)
     return u
 
 
@@ -196,16 +224,20 @@ def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperat
 
     Term j is W_j H_j W_j^dag with W_j the partial product of all layers after
     box j (inclusive of V_j); each term therefore carries exactly the spectrum
-    of the embedded box generator, whatever the fixed unitaries are.
+    of the embedded box generator, whatever the fixed unitaries are.  The
+    loop carries W_j^dag, so H_j W_j^dag and O_j^dag W_j^dag act on the box's
+    target axes only.
     """
-    dim = net.dim
+    _check_phi(phi)
+    n, d, dim = net.n_subsystems, net.subsystem_dim, net.dim
     terms_rev: list[np.ndarray] = []
-    prefix = net.layers[-1]  # V_Q
+    w_dag = np.ascontiguousarray(net.layers[-1].conj().T)  # V_Q^dag
     for pos in range(len(net.layers) - 2, 0, -2):
         box = net.layers[pos]
-        h_full = _box_generator_full(net, box)
-        terms_rev.append(prefix @ h_full @ prefix.conj().T)
-        prefix = prefix @ _box_unitary_full(net, box, phi) @ net.layers[pos - 1]
+        sites = box.target_subsystems
+        terms_rev.append(w_dag.conj().T @ _apply_on_sites(box.base_generator.entries, sites, w_dag, n, d))
+        o_dag = _box_unitary(box, phi).conj().T
+        w_dag = net.layers[pos - 1].conj().T @ _apply_on_sites(o_dag, sites, w_dag, n, d)
     terms = [HermitianOperator(t, hermitian_tol=1e-8) for t in reversed(terms_rev)]
     total = np.zeros((dim, dim), dtype=complex)
     for t in terms:

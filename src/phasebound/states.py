@@ -40,29 +40,42 @@ class StateFamily:
     cutoff: int | None = None
 
     def __post_init__(self):
+        # presence here; ranges through the checks the constructors run
         if self.kind not in STATE_KINDS:
             raise ValidationError(f"unknown state kind {self.kind!r}; expected one of {STATE_KINDS}")
         if self.kind == "optimal_mu":
             if self.mu is None:
                 raise ValidationError("optimal_mu needs mu")
-            if not 0.0 <= self.mu <= 1.0:
-                raise ValidationError(f"mu must lie in [0, 1], got {self.mu}")
+            _check_mu(self.mu)
         if self.kind == "noon":
-            if self.n_photons is None or self.n_photons < 1:
+            if self.n_photons is None:
                 raise ValidationError("noon needs n_photons >= 1")
+            _check_photons(self.n_photons)
         if self.kind == "coherent":
             if self.alpha is None or self.cutoff is None:
                 raise ValidationError("coherent needs alpha and cutoff")
-            if self.cutoff < _min_cutoff(self.alpha):
-                raise ValidationError(
-                    f"cutoff {self.cutoff} is below 10*|alpha|^2 = {_min_cutoff(self.alpha):g}; "
-                    "truncation would be uncontrolled"
-                )
+            _check_cutoff(self.alpha, self.cutoff)
 
 
-def _min_cutoff(alpha: complex) -> float:
+def _check_mu(mu: float) -> None:
+    if not 0.0 <= mu <= 1.0:
+        raise ValidationError(f"mu must lie in [0, 1], got {mu}")
+
+
+def _check_photons(n_photons: int) -> None:
+    if n_photons < 1:
+        raise ValidationError("n_photons must be >= 1")
+
+
+def _check_cutoff(alpha: complex, cutoff: int) -> None:
+    if cutoff < 1:
+        raise ValidationError("cutoff must be >= 1")
     # a float product overflows to inf where ** 2 would raise OverflowError
-    return 10.0 * abs(alpha) * abs(alpha)
+    floor = 10.0 * abs(alpha) * abs(alpha)
+    if cutoff < floor:
+        raise ValidationError(
+            f"cutoff {cutoff} is below 10*|alpha|^2 = {floor:g}; truncation would be uncontrolled"
+        )
 
 
 def _extreme_columns(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -80,8 +93,7 @@ def optimal_state(gen: JointGenerator, mu: float, rel_phase: float = 0.0) -> Pur
     The relative phase never shows up in any moment of the generator; it is
     kept for completeness of the family.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValidationError(f"mu must lie in [0, 1], got {mu}")
+    _check_mu(mu)
     if gen.seminorm < _DEGENERACY_TOL:
         raise DegenerateGeneratorError(
             "generator has a flat spectrum (h_max = h_min); no superposition of distinct "
@@ -98,8 +110,7 @@ def noon_state(n_photons: int) -> PureState:
     Basis index m counts photons in mode 1, so the sector has dimension N+1
     and the phase generator is the diagonal mode-1 number operator.
     """
-    if n_photons < 1:
-        raise ValidationError("n_photons must be >= 1")
+    _check_photons(n_photons)
     amps = np.zeros(n_photons + 1, dtype=complex)
     amps[0] = 1 / math.sqrt(2)
     amps[n_photons] = 1 / math.sqrt(2)
@@ -109,8 +120,7 @@ def noon_state(n_photons: int) -> PureState:
 
 def mode_number_generator(n_photons: int) -> JointGenerator:
     """Mode-1 photon number diag(0..N) on the sector; each photon queries the phase once."""
-    if n_photons < 1:
-        raise ValidationError("n_photons must be >= 1")
+    _check_photons(n_photons)
     op = HermitianOperator.from_diagonal(np.arange(n_photons + 1, dtype=float))
     return JointGenerator(op, n_photons, 0.0, float(n_photons))
 
@@ -133,12 +143,7 @@ def coherent_state(alpha: complex, cutoff: int) -> PureState:
     Amplitudes are assembled in log space so large cutoffs stay finite; the
     truncated weight must not exceed 1e-8.
     """
-    if cutoff < 1:
-        raise ValidationError("cutoff must be >= 1")
-    if cutoff < _min_cutoff(alpha):
-        raise ValidationError(
-            f"cutoff {cutoff} is below 10*|alpha|^2 = {_min_cutoff(alpha):g}"
-        )
+    _check_cutoff(alpha, cutoff)
     n = np.arange(cutoff + 1)
     if alpha == 0:
         amps = np.zeros(cutoff + 1, dtype=complex)

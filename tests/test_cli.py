@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasebound.cli as cli
+import phasebound.estimation as estimation
 from phasebound.errors import NumericalIntegrityError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -213,6 +214,29 @@ def test_run_invalid_state_exits_3_without_artifacts(tmp_path, monkeypatch, caps
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ({"kind": "optimal_mu", "mu": -0.1}, "mu must lie in [0, 1], got -0.1"),
+        ({"kind": "optimal_mu"}, "optimal_mu needs mu"),
+        ({"kind": "noon", "n_photons": 0}, "n_photons must be >= 1"),
+        ({"kind": "noon"}, "noon needs n_photons >= 1"),
+        ({"kind": "coherent", "alpha": 2.0, "cutoff": 5}, "cutoff 5 is below 10*|alpha|^2 = 40"),
+        ({"kind": "coherent", "alpha": 0.0, "cutoff": 0}, "cutoff must be >= 1"),
+        ({"kind": "coherent", "alpha": 2.0}, "coherent needs alpha and cutoff"),
+    ],
+    ids=["mu-range", "mu-missing", "n_photons-zero", "n_photons-missing", "cutoff-low", "cutoff-zero", "cutoff-missing"],
+)
+def test_run_state_family_rejection_exits_3_without_artifacts(tmp_path, monkeypatch, capsys, state, message):
+    monkeypatch.chdir(tmp_path)
+    payload = minimal_scenario(state=state)
+    if state["kind"] != "optimal_mu":
+        del payload["procedure"]
+    assert cli.main(["run", write_scenario(tmp_path, payload)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_empty_output_path_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     path = write_scenario(tmp_path, minimal_scenario(outputs=[{"type": "report", "path": ""}]))
@@ -374,6 +398,18 @@ def test_run_negative_rng_seed_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     path = write_scenario(tmp_path, trial_scenario(rng_seed=-1))
     assert cli.main(["run", path]) == 3
+    assert "validation-error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["n_trials", "shots_per_trial"])
+@pytest.mark.parametrize("value", [10**30, "limit+1"])
+def test_run_trial_count_above_limit_exits_3(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.chdir(tmp_path)
+    limits = {"n_trials": estimation.MAX_TRIALS, "shots_per_trial": estimation.MAX_SHOTS}
+    payload = json.loads((SCENARIOS / "noon_n3_trial.json").read_text())
+    payload["trial"][key] = limits[key] + 1 if value == "limit+1" else value
+    assert cli.main(["run", write_scenario(tmp_path, payload)]) == 3
     assert "validation-error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

@@ -15,7 +15,8 @@ from phasebound.networks import (
     query_count,
 )
 from phasebound.opalg import HermitianOperator, hermitian_eigensystem
-from util import kron_all, random_hermitian, random_unitary, rng
+from phasebound.procedures import from_network
+from util import kron_all, kron_embedding, random_hermitian, random_unitary, rng
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -42,6 +43,22 @@ def random_net(g, n_boxes, base_scale=2.0):
     return QuantumNetwork(2, 2, tuple(layers))
 
 
+def mixed_net(g, n, d, targets):
+    """Haar interleavers and random non-diagonal bases on the given target tuples."""
+    layers = [random_unitary(g, d**n)]
+    for sites in targets:
+        base = HermitianOperator(random_hermitian(g, d ** len(sites)))
+        layers.extend([BlackBox(base, sites), random_unitary(g, d**n)])
+    return QuantumNetwork(n, d, tuple(layers))
+
+
+MIXED_TARGETS = [(1,), (2, 0), (0, 1), (2,), (1, 2)]
+
+
+def dense_box(net, box):
+    return kron_embedding(box.base_generator.entries, box.target_subsystems, net.n_subsystems, net.subsystem_dim)
+
+
 # ------------------------------------------------------------------ black box
 
 def test_blackbox_shifts_negative_spectrum():
@@ -66,6 +83,16 @@ def test_blackbox_rejects_duplicate_targets():
         BlackBox(HermitianOperator.identity(4), (1, 1))
 
 
+@pytest.mark.parametrize("targets", [(0.7,), (True,), ("0",)])
+def test_blackbox_rejects_non_integer_target(targets):
+    with pytest.raises(ValidationError):
+        BlackBox(HermitianOperator.identity(2), targets)
+
+
+def test_blackbox_accepts_numpy_integer_target():
+    assert BlackBox(HermitianOperator.identity(2), (np.int64(1),)).target_subsystems == (1,)
+
+
 def test_network_rejects_box_with_wrong_generator_dim():
     box = BlackBox(HermitianOperator.identity(2), (0, 1))
     with pytest.raises(ValidationError):
@@ -82,6 +109,22 @@ def test_network_layer_count_must_be_odd():
 def test_network_rejects_non_unitary_layer():
     with pytest.raises(ValidationError):
         QuantumNetwork(1, 2, (np.diag([1.0, 2.0]), qubit_box((0.0, 1.0)), I2))
+
+
+def test_network_rejects_nan_fixed_unitary():
+    v = np.eye(2, dtype=complex)
+    v[0, 1] = np.nan
+    with pytest.raises(ValidationError):
+        QuantumNetwork(1, 2, (v, qubit_box((0.0, 1.0)), I2))
+
+
+@pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "extract", [network_unitary, generator_analytic, generator_numeric, from_network], ids=lambda f: f.__name__
+)
+def test_non_finite_phi_is_rejected(extract, phi):
+    with pytest.raises(ValidationError):
+        extract(bitflip_net(), phi)
 
 
 def test_network_rejects_box_outside_subsystems():
@@ -117,12 +160,30 @@ def test_embed_pair_ordered_and_permuted():
     assert_allclose(embed_operator(ab, (0, 2), 3, 2), kron_all([a, I2, b]), atol=1e-13)
     # swapped targets route each factor to the stated site
     assert_allclose(embed_operator(ab, (2, 0), 3, 2), kron_all([b, I2, a]), atol=1e-13)
+    # an entangling pair operator on swapped targets
+    c = random_hermitian(g, 4)
+    assert_allclose(embed_operator(c, (2, 0), 3, 2), kron_embedding(c, (2, 0), 3, 2), atol=1e-13)
 
 
 def test_embed_qutrit_site():
     g = rng(23)
     a = random_hermitian(g, 3)
     assert_allclose(embed_operator(a, (1,), 2, 3), np.kron(np.eye(3), a), atol=1e-14)
+
+
+# ------------------------------------------------------------ box application
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("sites", [(0,), (4,), (2, 0), (1, 2), (3, 1, 4), (0, 1, 2)])
+@pytest.mark.parametrize("columns", [None, 7])
+def test_apply_on_sites_matches_kron_embedding(d, sites, columns):
+    g = rng(40)
+    n = 5
+    small = random_hermitian(g, d ** len(sites)) + 1j * random_hermitian(g, d ** len(sites))
+    m = random_unitary(g, d**n) if columns is None else g.normal(size=(d**n, columns)) + 0j
+    got = networks._apply_on_sites(small, sites, m, n, d)
+    assert got.shape == m.shape
+    assert_allclose(got, kron_embedding(small, sites, n, d) @ m, atol=1e-13)
 
 
 # ------------------------------------------------------------- network unitary
@@ -156,6 +217,17 @@ def test_network_unitary_matches_expm_oracle():
             expected = scipy.linalg.expm(-1j * phi * h) @ expected
         else:
             expected = np.asarray(layer) @ expected
+    assert_allclose(network_unitary(net, phi), expected, atol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "n, d, targets, phi", [(3, 2, MIXED_TARGETS, 0.9), (2, 3, [(1, 0), (0,)], -0.4)], ids=["qubits", "qutrits"]
+)
+def test_network_unitary_matches_expm_oracle_with_pair_boxes(n, d, targets, phi):
+    net = mixed_net(rng(42), n, d, targets)
+    expected = net.layers[0]
+    for box, v in zip(net.boxes, net.fixed_unitaries[1:]):
+        expected = v @ scipy.linalg.expm(-1j * phi * dense_box(net, box)) @ expected
     assert_allclose(network_unitary(net, phi), expected, atol=1e-11)
 
 
@@ -245,6 +317,24 @@ def test_generator_analytic_three_site_linear():
         assert_allclose(term.entries, embed_operator(np.diag([0.0, 1.0]), (site,), 3, 2), atol=1e-12)
     weights = [bin(i).count("1") for i in range(8)]
     assert_allclose(gen.entries, np.diag(np.array(weights, dtype=float)), atol=1e-12)
+
+
+def test_generator_analytic_terms_match_dense_conjugation():
+    g = rng(44)
+    net = mixed_net(g, 3, 2, MIXED_TARGETS)
+    phi = 0.35
+    gen, terms = generator_analytic(net, phi)
+    expected_total = np.zeros((8, 8), dtype=complex)
+    for j, box in enumerate(net.boxes):
+        # W_j = V_Q O_Q ... O_{j+1} V_j: every layer after box j
+        w = np.eye(8, dtype=complex)
+        for k, layer in enumerate(net.layers[2 * j + 2:], start=2 * j + 2):
+            step = layer if k % 2 == 0 else scipy.linalg.expm(-1j * phi * dense_box(net, layer))
+            w = step @ w
+        expected = w @ dense_box(net, box) @ w.conj().T
+        assert_allclose(terms[j].entries, expected, atol=1e-12)
+        expected_total += expected
+    assert_allclose(gen.entries, expected_total, atol=1e-12)
 
 
 def test_generator_analytic_matches_numeric_on_random_nets():

@@ -99,3 +99,25 @@ def subset_product_diagonal(site_values, n, subsets):
     for subset in subsets:
         total = total + kron_all([site_values if j in subset else ones for j in range(n)])
     return total
+
+
+def kron_embedding(small, sites, n, d):
+    """``small`` (factor t on subsystem sites[t]) padded with identities, site 0 most significant.
+
+    Built as a sum of matrix units, each an explicit kron chain over all n
+    subsystems, not by the axis permutation the package uses.
+    """
+    small = np.asarray(small, dtype=complex)
+    k = len(sites)
+    eye = np.eye(d, dtype=complex)
+    total = np.zeros((d**n, d**n), dtype=complex)
+    for row, col in itertools.product(range(d**k), repeat=2):
+        if small[row, col] == 0:
+            continue
+        factors = [eye] * n
+        for t, (i, j) in enumerate(zip(np.unravel_index(row, [d] * k), np.unravel_index(col, [d] * k))):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            factors[sites[t]] = unit
+        total += small[row, col] * kron_all(factors)
+    return total
