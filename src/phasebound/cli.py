@@ -335,6 +335,15 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _parse_number(text: str, cast, label: str):
+    """cast(text) for a command-line number; a malformed one is a usage error."""
+    try:
+        return cast(text)
+    except ValueError:
+        noun = "an integer" if cast is int else "a number"
+        raise UsageError(f"{label} must be {noun}, got {text!r}") from None
+
+
 def _parse_kind_token(token: str) -> tuple[str, dict]:
     name, _, arg = token.partition(":")
     if name == "linear":
@@ -344,7 +353,7 @@ def _parse_kind_token(token: str) -> tuple[str, dict]:
     if name == "kbody":
         if not arg:
             raise UsageError("kbody needs an order, e.g. kbody:2")
-        return token, {"kind": "kbody", "body_order": int(arg)}
+        return token, {"kind": "kbody", "body_order": _parse_number(arg, int, "kbody order")}
     if name == "exponential":
         if arg:
             raise UsageError(f"exponential takes no argument, got {token!r}")
@@ -352,7 +361,7 @@ def _parse_kind_token(token: str) -> tuple[str, dict]:
     if name == "sequential":
         if not arg:
             raise UsageError("sequential needs a repetition count, e.g. sequential:3")
-        return token, {"kind": "sequential-wrapped", "repetitions": int(arg)}
+        return token, {"kind": "sequential-wrapped", "repetitions": _parse_number(arg, int, "repetition count")}
     raise UsageError(f"unknown kind token {token!r}")
 
 
@@ -383,27 +392,34 @@ def compare_procedures(n_range: list[int], kind_tokens: list[str], base_eigs=(0.
     return rows, skipped
 
 
+def _emit_csv(text: str, out: str) -> None:
+    """Write ``text`` to ``out``, creating its directory, or to stdout when ``out`` is empty."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output {out!r}: {exc}") from exc
+    print(f"wrote {out}")
+
+
 def cmd_compare(args) -> int:
     kinds = [tok for tok in args.kinds.split(",") if tok] if args.kinds else []
-    n_range = [int(tok) for tok in args.n.split(",") if tok] if args.n else []
+    n_range = [_parse_number(tok, int, "--n entry") for tok in args.n.split(",") if tok] if args.n else []
     base = (0.0, 1.0)
     if args.base:
         parts = args.base.split(",")
         if len(parts) != 2:
             raise UsageError("--base needs lambda_min,lambda_max")
-        base = (float(parts[0]), float(parts[1]))
+        base = tuple(_parse_number(part, float, "--base entry") for part in parts)
     rows, skipped = compare_procedures(n_range, kinds, base)
     text = _csv_text(["kind", "n", "q", "seminorm", "bound_query", "bound_snl"], rows)
     for note in skipped:
         print(note, file=sys.stderr)
-    if args.out:
-        parent = os.path.dirname(args.out) or "."
-        os.makedirs(parent, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit_csv(text, args.out)
     return 0
 
 
@@ -417,14 +433,7 @@ def cmd_sweep_mu(args) -> int:
     )
     rows = mu_sweep(gen, np.linspace(0.0, 1.0, args.grid))
     text = _csv_text(["mu", "shifted_expectation", "stddev"], [list(r) for r in rows])
-    if args.out:
-        parent = os.path.dirname(args.out) or "."
-        os.makedirs(parent, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit_csv(text, args.out)
     return 0
 
 

@@ -35,7 +35,3 @@ class StationaryPointError(NumericalIntegrityError):
 
 class BoundaryWarning(UserWarning):
     """Likelihood maximum sits on the search-interval boundary."""
-
-
-class RelativeValueWarning(UserWarning):
-    """Generator is flagged unbounded below; shifted expectation is relative."""

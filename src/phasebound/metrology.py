@@ -9,8 +9,9 @@ superpositions all of them collapse to the same number.
 A measurement is a ``Measurement``: one validated site factor applied to
 each of N sites, with a plain list of elements as the N = 1 case.  One
 kernel gives the outcome probabilities of a single state or of a batch of
-states by contracting the amplitudes site axis by site axis, so a
-site-product measurement never needs an element of the joint space.
+states by contracting the amplitudes site axis by site axis (the ``opalg``
+site kernel), so a site-product measurement never needs an element of the
+joint space.
 
 Bounds that would be infinite (zero resource, e.g. an eigenstate probe or a
 flat generator) are reported as the NO_SENSITIVITY sentinel instead of a
@@ -19,19 +20,12 @@ float so serialized reports stay finite and explicit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NumericalIntegrityError,
-    RelativeValueWarning,
-    StationaryPointError,
-    UsageError,
-    ValidationError,
-)
-from .opalg import HermitianOperator, PureState, hermitian_eigensystem, moments
+from .errors import NumericalIntegrityError, StationaryPointError, UsageError, ValidationError
+from .opalg import HermitianOperator, PureState, _contract_sites, hermitian_eigensystem, moments
 from .procedures import JointGenerator, ProcedureSpec, snl_baseline
 from .states import optimal_state
 
@@ -94,13 +88,6 @@ class ResourceReport:
 
 def resource_count_shifted(state: PureState, gen: JointGenerator) -> float:
     """Expectation of the generator above its ground state, <H - h_min I>."""
-    if gen.unbounded_below:
-        warnings.warn(
-            "generator is flagged unbounded below; the shifted expectation is relative "
-            "to the truncated ground state only",
-            RelativeValueWarning,
-            stacklevel=2,
-        )
     expectation, _ = moments(state, gen.generator)
     shifted = expectation - gen.h_min
     if shifted < -1e-10:
@@ -165,18 +152,6 @@ def validate_povm(povm: list[HermitianOperator]) -> None:
     defect = float(np.max(np.abs(total - np.eye(dim))))
     if defect > POVM_TOL:
         raise ValidationError(f"POVM does not sum to identity: defect {defect:.3e}")
-
-
-def _contract_sites(x: np.ndarray, matrix_t: np.ndarray, n: int) -> np.ndarray:
-    """Apply matrix_t.T (b x a) to each of the n site axes of every row of x: (G, a^n) -> (G, b^n).
-
-    Each pass contracts the leading site axis and appends its image as the
-    trailing one, so after n passes the sites are back in order.
-    """
-    g, a = x.shape[0], matrix_t.shape[0]
-    for _ in range(n):
-        x = (x.reshape(g, a, -1).transpose(0, 2, 1).reshape(-1, a) @ matrix_t).reshape(g, -1)
-    return x
 
 
 @dataclass(frozen=True, eq=False)

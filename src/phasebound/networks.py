@@ -7,7 +7,8 @@ subsystems.  Each box applies ``exp(-i * phi * H)`` for a positive Hermitian
 
 A box acts on its target axes only: a box on k subsystems of dimension d_s
 is applied to a d x m matrix by contracting its d_s^k x d_s^k matrix with
-those k tensor axes, at O(d * m * d_s^k), and no d x d box matrix is built.
+those k tensor axes (the ``opalg`` site kernel), at O(d * m * d_s^k), and no
+d x d box matrix is built.
 
 The generator of the composite evolution is extracted two ways: numerically,
 as ``i * dU/dphi * U^dag`` by central differences, and analytically, as the
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeError, UsageError, ValidationError
-from .opalg import HermitianOperator, hermitian_eigensystem
+from .opalg import HermitianOperator, _apply_on_sites, hermitian_eigensystem
 
 UNITARY_TOL = 1e-10
 DEFAULT_FD_STEP = 1e-6
@@ -125,37 +126,6 @@ class QuantumNetwork:
     @property
     def fixed_unitaries(self) -> tuple[np.ndarray, ...]:
         return self.layers[0::2]
-
-
-def embed_operator(entries: np.ndarray, sites: tuple[int, ...], n: int, d: int) -> np.ndarray:
-    """Pad an operator on ``sites`` (in order) with identities on the rest.
-
-    Axis bookkeeping follows the package tensor convention: subsystem 0 is
-    the most significant factor.
-    """
-    k = len(sites)
-    rest = [i for i in range(n) if i not in sites]
-    full = np.kron(np.asarray(entries, dtype=complex), np.eye(d ** (n - k)))
-    perm = list(sites) + rest  # current axis j acts on subsystem perm[j]
-    inv = np.argsort(perm)
-    t = full.reshape([d] * (2 * n))
-    t = t.transpose(list(inv) + [n + i for i in inv])
-    return np.ascontiguousarray(t.reshape(d**n, d**n))
-
-
-def _apply_on_sites(small: np.ndarray, sites: tuple[int, ...], m: np.ndarray, n: int, d: int) -> np.ndarray:
-    """(``small`` embedded on ``sites``) @ m, contracting only the target axes of m.
-
-    The target axes of m, viewed as ``[d] * n + [columns]``, are moved side by
-    side in box order, so one batched matmul applies the box.  The moves are
-    views; reshaping copies only when the targets are not already adjacent
-    and ascending.
-    """
-    k, first = len(sites), min(sites)
-    block = range(first, first + k)
-    t = np.moveaxis(m.reshape([d] * n + [-1]), sites, block)
-    out = small @ t.reshape(d**first, d**k, -1)
-    return np.moveaxis(out.reshape(t.shape), block, sites).reshape(m.shape)
 
 
 def _box_unitary(box: BlackBox, phi: float) -> np.ndarray:

@@ -7,14 +7,19 @@ holds one real vector: ``from_diagonal`` and ``identity`` build it, and
 O(d log d) and no d x d array exists.  Its ``entries`` matrix, and the
 eigenvector matrix of its spectrum, are built only when a caller asks for
 them.  The dense form holds a d x d complex matrix checked for Hermiticity
-at construction, and its eigensystem comes from ``eigh``; networks,
-measurements and non-diagonal bases use it.
+at construction, and its eigensystem comes from ``eigh`` unless the
+operator was built with it: a diagonal vector rotated site by site
+(``_rotated_diagonal``) knows its spectrum from that vector and the site
+unitary.
 
 Operators and states are immutable after construction and every operation is
 pure, so values can be shared freely between workers.  The tensor convention
 is fixed once for the whole package: the LEFT factor is the most significant
 one, i.e. ``tensor_product(a, b)`` indexes the joint basis as
-``i = i_a * dim_b + i_b`` (numpy's Kronecker order).
+``i = i_a * dim_b + i_b`` (numpy's Kronecker order).  On n identical sites
+of dimension d, site 0 is the most significant digit of the joint index, so
+a joint vector reshapes to ``[d] * n`` with site j on axis j.  The site
+kernels at the end of this module are the only code that reshapes by site.
 """
 
 from __future__ import annotations
@@ -168,9 +173,15 @@ class HermitianOperator(_Frozen):
         return HermitianOperator(self.entries + other.entries)
 
     def __mul__(self, scalar: float) -> "HermitianOperator":
+        s = float(scalar)
         if self._diagonal is not None:
-            return HermitianOperator._of_vector(self._diagonal * float(scalar))
-        return HermitianOperator(self._matrix * float(scalar))
+            return HermitianOperator._of_vector(self._diagonal * s)
+        out = HermitianOperator(self._matrix * s)
+        if s > 0 and self._spectrum_cache:
+            # a positive scale keeps the eigenvectors and their order
+            spec = self._spectrum_cache[0]
+            out._spectrum_cache.append(Spectrum(spec.eigenvalues * s, spec.eigenvectors))
+        return out
 
     __rmul__ = __mul__
 
@@ -181,10 +192,9 @@ class HermitianOperator(_Frozen):
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized complex amplitude vector over an optionally labeled basis."""
+    """Normalized complex amplitude vector."""
 
     amplitudes: np.ndarray
-    basis_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -192,24 +202,20 @@ class PureState:
         norm_sq = float(np.sum(np.abs(a) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValidationError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
-        if self.basis_labels is not None and len(self.basis_labels) != a.shape[0]:
-            raise ValidationError("basis_labels length must equal the state dimension")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
-        if self.basis_labels is not None:
-            object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
     @classmethod
-    def basis_vector(cls, dim: int, index: int, basis_labels=None) -> "PureState":
+    def basis_vector(cls, dim: int, index: int) -> "PureState":
         if not 0 <= index < dim:
             raise UsageError(f"basis index {index} out of range for dimension {dim}")
         a = np.zeros(dim, dtype=complex)
         a[index] = 1.0
-        return cls(a, basis_labels)
+        return cls(a)
 
 
 class Spectrum(_Frozen):
@@ -268,10 +274,7 @@ def tensor_product(a, b):
             hermitian_tol=max(a.hermitian_tol, b.hermitian_tol),
         )
     if isinstance(a, PureState) and isinstance(b, PureState):
-        labels = None
-        if a.basis_labels is not None and b.basis_labels is not None:
-            labels = tuple(la + lb for la in a.basis_labels for lb in b.basis_labels)
-        return PureState(np.kron(a.amplitudes, b.amplitudes), labels)
+        return PureState(np.kron(a.amplitudes, b.amplitudes))
     raise UsageError(
         f"tensor_product needs two operators or two states, got {type(a).__name__} and {type(b).__name__}"
     )
@@ -303,11 +306,11 @@ def evolve(state: PureState, gen: HermitianOperator, phi: float) -> PureState:
         raise UsageError(f"dimension mismatch: state {state.dim} vs generator {gen.dim}")
     if gen.is_diagonal:
         phases = np.exp(-1j * phi * gen.diagonal)
-        return PureState(phases * state.amplitudes, state.basis_labels)
+        return PureState(phases * state.amplitudes)
     spec = hermitian_eigensystem(gen)
     coeffs = spec.eigenvectors.conj().T @ state.amplitudes
     out = spec.eigenvectors @ (np.exp(-1j * phi * spec.eigenvalues) * coeffs)
-    return PureState(out, state.basis_labels)
+    return PureState(out)
 
 
 def moments(state: PureState, a: HermitianOperator) -> tuple[float, float]:
@@ -329,3 +332,55 @@ def moments(state: PureState, a: HermitianOperator) -> tuple[float, float]:
     centered = a_psi - expectation * state.amplitudes
     variance = float(np.vdot(centered, centered).real)
     return expectation, variance
+
+
+# ------------------------------------------------------------- site kernels
+# A joint space of n identical sites of dimension d, site 0 most significant.
+
+
+def _lifted_site_values(values: np.ndarray, site: int, n: int, d: int) -> np.ndarray:
+    """The entry of ``values`` that ``site`` reads on every product basis state."""
+    stride = d ** (n - 1 - site)
+    return values[(np.arange(d**n) // stride) % d]
+
+
+def _contract_sites(x: np.ndarray, matrix_t: np.ndarray, n: int) -> np.ndarray:
+    """x @ matrix_t^(xn): apply matrix_t.T (b x a) to each of the n site axes of every row of x.
+
+    (G, a^n) -> (G, b^n).  Each pass contracts the leading site axis and
+    appends its image as the trailing one, so after n passes the sites are
+    back in order.
+    """
+    g, a = x.shape[0], matrix_t.shape[0]
+    for _ in range(n):
+        x = (x.reshape(g, a, -1).transpose(0, 2, 1).reshape(-1, a) @ matrix_t).reshape(g, -1)
+    return x
+
+
+def _apply_on_sites(small: np.ndarray, sites: tuple[int, ...], m: np.ndarray, n: int, d: int) -> np.ndarray:
+    """(``small`` embedded on ``sites``) @ m, contracting only the target axes of m.
+
+    The target axes of m, viewed as ``[d] * n + [columns]``, are moved side by
+    side in box order, so one batched matmul applies the box.  The moves are
+    views; reshaping copies only when the targets are not already adjacent
+    and ascending.
+    """
+    k, first = len(sites), min(sites)
+    block = range(first, first + k)
+    t = np.moveaxis(m.reshape([d] * n + [-1]), sites, block)
+    out = small @ t.reshape(d**first, d**k, -1)
+    return np.moveaxis(out.reshape(t.shape), block, sites).reshape(m.shape)
+
+
+def _rotated_diagonal(u: np.ndarray, values: np.ndarray, n: int) -> HermitianOperator:
+    """U^(xn) diag(values) U^(xn)^dag for a d_s x d_s unitary u, in the dense form.
+
+    Both factors are applied by site passes, at O(n d^2 d_s).  The spectrum
+    is known by construction and cached: the eigenvalues are ``values``
+    stably sorted, and eigenvector i is the matching column of U^(xn).
+    """
+    vectors = _contract_sites(np.eye(values.size, dtype=complex), u, n)
+    op = HermitianOperator(_contract_sites(vectors * values, u.conj().T, n), hermitian_tol=1e-8)
+    order = np.argsort(values, kind="stable")
+    op._spectrum_cache.append(Spectrum(values[order], vectors[:, order]))
+    return op

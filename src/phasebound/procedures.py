@@ -6,11 +6,13 @@ generator over the subset), ``exponential`` one box per nonempty subset, and
 ``sequential-wrapped`` repeats an inner evolution T times, which scales the
 generator and the query count by T.
 
-When the base generator is diagonal the joint generator is assembled and
-kept as a diagonal vector over product basis states, so no d x d matrix is
-built; a non-diagonal base falls back to dense embedded sums.  Both paths
-sum subset terms in a fixed lexicographic order so results are reproducible
-bit for bit.
+Every kind over a base u diag(w) u^dag is the site-wise rotation of one
+diagonal operator: the sum over subsets of the products of w on the
+subset's sites, summed in a fixed lexicographic order so results are
+reproducible bit for bit.  A diagonal base keeps that vector and builds no
+d x d matrix.  A non-diagonal base costs one ``eigh`` of the d_s x d_s base;
+the joint operator u^(xN) diag(v) u^(xN)^dag is then built site by site
+with its spectrum known, and no joint-space eigensolver runs.
 """
 
 from __future__ import annotations
@@ -22,8 +24,16 @@ from itertools import combinations
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .networks import QuantumNetwork, embed_operator, generator_analytic, query_count
-from .opalg import DIM_CAP, HermitianOperator, PureState, hermitian_eigensystem, moments
+from .networks import QuantumNetwork, generator_analytic, query_count
+from .opalg import (
+    DIM_CAP,
+    HermitianOperator,
+    PureState,
+    _lifted_site_values,
+    _rotated_diagonal,
+    hermitian_eigensystem,
+    moments,
+)
 
 KINDS = ("linear", "kbody", "exponential", "sequential-wrapped")
 EXPONENTIAL_N_CAP = 10  # 2^N - 1 boxes; term count explodes past this
@@ -89,16 +99,12 @@ class JointGenerator:
 
     ``query_complexity`` is None for probes without a defined query count
     (a coherent probe knows its photon number only on average).
-    ``unbounded_below`` marks generators whose true spectrum has no ground
-    state, making any shifted expectation a relative statement; the built-in
-    constructions never set it.
     """
 
     generator: HermitianOperator
     query_complexity: int | None
     h_min: float
     h_max: float
-    unbounded_below: bool = False
     seminorm: float = field(init=False)
 
     def __post_init__(self):
@@ -147,39 +153,23 @@ def _resolve_base(spec: ProcedureSpec, base: HermitianOperator | None) -> Hermit
     return base
 
 
-def _lifted_site_values(values: np.ndarray, site: int, n: int, d: int) -> np.ndarray:
-    # value of the site's diagonal entry on every product basis state; site 0
-    # is the most significant digit, matching the package kron convention
-    stride = d ** (n - 1 - site)
-    return values[(np.arange(d**n) // stride) % d]
-
-
 def _joint_from_subsets(spec: ProcedureSpec, base: HermitianOperator, subsets, q: int) -> JointGenerator:
     n, d = spec.n_systems, spec.subsystem_dim
     if base.is_diagonal:
-        v = base.diagonal
-        lifted = [_lifted_site_values(v, j, n, d) for j in range(n)]
-        total = np.zeros(d**n)
-        for subset in subsets:
-            term = lifted[subset[0]].copy()
-            for j in subset[1:]:
-                term *= lifted[j]
-            total += term
-        op = HermitianOperator.from_diagonal(total)
-        return JointGenerator(op, q, float(total.min()), float(total.max()))
-    acc = np.zeros((d**n, d**n), dtype=complex)
+        w, u = base.diagonal, None
+    else:
+        site = hermitian_eigensystem(base)
+        w, u = site.eigenvalues, site.eigenvectors
+    lifted = [_lifted_site_values(w, j, n, d) for j in range(n)]
+    total = np.zeros(d**n)
     for subset in subsets:
-        if len(subset) == 2 and subset[0] == subset[1]:
-            # self pair (j, j): the product H_j H_j is base^2 on the one site j
-            acc += embed_operator(base.entries @ base.entries, subset[:1], n, d)
-            continue
-        small = base.entries
-        for _ in subset[1:]:
-            small = np.kron(small, base.entries)
-        acc += embed_operator(small, subset, n, d)
-    op = HermitianOperator(acc, hermitian_tol=1e-8)
-    spectrum = hermitian_eigensystem(op)
-    return JointGenerator(op, q, spectrum.lambda_min, spectrum.lambda_max)
+        # a self pair (j, j) gives w^2 on site j: the eigenvalues of base^2
+        term = lifted[subset[0]].copy()
+        for j in subset[1:]:
+            term *= lifted[j]
+        total += term
+    op = HermitianOperator.from_diagonal(total) if u is None else _rotated_diagonal(u, total, n)
+    return JointGenerator(op, q, float(total.min()), float(total.max()))
 
 
 def linear_generator(spec: ProcedureSpec, base: HermitianOperator | None = None) -> JointGenerator:

@@ -114,8 +114,7 @@ def noon_state(n_photons: int) -> PureState:
     amps = np.zeros(n_photons + 1, dtype=complex)
     amps[0] = 1 / math.sqrt(2)
     amps[n_photons] = 1 / math.sqrt(2)
-    labels = tuple(f"{m},{n_photons - m}" for m in range(n_photons + 1))
-    return PureState(amps, labels)
+    return PureState(amps)
 
 
 def mode_number_generator(n_photons: int) -> JointGenerator:

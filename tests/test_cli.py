@@ -132,6 +132,36 @@ def test_compare_custom_base(capsys):
     assert float(line[4]) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compare", "--kinds", "linear", "--n", "abc"],
+        ["compare", "--kinds", "kbody:x", "--n", "2"],
+        ["compare", "--kinds", "linear", "--n", "2", "--base", "a,b"],
+    ],
+    ids=["n", "kbody-order", "base"],
+)
+def test_compare_malformed_number_exits_3_without_output(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(args + ["--out", "out/c.csv"]) == 3
+    assert capsys.readouterr().err.startswith("validation-error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["compare", "--kinds", "linear", "--n", "2"], ["sweep-mu", "--grid", "3"]],
+    ids=["compare", "sweep-mu"],
+)
+def test_csv_output_under_a_regular_file_exits_3(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blocker").write_text("keep")
+    assert cli.main(args + ["--out", "blocker/out.csv"]) == 3
+    assert capsys.readouterr().err.startswith("validation-error:")
+    assert list(tmp_path.iterdir()) == [tmp_path / "blocker"]
+    assert (tmp_path / "blocker").read_text() == "keep"
+
+
 # ------------------------------------------------------------------------ run
 
 def test_run_bundled_linear_scenario(tmp_path, monkeypatch, capsys):

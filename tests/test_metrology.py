@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from phasebound.errors import (
-    RelativeValueWarning,
     StationaryPointError,
     UsageError,
     ValidationError,
@@ -56,13 +55,6 @@ def test_shifted_count_ground_state_is_zero():
     gen = build_generator(ProcedureSpec("linear", 2, (0.0, 1.0)))
     state = PureState.basis_vector(4, 0)
     assert resource_count_shifted(state, gen) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_shifted_count_warns_for_unbounded_generator():
-    gen = JointGenerator(HermitianOperator.from_diagonal([0.0, 1.0]), 1, 0.0, 1.0, unbounded_below=True)
-    state = PureState(np.array([1.0, 1.0]) / math.sqrt(2))
-    with pytest.warns(RelativeValueWarning):
-        resource_count_shifted(state, gen)
 
 
 # -------------------------------------------------------------------- bounds

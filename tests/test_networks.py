@@ -8,13 +8,12 @@ from phasebound.errors import StepSizeError, UsageError, ValidationError
 from phasebound.networks import (
     BlackBox,
     QuantumNetwork,
-    embed_operator,
     generator_analytic,
     generator_numeric,
     network_unitary,
     query_count,
 )
-from phasebound.opalg import HermitianOperator, hermitian_eigensystem
+from phasebound.opalg import HermitianOperator, _apply_on_sites, hermitian_eigensystem
 from phasebound.procedures import from_network
 from util import kron_all, kron_embedding, random_hermitian, random_unitary, rng
 
@@ -144,12 +143,17 @@ def test_query_count():
 
 # ------------------------------------------------------------------ embedding
 
+def embedded(small, sites, n, d):
+    """The site kernel applied to the identity: ``small`` embedded on ``sites``."""
+    return _apply_on_sites(np.asarray(small, dtype=complex), sites, np.eye(d**n, dtype=complex), n, d)
+
+
 def test_embed_single_site_positions():
     g = rng(21)
     a = random_hermitian(g, 2)
-    assert_allclose(embed_operator(a, (0,), 3, 2), kron_all([a, I2, I2]), atol=1e-14)
-    assert_allclose(embed_operator(a, (1,), 3, 2), kron_all([I2, a, I2]), atol=1e-14)
-    assert_allclose(embed_operator(a, (2,), 3, 2), kron_all([I2, I2, a]), atol=1e-14)
+    assert_allclose(embedded(a, (0,), 3, 2), kron_all([a, I2, I2]), atol=1e-14)
+    assert_allclose(embedded(a, (1,), 3, 2), kron_all([I2, a, I2]), atol=1e-14)
+    assert_allclose(embedded(a, (2,), 3, 2), kron_all([I2, I2, a]), atol=1e-14)
 
 
 def test_embed_pair_ordered_and_permuted():
@@ -157,18 +161,18 @@ def test_embed_pair_ordered_and_permuted():
     a = random_hermitian(g, 2)
     b = random_hermitian(g, 2)
     ab = np.kron(a, b)
-    assert_allclose(embed_operator(ab, (0, 2), 3, 2), kron_all([a, I2, b]), atol=1e-13)
+    assert_allclose(embedded(ab, (0, 2), 3, 2), kron_all([a, I2, b]), atol=1e-13)
     # swapped targets route each factor to the stated site
-    assert_allclose(embed_operator(ab, (2, 0), 3, 2), kron_all([b, I2, a]), atol=1e-13)
+    assert_allclose(embedded(ab, (2, 0), 3, 2), kron_all([b, I2, a]), atol=1e-13)
     # an entangling pair operator on swapped targets
     c = random_hermitian(g, 4)
-    assert_allclose(embed_operator(c, (2, 0), 3, 2), kron_embedding(c, (2, 0), 3, 2), atol=1e-13)
+    assert_allclose(embedded(c, (2, 0), 3, 2), kron_embedding(c, (2, 0), 3, 2), atol=1e-13)
 
 
 def test_embed_qutrit_site():
     g = rng(23)
     a = random_hermitian(g, 3)
-    assert_allclose(embed_operator(a, (1,), 2, 3), np.kron(np.eye(3), a), atol=1e-14)
+    assert_allclose(embedded(a, (1,), 2, 3), np.kron(np.eye(3), a), atol=1e-14)
 
 
 # ------------------------------------------------------------ box application
@@ -181,7 +185,7 @@ def test_apply_on_sites_matches_kron_embedding(d, sites, columns):
     n = 5
     small = random_hermitian(g, d ** len(sites)) + 1j * random_hermitian(g, d ** len(sites))
     m = random_unitary(g, d**n) if columns is None else g.normal(size=(d**n, columns)) + 0j
-    got = networks._apply_on_sites(small, sites, m, n, d)
+    got = _apply_on_sites(small, sites, m, n, d)
     assert got.shape == m.shape
     assert_allclose(got, kron_embedding(small, sites, n, d) @ m, atol=1e-13)
 
@@ -213,7 +217,7 @@ def test_network_unitary_matches_expm_oracle():
     expected = np.asarray(net.layers[0])
     for k, layer in enumerate(net.layers[1:], start=1):
         if k % 2 == 1:
-            h = embed_operator(layer.base_generator.entries, layer.target_subsystems, 2, 2)
+            h = kron_embedding(layer.base_generator.entries, layer.target_subsystems, 2, 2)
             expected = scipy.linalg.expm(-1j * phi * h) @ expected
         else:
             expected = np.asarray(layer) @ expected
@@ -314,7 +318,7 @@ def test_generator_analytic_three_site_linear():
     gen, terms = generator_analytic(net, 0.4)
     assert len(terms) == 3
     for site, term in enumerate(terms):
-        assert_allclose(term.entries, embed_operator(np.diag([0.0, 1.0]), (site,), 3, 2), atol=1e-12)
+        assert_allclose(term.entries, kron_embedding(np.diag([0.0, 1.0]), (site,), 3, 2), atol=1e-12)
     weights = [bin(i).count("1") for i in range(8)]
     assert_allclose(gen.entries, np.diag(np.array(weights, dtype=float)), atol=1e-12)
 
@@ -353,7 +357,7 @@ def test_generator_analytic_term_spectra_fixed_by_base():
     g = rng(30)
     base = (0.2, 1.1)
     embedded = {
-        site: np.linalg.eigvalsh(embed_operator(np.diag(base), (site,), 2, 2)) for site in (0, 1)
+        site: np.linalg.eigvalsh(kron_embedding(np.diag(base), (site,), 2, 2)) for site in (0, 1)
     }
     for _ in range(10):
         layers = [random_unitary(g, 4)]

@@ -10,6 +10,8 @@ from phasebound.opalg import (
     HermitianOperator,
     PureState,
     Spectrum,
+    _contract_sites,
+    _lifted_site_values,
     evolve,
     hermitian_eigensystem,
     moments,
@@ -17,6 +19,7 @@ from phasebound.opalg import (
 )
 from util import (
     charpoly_eigenvalues,
+    kron_all,
     moments_by_eigensystem,
     random_hermitian,
     random_state_vector,
@@ -75,11 +78,6 @@ def test_state_requires_normalization():
     assert st_ok.dim == 2
 
 
-def test_state_label_count_must_match():
-    with pytest.raises(ValidationError):
-        PureState(np.array([1.0, 0.0]), ("a",))
-
-
 def test_basis_vector():
     st_b = PureState.basis_vector(4, 2)
     assert_allclose(st_b.amplitudes, [0, 0, 1, 0])
@@ -133,6 +131,38 @@ def test_eigensystem_is_cached():
     assert hermitian_eigensystem(op) is hermitian_eigensystem(op)
 
 
+def test_positive_scale_keeps_cached_spectrum():
+    g = rng(14)
+    op = HermitianOperator(random_hermitian(g, 4))
+    spec = hermitian_eigensystem(op)
+    scaled = hermitian_eigensystem(op * 2.5)
+    assert_allclose(scaled.eigenvalues, 2.5 * spec.eigenvalues, rtol=0, atol=0)
+    assert_allclose(scaled.eigenvectors, spec.eigenvectors, rtol=0, atol=0)
+    # a negative scale reverses the order, so its spectrum is computed afresh
+    flipped = hermitian_eigensystem(op * -1.0)
+    assert_allclose(flipped.eigenvalues, -spec.eigenvalues[::-1], atol=1e-12)
+
+
+# ---------------------------------------------------------------- site kernels
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lifted_site_values_match_kron_chain(d):
+    values = np.arange(1.0, d + 1.0)
+    n = 4
+    for site in range(n):
+        chain = kron_all([values if j == site else np.ones(d) for j in range(n)])
+        assert_allclose(_lifted_site_values(values, site, n, d), chain, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (3, 2), (2, 3)])
+def test_contract_sites_matches_kron_power(a, b):
+    g = rng(15)
+    n = 3
+    x = g.normal(size=(5, a**n)) + 1j * g.normal(size=(5, a**n))
+    m = g.normal(size=(a, b)) + 1j * g.normal(size=(a, b))
+    assert_allclose(_contract_sites(x, m, n), x @ kron_all([m] * n), atol=1e-13)
+
+
 # ------------------------------------------------------------- tensor product
 
 def test_tensor_index_convention():
@@ -150,13 +180,6 @@ def test_tensor_operator_matches_kron():
     b = random_hermitian(g, 3)
     joint = tensor_product(HermitianOperator(a), HermitianOperator(b))
     assert_allclose(joint.entries, np.kron(a, b), atol=1e-14)
-
-
-def test_tensor_labels_concatenate():
-    a = PureState(np.array([1.0, 0.0]), ("x", "y"))
-    b = PureState(np.array([0.0, 1.0]), ("u", "v"))
-    joint = tensor_product(a, b)
-    assert joint.basis_labels == ("xu", "xv", "yu", "yv")
 
 
 def test_tensor_mixed_kinds_rejected():

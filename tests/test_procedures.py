@@ -23,7 +23,7 @@ from phasebound.procedures import (
     sequential_wrap,
     snl_baseline,
 )
-from util import random_unitary, rng
+from util import kron_all, random_unitary, rng
 
 
 def eigenvalues_by_enumeration(kind, n, base, k=None):
@@ -111,7 +111,6 @@ def test_joint_generator_validates_stated_extremes():
         JointGenerator(op, 1, 0.0, 3.0)
     gen = JointGenerator(op, 1, 0.0, 2.0)
     assert gen.seminorm == pytest.approx(2.0)
-    assert gen.unbounded_below is False
 
 
 # -------------------------------------------------------------------- linear
@@ -273,7 +272,7 @@ def test_build_generator_dispatch():
         assert gen.h_max == pytest.approx(closed_form_extremes(spec)[2])
 
 
-# ------------------------------------------------------- dense vs diagonal paths
+# ------------------------------------------------------------- rotated bases
 
 def test_rotated_base_keeps_joint_spectrum():
     g = rng(41)
@@ -296,6 +295,88 @@ def test_rotated_base_keeps_joint_spectrum():
             atol=1e-9,
         )
         assert dense.h_max == pytest.approx(plain.h_max, abs=1e-9)
+
+
+# Non-real site unitaries: a qubit and a qutrit base u diag(w) u^dag.
+ROTATED_BASES = {
+    "qubit": (random_unitary(rng(45), 2), (0.2, 1.1)),
+    "qutrit": (random_unitary(rng(46), 3), (0.3, 0.7, 1.2)),
+}
+# kbody cases: body order and whether the N self pairs (j, j) are added
+ROTATED_KBODY = {"kbody2": (2, False), "kbody3": (3, False), "kbody2-self": (2, True)}
+ROTATED_KINDS = ("linear", "exponential", "sequential2", *ROTATED_KBODY)
+
+
+def rotated_cases():
+    for name, sizes in (("qubit", range(1, 7)), ("qutrit", range(1, 6))):
+        for kind in ROTATED_KINDS:
+            for n in sizes:
+                if kind not in ROTATED_KBODY or ROTATED_KBODY[kind][0] <= n:
+                    yield name, kind, n
+
+
+def rotated_subsets(kind, n):
+    """Subsets whose base products sum to the generator; sequential2 lists linear twice."""
+    if kind == "linear":
+        return [(j,) for j in range(n)]
+    if kind == "sequential2":
+        return [(j,) for j in range(n)] * 2
+    if kind == "exponential":
+        return [s for r in range(1, n + 1) for s in itertools.combinations(range(n), r)]
+    k, self_pairs = ROTATED_KBODY[kind]
+    return list(itertools.combinations(range(n), k)) + ([(j, j) for j in range(n)] if self_pairs else [])
+
+
+def kron_subset_sum(base, n, subsets):
+    """Sum over subsets of explicit kron chains: base on each listed site, I elsewhere."""
+    eye = np.eye(base.shape[0], dtype=complex)
+    total = np.zeros((base.shape[0] ** n,) * 2, dtype=complex)
+    for subset in subsets:
+        factors = [eye] * n
+        for j in subset:
+            factors[j] = factors[j] @ base  # a self pair (j, j) puts base^2 on site j
+        total += kron_all(factors)
+    return total
+
+
+def build_rotated(kind, n, base):
+    d = base.dim
+    if kind == "linear":
+        return build_generator(ProcedureSpec("linear", n, (0.0, 1.0), subsystem_dim=d), base)
+    if kind == "sequential2":
+        return build_generator(ProcedureSpec("sequential-wrapped", n, (0.0, 1.0), repetitions=2, subsystem_dim=d), base)
+    if kind == "exponential":
+        return build_generator(ProcedureSpec("exponential", n, (0.0, 1.0), subsystem_dim=d), base)
+    k, self_pairs = ROTATED_KBODY[kind]
+    spec = ProcedureSpec("kbody", n, (0.0, 1.0), body_order=k, subsystem_dim=d)
+    return kbody_generator(spec, base, include_self_pairs=self_pairs)
+
+
+@pytest.mark.parametrize("name, kind, n", list(rotated_cases()))
+def test_rotated_base_matches_kron_chains_with_one_site_eigh(monkeypatch, name, kind, n):
+    u, w = ROTATED_BASES[name]
+    base_matrix = (u * np.array(w)) @ u.conj().T
+    expected = kron_subset_sum(base_matrix, n, rotated_subsets(kind, n))
+    scale = np.max(np.abs(expected))
+    shapes = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    gen = build_rotated(kind, n, HermitianOperator(base_matrix))
+    spectrum = hermitian_eigensystem(gen.generator)
+    assert shapes == [(len(w), len(w))]
+
+    h = gen.generator.entries
+    assert_allclose(h, expected, rtol=0, atol=1e-12 * scale)
+    v, lam = spectrum.eigenvectors, spectrum.eigenvalues
+    assert_allclose(h @ v, v * lam, rtol=0, atol=1e-12 * scale)
+    assert_allclose(v.conj().T @ v, np.eye(h.shape[0]), rtol=0, atol=1e-12)
+    assert_allclose(lam, np.linalg.eigvalsh(expected), rtol=0, atol=1e-12 * scale)
+    assert (gen.h_min, gen.h_max) == (lam[0], lam[-1])
 
 
 # ------------------------------------------------------------------ closed forms

@@ -115,13 +115,11 @@ def test_optimal_state_mu_bounds():
 
 # -------------------------------------------------------------------- sectors
 
-def test_noon_state_amplitudes_and_labels():
+def test_noon_state_amplitudes():
     state = noon_state(3)
     assert state.dim == 4
     assert abs(state.amplitudes[0]) == pytest.approx(1 / math.sqrt(2))
     assert abs(state.amplitudes[3]) == pytest.approx(1 / math.sqrt(2))
-    assert state.basis_labels[0] == "0,3"
-    assert state.basis_labels[3] == "3,0"
 
 
 def test_noon_photon_number_moments():
