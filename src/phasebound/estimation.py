@@ -9,7 +9,9 @@ Estimation is local: the true phase is assumed to sit inside a known search
 interval shorter than the likelihood period set by the generator's spectrum,
 so the global phase ambiguity never enters.  Outcome sampling is multinomial
 with a splittable counter-based seed scheme (one child stream per trial), so
-results are reproducible and independent of execution order.
+results are reproducible and independent of execution order.  The predicted
+error uses the exact Fisher information at the true phase (an analytic
+phase derivative, no finite-difference step).
 """
 
 from __future__ import annotations
@@ -219,7 +221,8 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
 
     Each trial draws its RNG stream from (rng_seed, trial_index), so the
     result does not depend on scheduling; the predicted error is the
-    Cramer-Rao value 1/sqrt(shots * F) at the true phase.  The outcome
+    Cramer-Rao value 1/sqrt(shots * F) at the true phase, with F the exact
+    Fisher information of ``classical_fisher``.  The outcome
     probabilities over mle_estimate's grid are tabulated once per call, so
     each trial's grid scan is one table-vector product; the golden-section
     refinement evaluates the probe exactly as mle_estimate would.
@@ -236,18 +239,15 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
         )
     povm = config.povm
 
-    def state_at(phi: float) -> PureState:
-        return evolve(state, gen.generator, phi)
-
     def model(phi: float) -> np.ndarray:
-        return outcome_probabilities(state_at(phi), povm)
+        return outcome_probabilities(evolve(state, gen.generator, phi), povm)
 
-    fisher = classical_fisher(povm, state_at, config.phi_true)
+    fisher = classical_fisher(povm, state, gen.generator, config.phi_true)
     if fisher <= 0:
         raise ValidationError("measurement carries no phase information at phi_true")
     grid = np.linspace(lo, hi, GRID_POINTS)
     log_table = _floored_log(_outcome_table(state, gen.generator, povm, grid))
-    truth = state_at(config.phi_true)
+    truth = evolve(state, gen.generator, config.phi_true)
     estimates = np.empty(config.n_trials)
     for trial in range(config.n_trials):
         stream = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(trial,))

@@ -13,6 +13,11 @@ states by contracting the amplitudes site axis by site axis (the ``opalg``
 site kernel), so a site-product measurement never needs an element of the
 joint space.
 
+Phase derivatives are analytic.  Every phase family is exp(-i phi H) psi, so
+dpsi/dphi = -i H psi costs one ``apply``; the Fisher information pushes that
+tangent through the same kernel, and error propagation takes the slope of
+<X> as -2 Im<H psi|X psi>.  No finite difference is taken here.
+
 Bounds that would be infinite (zero resource, e.g. an eigenstate probe or a
 flat generator) are reported as the NO_SENSITIVITY sentinel instead of a
 float so serialized reports stay finite and explicit.
@@ -25,13 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalIntegrityError, StationaryPointError, UsageError, ValidationError
-from .opalg import HermitianOperator, PureState, _contract_sites, hermitian_eigensystem, moments
+from .opalg import HermitianOperator, PureState, _contract_sites, evolve, hermitian_eigensystem, moments
 from .procedures import JointGenerator, ProcedureSpec, snl_baseline
 from .states import optimal_state
 
 NO_SENSITIVITY = "no-sensitivity"
 ZERO_RESOURCE_TOL = 1e-12
-DEFAULT_DERIVATIVE_STEP = 1e-5
 POVM_TOL = 1e-9
 _PROB_FLOOR = 1e-12
 # site-eigenbasis amplitudes one chunk of a probability batch may hold (4 MB)
@@ -222,6 +226,15 @@ class Measurement:
             raise ValidationError(f"negative outcome probability {probs.min():.3e}")
         return np.maximum(probs, 0.0).reshape(psi.shape[:-1] + (self.n_outcomes,))
 
+    def _derivative(self, psi: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+        """dp/dphi of one state psi (dim,) whose phase derivative is ``tangent``.
+
+        d|R psi|^2 = 2 Re(conj(R psi) (R tangent)) on every site-eigenbasis
+        amplitude, weighted as ``probabilities`` weights |R psi|^2.
+        """
+        r = _contract_sites(np.stack([psi, tangent]), self._rows_t, self.n_sites)
+        return _contract_sites(2.0 * (r[:1].conj() * r[1:]).real, self._weights_t, self.n_sites)[0]
+
 
 def _as_measurement(povm) -> Measurement:
     # a raw element list is the one-site case, validated as it is wrapped
@@ -236,50 +249,29 @@ def outcome_probabilities(state: PureState, povm) -> np.ndarray:
     return _as_measurement(povm).probabilities(state.amplitudes)
 
 
-def classical_fisher(
-    povm,
-    state_at,
-    phi: float,
-    eps: float = DEFAULT_DERIVATIVE_STEP,
-    richardson: bool = False,
-) -> float:
-    """Fisher information of the POVM statistics, sum over (dp/dphi)^2 / p.
+def classical_fisher(povm, state: PureState, gen: HermitianOperator, phi: float) -> float:
+    """Fisher information of the POVM statistics of exp(-i phi gen) state, sum over (dp/dphi)^2 / p.
 
     ``povm`` is a Measurement, used as built, or a list of elements,
-    validated here.  The derivative is a central difference; outcomes with
-    probability under 1e-12 are skipped before dividing.
+    validated here.  The derivative is exact: the phase tangent -i gen psi
+    goes through the measurement kernel with psi.  Outcomes with probability
+    under 1e-12 are skipped before dividing.
     """
     povm = _as_measurement(povm)
-    p0 = outcome_probabilities(state_at(phi), povm)
-    dp = (outcome_probabilities(state_at(phi + eps), povm) - outcome_probabilities(state_at(phi - eps), povm)) / (
-        2 * eps
-    )
-    if richardson:
-        wide = (
-            outcome_probabilities(state_at(phi + 2 * eps), povm)
-            - outcome_probabilities(state_at(phi - 2 * eps), povm)
-        ) / (4 * eps)
-        dp = (4 * dp - wide) / 3
-    keep = p0 >= _PROB_FLOOR
-    return float(np.sum(dp[keep] ** 2 / p0[keep]))
+    psi = evolve(state, gen, phi).amplitudes
+    p = povm.probabilities(psi)
+    dp = povm._derivative(psi, -1j * gen.apply(psi))
+    keep = p >= _PROB_FLOOR
+    return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
 def error_propagation(
-    observable: HermitianOperator,
-    state_at,
-    phi: float,
-    eps: float = DEFAULT_DERIVATIVE_STEP,
-    richardson: bool = False,
+    observable: HermitianOperator, state: PureState, gen: HermitianOperator, phi: float
 ) -> float:
-    """dX / |d<X>/dphi| at the working point phi."""
-    _, variance = moments(state_at(phi), observable)
-    plus, _ = moments(state_at(phi + eps), observable)
-    minus, _ = moments(state_at(phi - eps), observable)
-    slope = (plus - minus) / (2 * eps)
-    if richardson:
-        plus2, _ = moments(state_at(phi + 2 * eps), observable)
-        minus2, _ = moments(state_at(phi - 2 * eps), observable)
-        slope = (4 * slope - (plus2 - minus2) / (4 * eps)) / 3
+    """dX / |d<X>/dphi| in exp(-i phi gen) state, with the exact slope -2 Im<gen psi|X psi>."""
+    psi = evolve(state, gen, phi)
+    _, variance = moments(psi, observable)
+    slope = -2.0 * np.vdot(gen.apply(psi.amplitudes), observable.apply(psi.amplitudes)).imag
     if abs(slope) <= 1e-12:
         raise StationaryPointError(
             f"expectation of the observable is stationary at phi = {phi!r}; "

@@ -161,9 +161,7 @@ def _generator_scale(net: QuantumNetwork) -> float:
     return max(total, 1.0)
 
 
-def generator_numeric(
-    net: QuantumNetwork, phi: float, eps: float = DEFAULT_FD_STEP, richardson: bool = False
-) -> HermitianOperator:
+def generator_numeric(net: QuantumNetwork, phi: float, eps: float = DEFAULT_FD_STEP) -> HermitianOperator:
     """Generator i (dU/dphi) U^dag by central differences at the given phi.
 
     The anti-Hermitian residue must stay within the combined truncation plus
@@ -172,12 +170,7 @@ def generator_numeric(
     """
     if not 0 < eps <= 1e-3:
         raise UsageError(f"eps must lie in (0, 1e-3], got {eps!r}")
-    if richardson:
-        d1 = network_unitary(net, phi + eps) - network_unitary(net, phi - eps)
-        d2 = network_unitary(net, phi + 2 * eps) - network_unitary(net, phi - 2 * eps)
-        du = (8 * d1 - d2) / (12 * eps)
-    else:
-        du = (network_unitary(net, phi + eps) - network_unitary(net, phi - eps)) / (2 * eps)
+    du = (network_unitary(net, phi + eps) - network_unitary(net, phi - eps)) / (2 * eps)
     raw = 1j * du @ network_unitary(net, phi).conj().T
     residue = float(np.max(np.abs(raw - raw.conj().T))) / 2
     scale = _generator_scale(net)

@@ -130,10 +130,10 @@ class HermitianOperator(_Frozen):
 
     @property
     def is_diagonal(self) -> bool:
-        """O(1); a dense operator scans its off-diagonal entries once and keeps the answer."""
+        """O(1); a dense operator counts its nonzero entries once, in place, and keeps the answer."""
         if self._is_diagonal is None:
             a = self._matrix
-            self._set(_is_diagonal=bool(np.count_nonzero(a - np.diag(np.diagonal(a))) == 0))
+            self._set(_is_diagonal=bool(np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))))
         return self._is_diagonal
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
@@ -375,11 +375,14 @@ def _apply_on_sites(small: np.ndarray, sites: tuple[int, ...], m: np.ndarray, n:
 def _rotated_diagonal(u: np.ndarray, values: np.ndarray, n: int) -> HermitianOperator:
     """U^(xn) diag(values) U^(xn)^dag for a d_s x d_s unitary u, in the dense form.
 
-    Both factors are applied by site passes, at O(n d^2 d_s).  The spectrum
-    is known by construction and cached: the eigenvalues are ``values``
-    stably sorted, and eigenvector i is the matching column of U^(xn).
+    U^(xn) is a Kronecker chain of u, and the product with U^(xn)^dag runs by
+    site passes, at O(n d^2 d_s).  The spectrum is known by construction and
+    cached: the eigenvalues are ``values`` stably sorted, and eigenvector i is
+    the matching column of U^(xn).
     """
-    vectors = _contract_sites(np.eye(values.size, dtype=complex), u, n)
+    vectors = u
+    for _ in range(n - 1):
+        vectors = np.kron(vectors, u)
     op = HermitianOperator(_contract_sites(vectors * values, u.conj().T, n), hermitian_tol=1e-8)
     order = np.argsort(values, kind="stable")
     op._spectrum_cache.append(Spectrum(values[order], vectors[:, order]))

@@ -177,7 +177,7 @@ def test_trial_estimates_shape_and_interval():
     res = precision_trial(gen, noon_state(2), cfg)
     assert res.estimates.shape == (8,)
     assert np.all(res.estimates >= 0.2) and np.all(res.estimates <= 1.2)
-    assert res.predicted_crb == pytest.approx(1.0 / (2.0 * math.sqrt(50)), rel=1e-3)
+    assert res.predicted_crb == pytest.approx(1.0 / (2.0 * math.sqrt(50)), rel=1e-13)
 
 
 def test_trial_rmse_tracks_crb_for_noon():
@@ -194,6 +194,7 @@ def test_trial_rmse_tracks_crb_for_separable_probe():
     povm = tensor_power_povm(optimal_povm(JointGenerator(qubit_base(), 1, 0.0, 1.0)), n)
     cfg = TrialConfig(0.7, 1000, 200, 42, povm, (0.2, 1.2))
     res = precision_trial(gen, probe, cfg)
+    assert res.predicted_crb == pytest.approx(1.0 / math.sqrt(1000 * n), rel=1e-13)
     assert 0.85 <= res.empirical_rmse / res.predicted_crb <= 1.25
 
 

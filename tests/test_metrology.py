@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from phasebound.errors import (
@@ -9,8 +11,10 @@ from phasebound.errors import (
     UsageError,
     ValidationError,
 )
+from phasebound.estimation import optimal_povm
 from phasebound.metrology import (
     NO_SENSITIVITY,
+    Measurement,
     build_report,
     classical_fisher,
     error_propagation,
@@ -26,7 +30,7 @@ from phasebound.metrology import (
 from phasebound.opalg import HermitianOperator, PureState, evolve, moments
 from phasebound.procedures import JointGenerator, ProcedureSpec, build_generator
 from phasebound.states import mode_number_generator, noon_state, optimal_state
-from util import random_state_vector, random_unitary, rng
+from util import kron_all, random_hermitian, random_state_vector, random_unitary, rng
 
 
 def noon_setup(n=3):
@@ -135,8 +139,7 @@ def test_outcome_probabilities_cosine_law():
 def test_classical_fisher_noon_parity():
     gen, state, _ = noon_setup(3)
     povm = noon_parity_povm(3)
-    state_at = lambda phi: evolve(state, gen.generator, phi)
-    assert classical_fisher(povm, state_at, 0.4) == pytest.approx(9.0, abs=1e-4)
+    assert classical_fisher(povm, state, gen.generator, 0.4) == pytest.approx(9.0, rel=1e-12)
 
 
 def test_classical_fisher_blind_measurement_is_zero():
@@ -145,8 +148,7 @@ def test_classical_fisher_blind_measurement_is_zero():
         HermitianOperator.from_diagonal([0.5, 0.5, 0.5]),
         HermitianOperator.from_diagonal([0.5, 0.5, 0.5]),
     )
-    state_at = lambda phi: evolve(state, gen.generator, phi)
-    assert classical_fisher(povm, state_at, 0.3) == pytest.approx(0.0, abs=1e-8)
+    assert classical_fisher(povm, state, gen.generator, 0.3) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_classical_fisher_never_beats_qfi():
@@ -162,35 +164,99 @@ def test_classical_fisher_never_beats_qfi():
             HermitianOperator(e1, hermitian_tol=1e-9),
             HermitianOperator(np.eye(dim) - e1, hermitian_tol=1e-9),
         )
-        state_at = lambda phi: evolve(psi, op, phi)
-        f = classical_fisher(povm, state_at, 0.7)
+        f = classical_fisher(povm, psi, op, 0.7)
         q = qfi_pure(psi, op)
         assert f <= q + 1e-6
 
 
-def test_classical_fisher_richardson_agrees():
-    gen, state, _ = noon_setup(3)
-    povm = noon_parity_povm(3)
-    state_at = lambda phi: evolve(state, gen.generator, phi)
-    plain = classical_fisher(povm, state_at, 0.4)
-    rich = classical_fisher(povm, state_at, 0.4, richardson=True)
-    assert rich == pytest.approx(plain, abs=1e-6)
-    assert abs(rich - 9.0) <= abs(plain - 9.0) + 1e-12
+def qubit_optimal_site():
+    return [e.entries for e in optimal_povm(build_generator(ProcedureSpec("linear", 1, (0.0, 1.0))))]
+
+
+def qutrit_parity_site():
+    x = np.zeros((3, 3))
+    x[0, 2] = x[2, 0] = 1.0
+    return [(np.eye(3) + x) / 2, (np.eye(3) - x) / 2]
+
+
+def random_qubit_povm(g, outcomes=3):
+    # full-rank positive parts normalized by S^(-1/2); the elements do not commute
+    z = g.normal(size=(outcomes, 2, 2)) + 1j * g.normal(size=(outcomes, 2, 2))
+    parts = [m @ m.conj().T + 0.1 * np.eye(2) for m in z]
+    w, v = np.linalg.eigh(sum(parts))
+    root = (v / np.sqrt(w)) @ v.conj().T
+    return [root @ p @ root for p in parts]
+
+
+SITES = {
+    "qubit-optimal": lambda g: qubit_optimal_site(),
+    "qutrit-parity": lambda g: qutrit_parity_site(),
+    "qubit-random-3": random_qubit_povm,
+}
+
+
+def dense_derivative_oracle(site_mats, n, amplitudes, h):
+    """p_k and 2 Re<psi|E_k|-i H psi> with every E_k an explicit kron chain."""
+    tangent = -1j * h @ amplitudes
+    p, dp = [], []
+    for word in itertools.product(range(len(site_mats)), repeat=n):
+        element = kron_all([site_mats[k] for k in word])
+        p.append(np.vdot(amplitudes, element @ amplitudes).real)
+        dp.append(2 * np.vdot(amplitudes, element @ tangent).real)
+    return np.array(p), np.array(dp)
+
+
+def derivative_case(site, n, form, seed):
+    g = rng(seed)
+    site_mats = [np.asarray(e, dtype=complex) for e in SITES[site](g)]
+    dim = site_mats[0].shape[0] ** n
+    if form == "diagonal":
+        gen = HermitianOperator.from_diagonal(g.uniform(-1.0, 2.0, size=dim))
+    else:
+        gen = HermitianOperator(random_hermitian(g, dim))
+    state = PureState(random_state_vector(g, dim))
+    psi = scipy.linalg.expm(-0.37j * gen.entries) @ state.amplitudes
+    measurement = Measurement([HermitianOperator(m) for m in site_mats], n)
+    return measurement, state, gen, dense_derivative_oracle(site_mats, n, psi, gen.entries)
+
+
+@pytest.mark.parametrize("form", ["diagonal", "dense"])
+@pytest.mark.parametrize("site", list(SITES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classical_fisher_matches_dense_element_oracle(n, site, form):
+    measurement, state, gen, (p, dp) = derivative_case(site, n, form, seed=60 + n)
+    keep = p >= 1e-12
+    expected = np.sum(dp[keep] ** 2 / p[keep])
+    assert classical_fisher(measurement, state, gen, 0.37) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("site", list(SITES))
+def test_classical_fisher_takes_the_signed_phase_derivative(monkeypatch, site):
+    # F is even in dp/dphi, so check the derivative it forms, sign included
+    measurement, state, gen, (_, dp) = derivative_case(site, 2, "dense", seed=71)
+    seen = []
+    kernel = Measurement._derivative
+
+    def spy(self, psi, tangent):
+        seen.append(kernel(self, psi, tangent))
+        return seen[-1]
+
+    monkeypatch.setattr(Measurement, "_derivative", spy)
+    classical_fisher(measurement, state, gen, 0.37)
+    assert_allclose(seen[0], dp, rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------- error propagation
 
 def test_error_propagation_noon_working_point():
     gen, state, x = noon_setup(3)
-    state_at = lambda phi: evolve(state, gen.generator, phi)
-    assert error_propagation(x, state_at, math.pi / 6) == pytest.approx(1 / 3, abs=1e-6)
+    assert error_propagation(x, state, gen.generator, math.pi / 6) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_error_propagation_equals_spread_bound_at_optimum():
     gen, state, x = noon_setup(3)
-    state_at = lambda phi: evolve(state, gen.generator, phi)
     _, var = moments(state, gen.generator)
-    assert error_propagation(x, state_at, math.pi / 6) == pytest.approx(
+    assert error_propagation(x, state, gen.generator, math.pi / 6) == pytest.approx(
         1.0 / (2.0 * math.sqrt(var)), abs=1e-6
     )
 
@@ -200,15 +266,13 @@ def test_error_propagation_sequential_rescale():
     from phasebound.procedures import sequential_wrap
 
     doubled = sequential_wrap(gen, 2)
-    state_at = lambda phi: evolve(state, doubled.generator, phi)
-    assert error_propagation(x, state_at, math.pi / 12) == pytest.approx(1 / 6, abs=1e-6)
+    assert error_propagation(x, state, doubled.generator, math.pi / 12) == pytest.approx(1 / 6, abs=1e-6)
 
 
 def test_error_propagation_stationary_point():
     gen, state, x = noon_setup(3)
-    state_at = lambda phi: evolve(state, gen.generator, phi)
     with pytest.raises(StationaryPointError):
-        error_propagation(x, state_at, 0.0)
+        error_propagation(x, state, gen.generator, 0.0)
 
 
 # ------------------------------------------------------------------- reports

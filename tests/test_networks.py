@@ -285,15 +285,6 @@ def test_generator_numeric_flags_inconsistent_unitaries(monkeypatch):
         generator_numeric(net, 0.4)
 
 
-def test_generator_numeric_richardson_sharpens_truncation():
-    g = rng(28)
-    net = random_net(g, 2)
-    ana, _ = generator_analytic(net, 0.7)
-    plain = np.max(np.abs(generator_numeric(net, 0.7, eps=1e-4).entries - ana.entries))
-    rich = np.max(np.abs(generator_numeric(net, 0.7, eps=1e-4, richardson=True).entries - ana.entries))
-    assert rich < plain / 100
-
-
 # ------------------------------------------------------------ analytic extraction
 
 def test_generator_analytic_single_box():

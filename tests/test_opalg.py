@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,33 @@ def test_from_diagonal_and_identity():
     assert op.is_diagonal
     eye = HermitianOperator.identity(3)
     assert_allclose(eye.entries, np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "entries, diagonal",
+    [
+        (np.diag([1.0, 0.0, -2.0]), True),  # a zero on the diagonal
+        (np.array([[0.0, 1j, 0.0], [-1j, 0.0, 0.0], [0.0, 0.0, 3.0]]), False),
+        (np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 0.0]]), False),
+        (np.zeros((3, 3)), True),
+    ],
+    ids=["zero-diagonal-entry", "imaginary-off-diagonal", "complex-off-diagonal", "zero-matrix"],
+)
+def test_dense_is_diagonal_scans_off_diagonal_entries(entries, diagonal):
+    assert HermitianOperator(entries).is_diagonal is diagonal
+
+
+def test_dense_is_diagonal_builds_no_matrix():
+    # the first call on a dense operator counts entries in place; a d x d
+    # complex temporary at d = 1024 would be 16 MB
+    op = HermitianOperator(np.diag(np.arange(1024.0)))
+    tracemalloc.start()
+    try:
+        assert op.is_diagonal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_shifted_add_scale():
