@@ -10,11 +10,18 @@ is applied to a d x m matrix by contracting its d_s^k x d_s^k matrix with
 those k tensor axes (the ``opalg`` site kernel), at O(d * m * d_s^k), and no
 d x d box matrix is built.
 
+The fixed unitaries are copied at construction and frozen, so a network
+never changes after it is built.  That lets a network remember its latest
+analytic generator: ``generator_analytic`` keeps its total, for the phi it
+ran at, and ``procedures.from_network`` at that phi returns the same
+operator without a second backward pass.  Only the total is kept, never the
+per-term list.
+
 The generator of the composite evolution is extracted two ways: numerically,
 as ``i * dU/dphi * U^dag`` by central differences, and analytically, as the
 sum of Q unitary conjugations of the box generators.  The two routes
-cross-check each other; the numeric definition is the authoritative sign
-convention.
+cross-check each other; the numeric route never reads the memoised total.
+The numeric definition is the authoritative sign convention.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeError, UsageError, ValidationError
-from .opalg import HermitianOperator, _apply_on_sites, hermitian_eigensystem
+from .opalg import HermitianOperator, _apply_on_sites, _hermitian_defect, _read_only, hermitian_eigensystem
 
 UNITARY_TOL = 1e-10
 DEFAULT_FD_STEP = 1e-6
@@ -77,11 +84,16 @@ class BlackBox:
 
 @dataclass(frozen=True, eq=False)
 class QuantumNetwork:
-    """Alternating layer list V_0, O_1, V_1, ..., O_Q, V_Q on n identical subsystems."""
+    """Alternating layer list V_0, O_1, V_1, ..., O_Q, V_Q on n identical subsystems.
+
+    Each fixed unitary is held as a read-only copy of the caller's array.
+    """
 
     n_subsystems: int
     subsystem_dim: int
     layers: tuple
+    # [(phi key, total)] of the latest generator_analytic call; at most one entry
+    _analytic_memo: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if self.n_subsystems < 1 or self.subsystem_dim < 1:
@@ -90,16 +102,18 @@ class QuantumNetwork:
         if len(layers) % 2 == 0 or not layers:
             raise ValidationError("layer list must be V_0 [, O_1, V_1, ...] with odd length")
         dim = self.dim
+        kept = []
         for pos, layer in enumerate(layers):
             if pos % 2 == 0:
                 if isinstance(layer, BlackBox):
                     raise ValidationError(f"layer {pos} must be a fixed unitary, got a black box")
-                v = np.asarray(layer, dtype=complex)
+                v = np.array(layer, dtype=complex)
                 if v.shape != (dim, dim):
                     raise ValidationError(f"fixed unitary at layer {pos} has shape {v.shape}, expected {(dim, dim)}")
                 defect = np.max(np.abs(v @ v.conj().T - np.eye(dim)))
                 if not defect <= UNITARY_TOL:
                     raise ValidationError(f"layer {pos} is not unitary: defect {defect:.3e}")
+                layer = _read_only(v)
             else:
                 if not isinstance(layer, BlackBox):
                     raise ValidationError(f"layer {pos} must be a BlackBox")
@@ -110,10 +124,8 @@ class QuantumNetwork:
                     raise ValidationError(
                         f"box at layer {pos} has generator dim {layer.base_generator.dim}, expected {expected}"
                     )
-        layers = tuple(
-            np.asarray(l, dtype=complex) if pos % 2 == 0 else l for pos, l in enumerate(layers)
-        )
-        object.__setattr__(self, "layers", layers)
+            kept.append(layer)
+        object.__setattr__(self, "layers", tuple(kept))
 
     @property
     def dim(self) -> int:
@@ -136,6 +148,20 @@ def _box_unitary(box: BlackBox, phi: float) -> np.ndarray:
 def _check_phi(phi: float) -> None:
     if not math.isfinite(phi):
         raise ValidationError(f"phi must be finite, got {phi!r}")
+
+
+def _phi_key(phi: float) -> str:
+    # the hex form tells -0.0 from 0.0, which can flip the sign of a zero entry
+    return float(phi).hex()
+
+
+def _memoised_total(net: QuantumNetwork, phi: float) -> HermitianOperator | None:
+    """The total of the latest ``generator_analytic`` call on ``net`` if it ran at this phi."""
+    _check_phi(phi)
+    memo = net._analytic_memo
+    if memo and memo[0][0] == _phi_key(phi):
+        return memo[0][1]
+    return None
 
 
 def query_count(net: QuantumNetwork) -> int:
@@ -172,7 +198,7 @@ def generator_numeric(net: QuantumNetwork, phi: float, eps: float = DEFAULT_FD_S
         raise UsageError(f"eps must lie in (0, 1e-3], got {eps!r}")
     du = (network_unitary(net, phi + eps) - network_unitary(net, phi - eps)) / (2 * eps)
     raw = 1j * du @ network_unitary(net, phi).conj().T
-    residue = float(np.max(np.abs(raw - raw.conj().T))) / 2
+    residue = float(_hermitian_defect(raw)) / 2
     scale = _generator_scale(net)
     bound = 10.0 * eps**2 * scale**3 + _ROUNDOFF_FLOOR * scale / eps
     if residue > bound:
@@ -189,9 +215,11 @@ def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperat
     box j (inclusive of V_j); each term therefore carries exactly the spectrum
     of the embedded box generator, whatever the fixed unitaries are.  The
     loop carries W_j^dag, so H_j W_j^dag and O_j^dag W_j^dag act on the box's
-    target axes only.
+    target axes only.  The total is also kept on ``net`` for this phi (see
+    the module docstring).
     """
     _check_phi(phi)
+    phi = float(phi)  # compute at exactly the value the memo key names
     n, d, dim = net.n_subsystems, net.subsystem_dim, net.dim
     terms_rev: list[np.ndarray] = []
     w_dag = np.ascontiguousarray(net.layers[-1].conj().T)  # V_Q^dag
@@ -204,5 +232,7 @@ def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperat
     terms = [HermitianOperator(t, hermitian_tol=1e-8) for t in reversed(terms_rev)]
     total = np.zeros((dim, dim), dtype=complex)
     for t in terms:
-        total = total + t.entries
-    return HermitianOperator(total, hermitian_tol=1e-8), terms
+        total += t.entries
+    total = HermitianOperator(total, hermitian_tol=1e-8)
+    net._analytic_memo[:] = [(_phi_key(phi), total)]
+    return total, terms

@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .networks import QuantumNetwork, generator_analytic, query_count
+from .networks import QuantumNetwork, _memoised_total, generator_analytic, query_count
 from .opalg import (
     DIM_CAP,
     HermitianOperator,
@@ -243,8 +243,14 @@ def build_generator(spec: ProcedureSpec, base: HermitianOperator | None = None) 
 
 
 def from_network(net: QuantumNetwork, phi: float = 0.0) -> JointGenerator:
-    """Bridge an explicit evolution network to a JointGenerator at the given phi."""
-    total, _ = generator_analytic(net, phi)
+    """Bridge an explicit evolution network to a JointGenerator at the given phi.
+
+    After ``generator_analytic(net, phi)`` this reuses that call's total
+    operator, so its spectrum is cached on the operator the caller holds.
+    """
+    total = _memoised_total(net, phi)
+    if total is None:
+        total, _ = generator_analytic(net, phi)
     spectrum = hermitian_eigensystem(total)
     return JointGenerator(total, query_count(net), spectrum.lambda_min, spectrum.lambda_max)
 

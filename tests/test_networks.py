@@ -117,6 +117,16 @@ def test_network_rejects_nan_fixed_unitary():
         QuantumNetwork(1, 2, (v, qubit_box((0.0, 1.0)), I2))
 
 
+def test_network_copies_and_freezes_fixed_unitaries():
+    v = I2.copy()
+    net = QuantumNetwork(1, 2, (v, qubit_box((0.0, 1.0)), I2))
+    before = network_unitary(net, 0.3)
+    v[:] = 5
+    assert np.array_equal(network_unitary(net, 0.3), before)
+    assert not net.layers[0].flags.writeable
+    assert v.flags.writeable
+
+
 @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
     "extract", [network_unitary, generator_analytic, generator_numeric, from_network], ids=lambda f: f.__name__
@@ -399,3 +409,69 @@ def test_generator_depends_on_interleavers_in_general():
     gen_flip, _ = generator_analytic(bitflip_net(), 0.5)
     assert_allclose(np.linalg.eigvalsh(gen_plain.entries), [0.0, 2.0], atol=1e-12)
     assert_allclose(np.linalg.eigvalsh(gen_flip.entries), [1.0, 1.0], atol=1e-12)
+
+
+# ------------------------------------------------------------- analytic memo
+
+def count_box_unitaries(monkeypatch):
+    calls = []
+    box_unitary = networks._box_unitary
+
+    def counted(box, phi):
+        calls.append(phi)
+        return box_unitary(box, phi)
+
+    monkeypatch.setattr(networks, "_box_unitary", counted)
+    return calls
+
+
+def test_from_network_reuses_the_analytic_total(monkeypatch):
+    net = mixed_net(rng(45), 3, 2, MIXED_TARGETS)
+    calls = count_box_unitaries(monkeypatch)
+    total, _ = generator_analytic(net, 0.35)
+    assert len(calls) == len(MIXED_TARGETS)
+    gen = from_network(net, 0.35)
+    assert len(calls) == len(MIXED_TARGETS)
+    assert gen.generator is total
+    # the spectrum from_network needed is cached on the caller's operator
+    assert total._spectrum_cache
+
+
+@pytest.mark.parametrize("phi", [0.35, 0.0, -0.0, -1.2])
+def test_memoised_from_network_is_bitwise_a_fresh_one(phi):
+    net = mixed_net(rng(46), 3, 2, MIXED_TARGETS)
+    fresh = from_network(mixed_net(rng(46), 3, 2, MIXED_TARGETS), phi)
+    generator_analytic(net, phi)
+    got = from_network(net, phi)
+    assert got.generator.entries.tobytes() == fresh.generator.entries.tobytes()
+    assert (got.h_min, got.h_max, got.query_complexity) == (fresh.h_min, fresh.h_max, fresh.query_complexity)
+
+
+def test_memo_holds_only_the_latest_phi(monkeypatch):
+    net = mixed_net(rng(47), 3, 2, MIXED_TARGETS)
+    calls = count_box_unitaries(monkeypatch)
+    first, _ = generator_analytic(net, 0.35)
+    second = from_network(net, 0.9)
+    assert len(calls) == 2 * len(MIXED_TARGETS)
+    assert second.generator is not first
+    assert len(net._analytic_memo) == 1
+    assert net._analytic_memo[0][1] is second.generator
+    # a signed zero is a different phi
+    generator_analytic(net, 0.0)
+    from_network(net, -0.0)
+    assert len(calls) == 4 * len(MIXED_TARGETS)
+    assert len(net._analytic_memo) == 1
+
+
+def test_generator_numeric_ignores_the_memo(monkeypatch):
+    net = single_box_net()
+    generator_analytic(net, 0.4)
+    g = rng(27)
+    true_unitary = networks.network_unitary
+
+    def noisy(net_, phi):
+        return true_unitary(net_, phi) + 1e-7 * g.normal(size=(2, 2))
+
+    monkeypatch.setattr(networks, "network_unitary", noisy)
+    with pytest.raises(StepSizeError):
+        generator_numeric(net, 0.4)

@@ -1,6 +1,8 @@
 import tracemalloc
 
 import numpy as np
+
+import phasebound.opalg as opalg
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from phasebound.opalg import (
     PureState,
     Spectrum,
     _contract_sites,
+    _hermitian_defect,
     _lifted_site_values,
     evolve,
     hermitian_eigensystem,
@@ -54,6 +57,79 @@ def test_operator_dim_cap():
         HermitianOperator.from_diagonal(np.zeros(DIM_CAP + 1))
     with pytest.raises(ValidationError):
         HermitianOperator.identity(DIM_CAP + 1)
+
+
+def whole_matrix_defect(a):
+    return np.max(np.abs(a - a.conj().T))
+
+
+def defect_cases(g, d):
+    h = random_hermitian(g, d)
+    nan = h.copy()
+    nan[d // 2, d - 1] = np.nan
+    return {
+        "random": g.normal(size=(d, d)) + 1j * g.normal(size=(d, d)),
+        "hermitian": h,
+        "perturbed": h + 1e-9 * (g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))),
+        "nan": nan,
+    }
+
+
+@pytest.mark.parametrize(
+    "d, rows", [(1, None), (50, 1), (50, 3), (50, 7), (50, 64), (1500, None)], ids=str
+)
+def test_hermitian_defect_equals_whole_matrix_expression(monkeypatch, d, rows):
+    if rows is not None:
+        monkeypatch.setattr(opalg, "_SCAN_BLOCK_BYTES", 16 * d * rows)
+    for name, a in defect_cases(rng(d), d).items():
+        got, want = _hermitian_defect(a), whole_matrix_defect(a)
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_near_threshold_verdict_and_message_follow_whole_matrix_defect(monkeypatch, rows):
+    # a defect of about 1e-9 lands on either side of the default tolerance by rounding
+    if rows is not None:
+        monkeypatch.setattr(opalg, "_SCAN_BLOCK_BYTES", 16 * 40 * rows)
+    g = rng(12)
+    verdicts = set()
+    for _ in range(40):
+        a = random_hermitian(g, 40)
+        i, j = g.integers(0, 40, size=2)
+        a[i, j] += 1e-9 * np.exp(1j * g.uniform(0, 2 * np.pi))
+        want = whole_matrix_defect(a)
+        if want > 1e-9:
+            message = f"matrix is not Hermitian: max |A - A^dag| = {want:.3e} > {1e-9:.1e}"
+            with pytest.raises(ValidationError) as err:
+                HermitianOperator(a)
+            assert str(err.value) == message
+        else:
+            HermitianOperator(a)
+        verdicts.add(bool(want > 1e-9))
+    assert verdicts == {True, False}
+
+
+def test_infinite_tolerance_skips_the_scan(monkeypatch):
+    def fail(a):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(opalg, "_hermitian_defect", fail)
+    assert HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian_tol=np.inf).dim == 2
+
+
+def test_dense_construction_scan_stays_off_matrix_size():
+    # converting the real input is one complex d x d array; the scan adds blocks
+    d = 2048
+    g = rng(13)
+    a = g.normal(size=(d, d))
+    a = a + a.T
+    tracemalloc.start()
+    try:
+        HermitianOperator(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d * d + (16 << 20)
 
 
 def test_from_diagonal_and_identity():
