@@ -18,10 +18,12 @@ operator without a second backward pass.  Only the total is kept, never the
 per-term list.
 
 The generator of the composite evolution is extracted two ways: numerically,
-as ``i * dU/dphi * U^dag`` by central differences, and analytically, as the
-sum of Q unitary conjugations of the box generators.  The two routes
-cross-check each other; the numeric route never reads the memoised total.
-The numeric definition is the authoritative sign convention.
+as ``i * dU/dphi * U^dag`` by central differences from two compositions, at
+phi + eps and phi - eps, with U(phi) taken as their mean (accurate to
+O(eps^2)); and analytically, as the sum of Q unitary conjugations of the box
+generators.  The two routes cross-check each other; the numeric route never
+reads the memoised total.  The numeric definition is the authoritative sign
+convention.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeError, UsageError, ValidationError
-from .opalg import HermitianOperator, _apply_on_sites, _hermitian_defect, _read_only, hermitian_eigensystem
+from .opalg import HermitianOperator, _apply_on_sites, _check_dim, _hermitian_defect, _read_only, _unitary_defect
+from .opalg import hermitian_eigensystem
 
 UNITARY_TOL = 1e-10
 DEFAULT_FD_STEP = 1e-6
@@ -96,12 +99,21 @@ class QuantumNetwork:
     _analytic_memo: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("n_subsystems", "subsystem_dim"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
         if self.n_subsystems < 1 or self.subsystem_dim < 1:
             raise ValidationError("need at least one subsystem with dimension >= 1")
+        dim = self.dim
+        _check_dim(dim)  # before any fixed unitary is copied
         layers = tuple(self.layers)
         if len(layers) % 2 == 0 or not layers:
             raise ValidationError("layer list must be V_0 [, O_1, V_1, ...] with odd length")
-        dim = self.dim
         kept = []
         for pos, layer in enumerate(layers):
             if pos % 2 == 0:
@@ -110,7 +122,7 @@ class QuantumNetwork:
                 v = np.array(layer, dtype=complex)
                 if v.shape != (dim, dim):
                     raise ValidationError(f"fixed unitary at layer {pos} has shape {v.shape}, expected {(dim, dim)}")
-                defect = np.max(np.abs(v @ v.conj().T - np.eye(dim)))
+                defect = _unitary_defect(v)
                 if not defect <= UNITARY_TOL:
                     raise ValidationError(f"layer {pos} is not unitary: defect {defect:.3e}")
                 layer = _read_only(v)
@@ -190,14 +202,23 @@ def _generator_scale(net: QuantumNetwork) -> float:
 def generator_numeric(net: QuantumNetwork, phi: float, eps: float = DEFAULT_FD_STEP) -> HermitianOperator:
     """Generator i (dU/dphi) U^dag by central differences at the given phi.
 
+    The network is composed twice, at phi + eps and phi - eps.  U(phi) is
+    taken as the mean of the two, which is accurate to O(eps^2), the same
+    order as the central difference, so no third pass at phi is needed.
+
     The anti-Hermitian residue must stay within the combined truncation plus
     roundoff model before the result is Hermitized; a violation usually means
     eps is too large for the generator's scale.
     """
     if not 0 < eps <= 1e-3:
         raise UsageError(f"eps must lie in (0, 1e-3], got {eps!r}")
-    du = (network_unitary(net, phi + eps) - network_unitary(net, phi - eps)) / (2 * eps)
-    raw = 1j * du @ network_unitary(net, phi).conj().T
+    u_plus, u_minus = network_unitary(net, phi + eps), network_unitary(net, phi - eps)
+    du, mean = u_plus - u_minus, u_plus + u_minus
+    del u_plus, u_minus  # the steps below work in place, so at most four d x d arrays are alive
+    du /= 2 * eps
+    du *= 1j
+    mean /= 2
+    raw = du @ mean.conj().T
     residue = float(_hermitian_defect(raw)) / 2
     scale = _generator_scale(net)
     bound = 10.0 * eps**2 * scale**3 + _ROUNDOFF_FLOOR * scale / eps

@@ -66,6 +66,25 @@ def _hermitian_defect(a: np.ndarray) -> float:
     return np.max([np.max(np.abs(a[i:i + rows, i:] - a[i:, i:i + rows].conj().T)) for i in range(0, d, rows)])
 
 
+def _unitary_defect(v: np.ndarray) -> float:
+    """max |V V^dag - I| over row blocks of the upper triangle; no d x d temporary is built.
+
+    V V^dag - I is Hermitian, so, as in ``_hermitian_defect``, the upper
+    triangle holds the maximum, at half the products.  The block on rows r
+    from column i on is conj(conj(V[r]) @ V[i:].T): the transpose is a view,
+    so only the block is conjugated.  A NaN propagates.
+    """
+    d = v.shape[0]
+    rows = max(1, _SCAN_BLOCK_BYTES // (16 * d))
+    worst = []
+    for i in range(0, d, rows):
+        block = np.conj(v[i:i + rows].conj() @ v[i:].T)
+        r = np.arange(block.shape[0])
+        block[r, r] -= 1.0
+        worst.append(np.max(np.abs(block)))
+    return np.max(worst)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -390,15 +409,20 @@ def _apply_on_sites(small: np.ndarray, sites: tuple[int, ...], m: np.ndarray, n:
 def _rotated_diagonal(u: np.ndarray, values: np.ndarray, n: int) -> HermitianOperator:
     """U^(xn) diag(values) U^(xn)^dag for a d_s x d_s unitary u, in the dense form.
 
-    U^(xn) is a Kronecker chain of u, and the product with U^(xn)^dag runs by
-    site passes, at O(n d^2 d_s).  The spectrum is known by construction and
+    U^(xn) is a Kronecker chain of u.  The product is U^(xn) (diag(values)
+    U^(xn)^dag): n site-kernel passes of u, one per axis, at O(n d^2 d_s),
+    with no transpose copy per pass.  The spectrum is known by construction and
     cached: the eigenvalues are ``values`` stably sorted, and eigenvector i is
     the matching column of U^(xn).
     """
     vectors = u
     for _ in range(n - 1):
         vectors = np.kron(vectors, u)
-    op = HermitianOperator(_contract_sites(vectors * values, u.conj().T, n), hermitian_tol=1e-8)
+    x = np.multiply(vectors.T, values[:, None], order="C")
+    np.conj(x, out=x)  # diag(values) U^(xn)^dag, laid out by row for the site passes
+    for site in range(n):
+        x = _apply_on_sites(u, (site,), x, n, u.shape[0])
+    op = HermitianOperator(x, hermitian_tol=1e-8)
     order = np.argsort(values, kind="stable")
     op._spectrum_cache.append(Spectrum(values[order], vectors[:, order]))
     return op

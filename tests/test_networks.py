@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -125,6 +127,50 @@ def test_network_copies_and_freezes_fixed_unitaries():
     assert np.array_equal(network_unitary(net, 0.3), before)
     assert not net.layers[0].flags.writeable
     assert v.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "n, d, layers",
+    [
+        (2.0, 2, (np.eye(4), qubit_box((0.0, 1.0)), np.eye(4))),
+        (2, 2.0, (np.eye(4), qubit_box((0.0, 1.0)), np.eye(4))),
+        (True, 2, (I2, qubit_box((0.0, 1.0)), I2)),
+        (1, True, (np.eye(1), BlackBox(HermitianOperator.identity(1), (0,)), np.eye(1))),
+    ],
+    ids=["float-count", "float-dim", "bool-count", "bool-dim"],
+)
+def test_network_rejects_non_integer_sizes(n, d, layers):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        QuantumNetwork(n, d, layers)
+
+
+def test_network_accepts_numpy_integer_sizes():
+    net = QuantumNetwork(np.int64(1), np.int64(2), (I2, qubit_box((0.0, 1.0)), I2))
+    assert type(net.n_subsystems) is int and type(net.subsystem_dim) is int
+    assert net.dim == 2
+
+
+def test_network_rejects_dim_above_cap_before_reading_layers():
+    class Unreadable:
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("layer was read")
+
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        QuantumNetwork(13, 2, (Unreadable(), qubit_box((0.0, 1.0)), Unreadable()))
+
+
+def test_network_unitarity_check_peaks_at_the_kept_copies():
+    # 10 qubits: each kept copy is 16 MB; the check adds row blocks only
+    d = 2**10
+    dft = np.fft.fft(np.eye(d)) / np.sqrt(d)
+    layers = (dft, qubit_box((0.0, 1.0), (3,)), dft.conj().T)
+    tracemalloc.start()
+    try:
+        QuantumNetwork(10, 2, layers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * d * d + (8 << 20)
 
 
 @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
@@ -293,6 +339,38 @@ def test_generator_numeric_flags_inconsistent_unitaries(monkeypatch):
     monkeypatch.setattr(networks, "network_unitary", noisy)
     with pytest.raises(StepSizeError):
         generator_numeric(net, 0.4)
+
+
+def test_generator_numeric_composes_only_at_phi_plus_and_minus_eps(monkeypatch):
+    net = mixed_net(rng(31), 3, 2, [(1,), (2, 0)])
+    phis = []
+    true_unitary = networks.network_unitary
+
+    def counted(net_, phi):
+        phis.append(phi)
+        return true_unitary(net_, phi)
+
+    monkeypatch.setattr(networks, "network_unitary", counted)
+    phi, eps = 0.7, 1e-5
+    generator_numeric(net, phi, eps=eps)
+    assert sorted(phis) == [phi - eps, phi + eps]
+    generator_numeric(net, phi)
+    assert len(phis) == 4 and phi not in phis
+
+
+def test_generator_numeric_matches_analytic_on_non_diagonal_three_qubit_nets():
+    g = rng(32)
+    pairs = [(0, 1), (1, 2), (2, 0), (0, 2)]
+    for _ in range(12):
+        targets = [
+            (int(g.integers(0, 3)),) if g.random() < 0.5 else pairs[int(g.integers(0, 4))]
+            for _ in range(int(g.integers(1, 5)))
+        ]
+        net = mixed_net(g, 3, 2, targets)
+        phi = float(g.uniform(-2.0, 2.0))
+        ana, _ = generator_analytic(net, phi)
+        num = generator_numeric(net, phi)
+        assert np.max(np.abs(ana.entries - num.entries)) < 1e-8 * networks._generator_scale(net)
 
 
 # ------------------------------------------------------------ analytic extraction

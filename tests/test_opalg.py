@@ -17,6 +17,7 @@ from phasebound.opalg import (
     _contract_sites,
     _hermitian_defect,
     _lifted_site_values,
+    _unitary_defect,
     evolve,
     hermitian_eigensystem,
     moments,
@@ -107,6 +108,25 @@ def test_near_threshold_verdict_and_message_follow_whole_matrix_defect(monkeypat
             HermitianOperator(a)
         verdicts.add(bool(want > 1e-9))
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("d, rows", [(1, None), (50, 1), (50, 7), (50, 64), (700, None)], ids=str)
+def test_unitary_defect_matches_whole_matrix_expression(monkeypatch, d, rows):
+    if rows is not None:
+        monkeypatch.setattr(opalg, "_SCAN_BLOCK_BYTES", 16 * d * rows)
+    g = rng(d + 1)
+    u = random_unitary(g, d)
+    nan = u.copy()
+    nan[d // 2, d - 1] = np.nan
+    cases = {
+        "unitary": u,
+        "perturbed": u + 1e-9 * (g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))),
+        "scaled": 1.5 * u,
+        "nan": nan,
+    }
+    for name, v in cases.items():
+        want = np.max(np.abs(v @ v.conj().T - np.eye(d)))
+        assert_allclose(_unitary_defect(v), want, rtol=1e-12, atol=1e-15, err_msg=name)
 
 
 def test_infinite_tolerance_skips_the_scan(monkeypatch):
