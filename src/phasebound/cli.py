@@ -22,9 +22,8 @@ import numpy as np
 from .errors import NumericalIntegrityError, ParseError, UsageError, ValidationError
 from .estimation import TrialConfig, optimal_povm, precision_trial, tensor_power_povm
 from .metrology import build_report, mu_sweep
-from .opalg import HermitianOperator, evolve, hermitian_eigensystem
+from .opalg import DIM_CAP, HermitianOperator, evolve, hermitian_eigensystem
 from .procedures import (
-    EXPONENTIAL_N_CAP,
     JointGenerator,
     ProcedureSpec,
     base_diagonal,
@@ -167,7 +166,7 @@ def load_scenario(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past int's digit limit
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
     raw = _expect_dict(raw, "scenario")
     _check_keys(raw, _SCENARIO_KEYS, "scenario")
@@ -279,19 +278,25 @@ def _render_output(entry: dict, raw: dict, spec, gen, probe, config: TrialConfig
         report = build_report(evolved, gen, spec)
         return (canonical_json(report.to_dict()) + "\n").encode()
     if kind == "mu_sweep":
-        grid = entry.get("grid", 101)
-        if grid < 2:
-            raise ValidationError("mu_sweep grid must have at least 2 points")
-        rows = mu_sweep(gen, np.linspace(0.0, 1.0, grid))
+        rows = mu_sweep(gen, np.linspace(0.0, 1.0, entry.get("grid", 101)))
         return _csv_text(["mu", "shifted_expectation", "stddev"], [list(r) for r in rows]).encode()
     result = precision_trial(gen, probe, config)
     return (canonical_json(result.to_dict()) + "\n").encode()
 
 
+def _check_grid(grid: int, label: str) -> None:
+    # one optimal state per mu point, so the grid is bounded like a dimension
+    if not 2 <= grid <= DIM_CAP:
+        raise ValidationError(f"{label} must lie in [2, {DIM_CAP}], got {grid}")
+
+
 def cmd_run(args) -> int:
     raw = load_scenario(args.scenario)
-    spec, gen, probe = realize_scenario(raw)
     outputs = raw.get("outputs", [])
+    for entry in outputs:
+        if entry["type"] == "mu_sweep":
+            _check_grid(entry.get("grid", 101), "mu_sweep grid")
+    spec, gen, probe = realize_scenario(raw)
     config = None
     if any(entry["type"] == "trial" for entry in outputs):
         if "trial" not in raw:
@@ -368,9 +373,9 @@ def _parse_kind_token(token: str) -> tuple[str, dict]:
 def compare_procedures(n_range: list[int], kind_tokens: list[str], base_eigs=(0.0, 1.0)):
     """Rows (kind, N, Q, seminorm, bound_query, bound_snl) from closed forms.
 
-    Rows whose kind cannot be built at the requested N (k > N, exponential
-    past its cap) are skipped and reported; no matrices are materialized, so
-    N is limited only by float range.
+    Rows whose kind cannot be built at the requested N (k > N, a query count
+    or extreme past float range) are skipped and reported; no matrices are
+    materialized, so N is limited only by float range.
     """
     rows = []
     skipped = []
@@ -378,8 +383,6 @@ def compare_procedures(n_range: list[int], kind_tokens: list[str], base_eigs=(0.
         token, fields = _parse_kind_token(token)
         for n in n_range:
             try:
-                if fields["kind"] == "exponential" and n > EXPONENTIAL_N_CAP:
-                    raise ValidationError(f"exponential kind is capped at N = {EXPONENTIAL_N_CAP}")
                 spec = ProcedureSpec(n_systems=n, base_eigs=tuple(base_eigs), **fields)
                 q, h_lo, h_hi = closed_form_extremes(spec)
                 seminorm = h_hi - h_lo
@@ -426,8 +429,7 @@ def cmd_compare(args) -> int:
 def cmd_sweep_mu(args) -> int:
     if args.seminorm <= 0:
         raise ValidationError("--seminorm must be positive")
-    if args.grid < 2:
-        raise ValidationError("--grid must be at least 2")
+    _check_grid(args.grid, "--grid")
     gen = JointGenerator(
         HermitianOperator.from_diagonal([0.0, args.seminorm]), 1, 0.0, args.seminorm
     )

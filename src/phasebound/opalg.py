@@ -300,18 +300,11 @@ class Spectrum(_Frozen):
         return float(self.eigenvalues[-1])
 
 
-def tensor_product(a, b):
-    """Kronecker product of two operators or two states (left = most significant)."""
-    if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
-        return HermitianOperator(
-            np.kron(a.entries, b.entries),
-            hermitian_tol=max(a.hermitian_tol, b.hermitian_tol),
-        )
+def tensor_product(a: PureState, b: PureState) -> PureState:
+    """Kronecker product of two states (left = most significant)."""
     if isinstance(a, PureState) and isinstance(b, PureState):
         return PureState(np.kron(a.amplitudes, b.amplitudes))
-    raise UsageError(
-        f"tensor_product needs two operators or two states, got {type(a).__name__} and {type(b).__name__}"
-    )
+    raise UsageError(f"tensor_product needs two states, got {type(a).__name__} and {type(b).__name__}")
 
 
 def hermitian_eigensystem(a: HermitianOperator) -> Spectrum:

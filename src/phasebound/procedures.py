@@ -7,19 +7,22 @@ generator over the subset), ``exponential`` one box per nonempty subset, and
 generator and the query count by T.
 
 Every kind over a base u diag(w) u^dag is the site-wise rotation of one
-diagonal operator: the sum over subsets of the products of w on the
-subset's sites, summed in a fixed lexicographic order so results are
-reproducible bit for bit.  A diagonal base keeps that vector and builds no
-d x d matrix.  A non-diagonal base costs one ``eigh`` of the d_s x d_s base;
-the joint operator u^(xN) diag(v) u^(xN)^dag is then built site by site
-with its spectrum known, and no joint-space eigensolver runs.
+diagonal operator, a symmetric sum of the site values x_j (w read by site
+j): ``linear`` is e_1, ``kbody`` is e_k and ``exponential`` is
+e_1 + ... + e_N, where e_k is the elementary symmetric polynomial.  One
+recurrence over the sites builds e_1 .. e_k at O(N k d) with no subset
+enumerated, in a fixed order so results are reproducible bit for bit.  A
+diagonal base keeps that vector and builds no d x d matrix.  A non-diagonal
+base costs one ``eigh`` of the d_s x d_s base; the joint operator
+u^(xN) diag(v) u^(xN)^dag is then built site by site with its spectrum
+known, and no joint-space eigensolver runs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -36,7 +39,6 @@ from .opalg import (
 )
 
 KINDS = ("linear", "kbody", "exponential", "sequential-wrapped")
-EXPONENTIAL_N_CAP = 10  # 2^N - 1 boxes; term count explodes past this
 EXTREME_TOL = 1e-9
 
 
@@ -138,94 +140,76 @@ def base_diagonal(spec: ProcedureSpec) -> np.ndarray:
 
 
 def _check_materialization(spec: ProcedureSpec) -> None:
-    if spec.dim > DIM_CAP:
+    # subsystem_dim >= 2, so an n_systems past log2(DIM_CAP) is refused before the power is formed
+    if spec.n_systems >= DIM_CAP.bit_length() or spec.dim > DIM_CAP:
         raise ValidationError(
             f"joint space dimension {spec.subsystem_dim}^{spec.n_systems} exceeds the cap {DIM_CAP}; "
             "closed_form_extremes and snl_baseline still work at this size"
         )
 
 
-def _resolve_base(spec: ProcedureSpec, base: HermitianOperator | None) -> HermitianOperator:
+def _symmetric_sums(w: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Elementary symmetric sums e_0 .. e_k of the n site values, shape (k + 1, d^n).
+
+    On each product basis state site j reads x_j = w[digit j], and enters by
+    E_m <- E_m + x_j E_(m-1) with m descending, at O(n k d^n).  e_1 is
+    zeros + x_0 + x_1 + ... in site order.
+    """
+    e = np.zeros((k + 1, w.size**n))
+    e[0] = 1.0
+    for j in range(n):
+        xj = _lifted_site_values(w, j, n, w.size)
+        for m in range(min(j + 1, k), 0, -1):
+            e[m] += xj * e[m - 1]
+    return e
+
+
+def _joint_generator(spec: ProcedureSpec, base: HermitianOperator | None, kind: str) -> JointGenerator:
+    if spec.kind != kind:
+        raise UsageError(f"{kind}_generator got kind {spec.kind!r}")
+    _check_materialization(spec)
     if base is None:
-        return HermitianOperator.from_diagonal(base_diagonal(spec))
-    if base.dim != spec.subsystem_dim:
+        base = HermitianOperator.from_diagonal(base_diagonal(spec))
+    elif base.dim != spec.subsystem_dim:
         raise UsageError(f"base dimension {base.dim} does not match subsystem_dim {spec.subsystem_dim}")
-    return base
-
-
-def _joint_from_subsets(spec: ProcedureSpec, base: HermitianOperator, subsets, q: int) -> JointGenerator:
-    n, d = spec.n_systems, spec.subsystem_dim
     if base.is_diagonal:
         w, u = base.diagonal, None
     else:
         site = hermitian_eigensystem(base)
         w, u = site.eigenvalues, site.eigenvectors
-    lifted = [_lifted_site_values(w, j, n, d) for j in range(n)]
-    total = np.zeros(d**n)
-    for subset in subsets:
-        # a self pair (j, j) gives w^2 on site j: the eigenvalues of base^2
-        term = lifted[subset[0]].copy()
-        for j in subset[1:]:
-            term *= lifted[j]
-        total += term
+    n = spec.n_systems
+    if spec.kind == "exponential":
+        # sum of e_k, not prod(1 + x_j) - 1, which loses bits to 1 + x_j and the final - 1
+        q, total = 2**n - 1, _symmetric_sums(w, n, n)[1:].sum(axis=0)
+    else:
+        k = spec.body_order or 1
+        q, total = math.comb(n, k), _symmetric_sums(w, n, k)[k]
     op = HermitianOperator.from_diagonal(total) if u is None else _rotated_diagonal(u, total, n)
     return JointGenerator(op, q, float(total.min()), float(total.max()))
 
 
 def linear_generator(spec: ProcedureSpec, base: HermitianOperator | None = None) -> JointGenerator:
     """One box per subsystem: the sum of N commuting single-site terms, Q = N."""
-    if spec.kind != "linear":
-        raise UsageError(f"linear_generator got kind {spec.kind!r}")
-    _check_materialization(spec)
-    base = _resolve_base(spec, base)
-    subsets = [(j,) for j in range(spec.n_systems)]
-    return _joint_from_subsets(spec, base, subsets, spec.n_systems)
+    return _joint_generator(spec, base, "linear")
 
 
-def kbody_generator(
-    spec: ProcedureSpec, base: HermitianOperator | None = None, include_self_pairs: bool = False
-) -> JointGenerator:
-    """One box per size-k subset, each a k-fold tensor power of the base, Q = C(N,k).
-
-    ``include_self_pairs`` (two-body only) adds the N same-site squared terms
-    (base^2 on site j), so the term count becomes N(N+1)/2; it exists for
-    comparing the strict pair convention against the laxer one and changes
-    Q accordingly.
-    """
-    if spec.kind != "kbody":
-        raise UsageError(f"kbody_generator got kind {spec.kind!r}")
-    _check_materialization(spec)
-    n, k = spec.n_systems, spec.body_order
-    if include_self_pairs and k != 2:
-        raise UsageError("include_self_pairs is defined for body_order 2 only")
-    base = _resolve_base(spec, base)
-    subsets = list(combinations(range(n), k))
-    q = math.comb(n, k)
-    if include_self_pairs:
-        subsets = subsets + [(j, j) for j in range(n)]
-        q += n
-    return _joint_from_subsets(spec, base, subsets, q)
+def kbody_generator(spec: ProcedureSpec, base: HermitianOperator | None = None) -> JointGenerator:
+    """One box per size-k subset, each a k-fold tensor power of the base, Q = C(N,k)."""
+    return _joint_generator(spec, base, "kbody")
 
 
 def exponential_generator(spec: ProcedureSpec, base: HermitianOperator | None = None) -> JointGenerator:
-    """One box per nonempty subset of the N subsystems, Q = 2^N - 1."""
-    if spec.kind != "exponential":
-        raise UsageError(f"exponential_generator got kind {spec.kind!r}")
-    if spec.n_systems > EXPONENTIAL_N_CAP:
-        raise ValidationError(
-            f"exponential kind is capped at N = {EXPONENTIAL_N_CAP}; got N = {spec.n_systems}"
-        )
-    _check_materialization(spec)
-    base = _resolve_base(spec, base)
-    n = spec.n_systems
-    subsets = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
-    return _joint_from_subsets(spec, base, subsets, 2**n - 1)
+    """One box per nonempty subset of the N subsystems, Q = 2^N - 1; DIM_CAP bounds N."""
+    return _joint_generator(spec, base, "exponential")
 
 
 def sequential_wrap(inner: JointGenerator, t: int) -> JointGenerator:
     """Repeat the inner evolution t times: generator, extremes and Q all scale by t."""
     if t < 1:
         raise UsageError(f"repetition count must be >= 1, got {t}")
+    # an int compares with a float exactly, so a t past float range is refused without converting it
+    if t > sys.float_info.max / max(abs(inner.h_min), abs(inner.h_max), 1.0):
+        raise ValidationError("the repetition count takes the generator's extremes past float range")
     q = None if inner.query_complexity is None else t * inner.query_complexity
     return JointGenerator(inner.generator * t, q, t * inner.h_min, t * inner.h_max)
 
@@ -260,8 +244,19 @@ def closed_form_extremes(spec: ProcedureSpec) -> tuple[int, float, float]:
 
     For subset products of degree two and higher the identification of the
     extremes with powers of the base extremes needs lambda_min >= 0; negative
-    eigenvalues raised to even powers would reorder.
+    eigenvalues raised to even powers would reorder.  An extreme past float
+    range is a ValidationError.
     """
+    try:
+        q, h_lo, h_hi = _closed_forms(spec)
+        if math.isfinite(h_lo) and math.isfinite(h_hi):
+            return q, h_lo, h_hi
+    except OverflowError:
+        pass
+    raise ValidationError(f"the {spec.kind} extremes leave float range")
+
+
+def _closed_forms(spec: ProcedureSpec) -> tuple[int, float, float]:
     lo, hi = spec.base_eigs
     n = spec.n_systems
     if spec.kind == "linear":
@@ -270,17 +265,20 @@ def closed_form_extremes(spec: ProcedureSpec) -> tuple[int, float, float]:
         k = spec.body_order
         if k >= 2 and lo < 0:
             raise ValidationError(f"kbody closed form needs lambda_min >= 0, got {lo}")
+        # a C(N, k) far past float range is refused before its digits are formed
+        if math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) > math.log(sys.float_info.max) + 1:
+            raise OverflowError
         q = math.comb(n, k)
         return q, q * lo**k, q * hi**k
     if spec.kind == "exponential":
         if lo < 0:
             raise ValidationError(f"exponential closed form needs lambda_min >= 0, got {lo}")
-        q = 2**n - 1
+        # past N of about 1030 a C(N, j) overflows in the sums, before 2^N - 1 is formed
         h_lo = sum(math.comb(n, j) * lo**j for j in range(1, n + 1))
         h_hi = sum(math.comb(n, j) * hi**j for j in range(1, n + 1))
-        return q, h_lo, h_hi
+        return 2**n - 1, h_lo, h_hi
     inner = replace(spec, kind="linear", repetitions=None)
-    q, h_lo, h_hi = closed_form_extremes(inner)
+    q, h_lo, h_hi = _closed_forms(inner)
     t = spec.repetitions
     return t * q, t * h_lo, t * h_hi
 

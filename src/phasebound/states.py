@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeneratorError, ValidationError
-from .opalg import HermitianOperator, PureState, Spectrum, hermitian_eigensystem, tensor_product
+from .opalg import HermitianOperator, PureState, Spectrum, _check_dim, hermitian_eigensystem, tensor_product
 from .procedures import JointGenerator
 
 STATE_KINDS = ("optimal_mu", "noon", "product_balanced", "coherent")
@@ -65,11 +65,13 @@ def _check_mu(mu: float) -> None:
 def _check_photons(n_photons: int) -> None:
     if n_photons < 1:
         raise ValidationError("n_photons must be >= 1")
+    _check_dim(n_photons + 1)  # before the n + 1 amplitudes are allocated
 
 
 def _check_cutoff(alpha: complex, cutoff: int) -> None:
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
+    _check_dim(cutoff + 1)
     # a float product overflows to inf where ** 2 would raise OverflowError
     floor = 10.0 * abs(alpha) * abs(alpha)
     if cutoff < floor:
@@ -168,5 +170,6 @@ def number_operator(cutoff: int) -> JointGenerator:
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
+    _check_dim(cutoff + 1)
     op = HermitianOperator.from_diagonal(np.arange(cutoff + 1, dtype=float))
     return JointGenerator(op, None, 0.0, float(cutoff))

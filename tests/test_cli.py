@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 import phasebound.cli as cli
 import phasebound.estimation as estimation
 from phasebound.errors import NumericalIntegrityError
+from phasebound.opalg import DIM_CAP
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -77,6 +80,8 @@ def test_sweep_mu_stdout(capsys):
 def test_sweep_mu_rejects_tiny_grid(capsys):
     assert cli.main(["sweep-mu", "--grid", "1", "--out", "x.csv"]) == 3
     assert "validation-error:" in capsys.readouterr().err
+    assert cli.main(["sweep-mu", "--grid", str(DIM_CAP + 1), "--out", "x.csv"]) == 3
+    assert "validation-error:" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- compare
@@ -108,11 +113,27 @@ def test_compare_sequential_token(capsys):
 
 
 def test_compare_skips_exponential_beyond_cap(capsys):
-    assert cli.main(["compare", "--kinds", "exponential", "--n", "2,12"]) == 0
+    # no system cap: only a query count past float range (2^2000 - 1) skips the row
+    assert cli.main(["compare", "--kinds", "exponential", "--n", "2,12,64,2000"]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
+    assert [(row[1], row[2]) for row in rows] == [("2", "3"), ("12", "4095"), ("64", str(2**64 - 1))]
+    assert captured.err.strip().splitlines() == [
+        "skipped kind=exponential n=2000: the exponential extremes leave float range"
+    ]
+
+
+def test_compare_skips_rows_past_float_range(capsys):
+    huge = "1" * 310
+    assert cli.main(["compare", "--kinds", "kbody:600,linear", "--n", f"2000,{huge}"]) == 0
     captured = capsys.readouterr()
     rows = captured.out.strip().splitlines()[1:]
-    assert len(rows) == 1 and rows[0].startswith("exponential,2,")
-    assert "skipped" in captured.err and "n=12" in captured.err
+    assert rows == ["linear,2000,2000,2000,0.0005,0.0223606797749979"]
+    assert captured.err.strip().splitlines() == [
+        "skipped kind=kbody:600 n=2000: the kbody extremes leave float range",
+        f"skipped kind=kbody:600 n={huge}: the kbody extremes leave float range",
+        f"skipped kind=linear n={huge}: the linear extremes leave float range",
+    ]
 
 
 def test_compare_empty_request_gives_header_only(capsys):
@@ -442,6 +463,56 @@ def test_run_trial_count_above_limit_exits_3(tmp_path, monkeypatch, capsys, key,
     assert cli.main(["run", write_scenario(tmp_path, payload)]) == 3
     assert "validation-error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Each integer is refused before an allocation or a power sized by it.  The run
+# is a child process under an address-space limit and a timeout, so a
+# regression fails the test instead of hanging or exhausting memory.
+OVERSIZE_SCENARIOS = {
+    "n_systems": minimal_scenario(procedure={"kind": "linear", "n_systems": 10**30, "base_eigs": [0.0, 1.0]}),
+    "n_photons": noon_scenario(10**9),
+    "cutoff": minimal_scenario(procedure=None, state={"kind": "coherent", "alpha": 1.0, "cutoff": 10**12}),
+    "grid": minimal_scenario(outputs=[{"type": "mu_sweep", "path": "out/mu.csv", "grid": 10**14}]),
+    "repetitions": minimal_scenario(
+        procedure={"kind": "sequential-wrapped", "n_systems": 2, "base_eigs": [0.0, 1.0], "repetitions": 10**400}
+    ),
+}
+CHILD_ADDRESS_SPACE = 2**31
+CHILD_RUN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[2]), int(sys.argv[2])))\n"
+    "from phasebound.cli import main\n"
+    "sys.exit(main(['run', sys.argv[1]]))\n"
+)
+
+
+@pytest.mark.parametrize("key", sorted(OVERSIZE_SCENARIOS))
+def test_run_oversize_integer_exits_3_at_once(tmp_path, key):
+    payload = {name: value for name, value in OVERSIZE_SCENARIOS[key].items() if value is not None}
+    path = write_scenario(tmp_path, payload)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", CHILD_RUN, path, str(CHILD_ADDRESS_SPACE)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("validation-error:")
+    assert list(tmp_path.iterdir()) == [Path(path)]
+
+
+def test_run_integer_literal_past_the_digit_limit_exits_2(tmp_path, monkeypatch, capsys):
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("this interpreter has no integer digit limit")
+    monkeypatch.chdir(tmp_path)
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    text = json.dumps(minimal_scenario()).replace('"n_systems": 2', f'"n_systems": {digits}')
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert cli.main(["run", str(path)]) == 2
+    assert "parse-error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_run_has_no_parallel_flag(tmp_path, capsys):

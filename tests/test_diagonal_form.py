@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from phasebound.metrology import build_report, mu_sweep
 from phasebound.opalg import HermitianOperator, PureState, evolve, hermitian_eigensystem, moments
 from phasebound.procedures import (
-    EXPONENTIAL_N_CAP,
     JointGenerator,
     ProcedureSpec,
     build_generator,
@@ -36,8 +35,7 @@ def kind_specs(n, base):
         ProcedureSpec("sequential-wrapped", n, base, repetitions=3),
     ]
     specs += [ProcedureSpec("kbody", n, base, body_order=k) for k in (1, 2, 3) if k <= n]
-    if n <= EXPONENTIAL_N_CAP:
-        specs.append(ProcedureSpec("exponential", n, base))
+    specs.append(ProcedureSpec("exponential", n, base))
     return specs
 
 

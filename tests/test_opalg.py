@@ -299,17 +299,11 @@ def test_tensor_index_convention():
     assert_allclose(joint.amplitudes, np.eye(6)[1 * 3 + 2])
 
 
-def test_tensor_operator_matches_kron():
-    g = rng(13)
-    a = random_hermitian(g, 2)
-    b = random_hermitian(g, 3)
-    joint = tensor_product(HermitianOperator(a), HermitianOperator(b))
-    assert_allclose(joint.entries, np.kron(a, b), atol=1e-14)
-
-
 def test_tensor_mixed_kinds_rejected():
     with pytest.raises(UsageError):
         tensor_product(PureState(np.array([1.0, 0.0])), HermitianOperator.identity(2))
+    with pytest.raises(UsageError):
+        tensor_product(HermitianOperator.identity(2), HermitianOperator.identity(3))
 
 
 # -------------------------------------------------------------------- evolve

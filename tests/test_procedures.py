@@ -9,9 +9,8 @@ from numpy.testing import assert_allclose
 
 from phasebound.errors import UsageError, ValidationError
 from phasebound.networks import QuantumNetwork
-from phasebound.opalg import HermitianOperator, hermitian_eigensystem
+from phasebound.opalg import DIM_CAP, HermitianOperator, hermitian_eigensystem
 from phasebound.procedures import (
-    EXPONENTIAL_N_CAP,
     JointGenerator,
     ProcedureSpec,
     build_generator,
@@ -179,33 +178,6 @@ def test_kbody_rejects_order_above_system_count():
         ProcedureSpec("kbody", 2, (0.0, 1.0), body_order=3)
 
 
-def test_kbody_self_pairs_extension():
-    spec = ProcedureSpec("kbody", 3, (0.0, 1.0), body_order=2)
-    gen = kbody_generator(spec, include_self_pairs=True)
-    assert gen.query_complexity == 6  # C(3,2) + 3 diagonal pairs
-    weights = np.array([bin(i).count("1") for i in range(8)], dtype=float)
-    expected = np.array([math.comb(int(w), 2) for w in weights]) + weights  # squares add w
-    assert_allclose(joint_diagonal(gen), expected, atol=1e-12)
-
-
-def test_kbody_self_pairs_on_rotated_base_keep_spectrum():
-    # a self pair is base^2 on one site, so rotating every site leaves the spectrum
-    w = random_unitary(rng(43), 2)
-    rotated = HermitianOperator(w @ np.diag([0.2, 0.9]) @ w.conj().T, hermitian_tol=1e-12)
-    spec = ProcedureSpec("kbody", 3, (0.2, 0.9), body_order=2)
-    plain = kbody_generator(spec, include_self_pairs=True)
-    dense = kbody_generator(spec, base=rotated, include_self_pairs=True)
-    assert not dense.generator.is_diagonal
-    assert dense.query_complexity == plain.query_complexity == 6
-    assert_allclose(np.linalg.eigvalsh(dense.generator.entries), np.sort(joint_diagonal(plain)), atol=1e-9)
-
-
-def test_kbody_self_pairs_limited_to_pairs():
-    spec = ProcedureSpec("kbody", 4, (0.0, 1.0), body_order=3)
-    with pytest.raises(UsageError):
-        kbody_generator(spec, include_self_pairs=True)
-
-
 # --------------------------------------------------------------- exponential
 
 def test_exponential_three_qubits_power_spectrum():
@@ -232,8 +204,36 @@ def test_exponential_matches_enumeration_oracle():
 
 
 def test_exponential_system_cap():
-    with pytest.raises(ValidationError):
-        exponential_generator(ProcedureSpec("exponential", EXPONENTIAL_N_CAP + 1, (0.0, 1.0)))
+    # only the dimension cap bounds the exponential kind: 2^12 = DIM_CAP builds, 2^13 does not
+    for n in (11, 12):
+        spec = ProcedureSpec("exponential", n, (0.2, 0.9))
+        gen = exponential_generator(spec)
+        q, lo, hi = closed_form_extremes(spec)
+        assert gen.query_complexity == q == 2**n - 1
+        assert gen.h_min == pytest.approx(lo, rel=1e-12)
+        assert gen.h_max == pytest.approx(hi, rel=1e-12)
+    assert 2**12 == DIM_CAP
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        exponential_generator(ProcedureSpec("exponential", 13, (0.0, 1.0)))
+
+
+# Diagonal qubit and qutrit bases; a qutrit joint space passes DIM_CAP at N = 8.
+SYMMETRIC_SUM_BASES = {"qubit": ((0.2, 1.1), 8), "qutrit": ((0.3, 1.2), 7)}
+
+
+@pytest.mark.parametrize(
+    "name, n", [(name, n) for name, (_, n_max) in SYMMETRIC_SUM_BASES.items() for n in range(1, n_max + 1)]
+)
+def test_symmetric_sums_match_enumeration_at_every_order(name, n):
+    base, _ = SYMMETRIC_SUM_BASES[name]
+    d = 2 if name == "qubit" else 3
+    levels = np.linspace(*base, d)
+    cases = [("exponential", None, ProcedureSpec("exponential", n, base, subsystem_dim=d))]
+    cases.append(("linear", None, ProcedureSpec("linear", n, base, subsystem_dim=d)))
+    cases += [("kbody", k, ProcedureSpec("kbody", n, base, body_order=k, subsystem_dim=d)) for k in range(1, n + 1)]
+    for kind, k, spec in cases:
+        expected = eigenvalues_by_enumeration(kind, n, levels, k=k)
+        assert_allclose(joint_diagonal(build_generator(spec)), expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
 
 
 # ----------------------------------------------------------------- sequential
@@ -251,6 +251,10 @@ def test_sequential_wrap_rejects_bad_repetitions():
     inner = linear_generator(ProcedureSpec("linear", 1, (0.0, 1.0)))
     with pytest.raises(UsageError):
         sequential_wrap(inner, 0)
+    wide = linear_generator(ProcedureSpec("linear", 4, (0.0, 1.0)))
+    for gen, t in ((inner, 10**400), (wide, 10**308)):  # past float range, and past it once scaled by h_max = 4
+        with pytest.raises(ValidationError, match="float range"):
+            sequential_wrap(gen, t)
 
 
 def test_build_generator_sequential_spec_wraps_linear():
@@ -302,16 +306,15 @@ ROTATED_BASES = {
     "qubit": (random_unitary(rng(45), 2), (0.2, 1.1)),
     "qutrit": (random_unitary(rng(46), 3), (0.3, 0.7, 1.2)),
 }
-# kbody cases: body order and whether the N self pairs (j, j) are added
-ROTATED_KBODY = {"kbody2": (2, False), "kbody3": (3, False), "kbody2-self": (2, True)}
-ROTATED_KINDS = ("linear", "exponential", "sequential2", *ROTATED_KBODY)
+# kbody cases at every order; the kron-chain reference sums dense joint matrices, so qutrits stop at N = 5
+ROTATED_KINDS = ("linear", "exponential", "sequential2", *(f"kbody{k}" for k in range(1, 9)))
 
 
 def rotated_cases():
-    for name, sizes in (("qubit", range(1, 7)), ("qutrit", range(1, 6))):
+    for name, sizes in (("qubit", range(1, 9)), ("qutrit", range(1, 6))):
         for kind in ROTATED_KINDS:
             for n in sizes:
-                if kind not in ROTATED_KBODY or ROTATED_KBODY[kind][0] <= n:
+                if not kind.startswith("kbody") or int(kind[5:]) <= n:
                     yield name, kind, n
 
 
@@ -323,8 +326,7 @@ def rotated_subsets(kind, n):
         return [(j,) for j in range(n)] * 2
     if kind == "exponential":
         return [s for r in range(1, n + 1) for s in itertools.combinations(range(n), r)]
-    k, self_pairs = ROTATED_KBODY[kind]
-    return list(itertools.combinations(range(n), k)) + ([(j, j) for j in range(n)] if self_pairs else [])
+    return list(itertools.combinations(range(n), int(kind[5:])))
 
 
 def kron_subset_sum(base, n, subsets):
@@ -334,7 +336,7 @@ def kron_subset_sum(base, n, subsets):
     for subset in subsets:
         factors = [eye] * n
         for j in subset:
-            factors[j] = factors[j] @ base  # a self pair (j, j) puts base^2 on site j
+            factors[j] = base
         total += kron_all(factors)
     return total
 
@@ -347,9 +349,8 @@ def build_rotated(kind, n, base):
         return build_generator(ProcedureSpec("sequential-wrapped", n, (0.0, 1.0), repetitions=2, subsystem_dim=d), base)
     if kind == "exponential":
         return build_generator(ProcedureSpec("exponential", n, (0.0, 1.0), subsystem_dim=d), base)
-    k, self_pairs = ROTATED_KBODY[kind]
-    spec = ProcedureSpec("kbody", n, (0.0, 1.0), body_order=k, subsystem_dim=d)
-    return kbody_generator(spec, base, include_self_pairs=self_pairs)
+    spec = ProcedureSpec("kbody", n, (0.0, 1.0), body_order=int(kind[5:]), subsystem_dim=d)
+    return kbody_generator(spec, base)
 
 
 @pytest.mark.parametrize("name, kind, n", list(rotated_cases()))
@@ -414,6 +415,25 @@ def test_closed_form_beyond_materialization_cap():
     q, lo, hi = closed_form_extremes(ProcedureSpec("exponential", 40, (0.0, 1.0)))
     assert q == 2**40 - 1
     assert hi == pytest.approx(float(2**40 - 1))
+
+
+def test_closed_form_refuses_extremes_past_float_range(monkeypatch):
+    for spec in (
+        ProcedureSpec("linear", 10**310, (0.0, 1.0)),
+        ProcedureSpec("linear", 10**300, (0.0, 1e10)),  # a finite product that rounds to inf
+        ProcedureSpec("kbody", 2000, (0.0, 1.0), body_order=600),
+        ProcedureSpec("exponential", 2000, (0.0, 1.0)),
+        ProcedureSpec("exponential", 10**30, (0.0, 1e-9)),
+        ProcedureSpec("sequential-wrapped", 2, (0.0, 1.0), repetitions=10**400),
+    ):
+        with pytest.raises(ValidationError, match="float range"):
+            closed_form_extremes(spec)
+    # 2^1024 - 1 queries, but the extremes stay finite on a small base
+    assert closed_form_extremes(ProcedureSpec("exponential", 1024, (0.0, 1e-3)))[0] == 2**1024 - 1
+    # a C(N, k) far past float range is refused before its digits are formed
+    monkeypatch.setattr(math, "comb", lambda n, k: pytest.fail("C(N, k) was formed"))
+    with pytest.raises(ValidationError, match="float range"):
+        closed_form_extremes(ProcedureSpec("kbody", 10**6, (0.0, 1.0), body_order=5 * 10**5))
 
 
 def test_closed_form_requires_nonnegative_base_for_products():

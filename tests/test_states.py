@@ -192,6 +192,13 @@ def test_coherent_rejects_small_cutoff():
         coherent_state(2.0, 20)
 
 
+def test_level_counts_past_the_dimension_cap_are_refused_before_allocation():
+    # 10^12 + 1 levels would take terabytes, so a missing check fails here with MemoryError
+    for build in (noon_state, mode_number_generator, number_operator, lambda n: coherent_state(1.0, n)):
+        with pytest.raises(ValidationError, match="exceeds the cap"):
+            build(10**12)
+
+
 def test_coherent_rejects_large_truncation_deficit():
     # cutoff passes the 10 |alpha|^2 floor but the Poisson tail is still fat
     with pytest.raises(ValidationError):
