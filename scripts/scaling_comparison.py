@@ -1,8 +1,9 @@
 """Fit precision-bound scaling exponents across procedure kinds.
 
 Uses closed-form query counts and spectral widths only, so N can go far past
-any materializable Hilbert space. Prints the comparison table and a log-log
-slope of the query bound per kind.
+any materializable Hilbert space. Prints the comparison table and, per kind,
+the log-log slope of the query bound, or for the exponential kind, whose
+bound falls geometrically, the factor by which each added system divides it.
 """
 import argparse
 
@@ -37,8 +38,12 @@ def main():
         if len(pts) < 2:
             continue
         ns, bounds = zip(*pts)
-        slope = np.polyfit(np.log(ns), np.log(bounds), 1)[0]
-        print(f"{token}: bound_query ~ N^{slope:.3f} over N = {list(ns)}")
+        if token == "exponential":
+            factor = np.exp(-np.polyfit(ns, np.log(bounds), 1)[0])
+            print(f"{token}: bound_query ~ {factor:.3f}^-N over N = {list(ns)}")
+        else:
+            slope = np.polyfit(np.log(ns), np.log(bounds), 1)[0]
+            print(f"{token}: bound_query ~ N^{slope:.3f} over N = {list(ns)}")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -302,31 +303,39 @@ def cmd_run(args) -> int:
         if "trial" not in raw:
             raise ValidationError("scenario requests a trial artifact but has no trial section")
         config = _build_trial_config(raw, spec, gen)  # all validation before any computation
-    for entry in outputs:
-        parent = os.path.dirname(entry["path"]) or "."
-        try:
-            os.makedirs(parent, exist_ok=True)
-        except OSError as exc:
-            raise ValidationError(f"cannot create output directory {parent!r}: {exc}") from exc
-        if not os.access(parent, os.W_OK):
-            raise ValidationError(f"output directory {parent!r} is not writable")
     contents = [_render_output(entry, raw, spec, gen, probe, config) for entry in outputs]
-    written = []
-    try:
-        for entry, blob in zip(outputs, contents):
-            with open(entry["path"], "wb") as fh:
-                fh.write(blob)
-            written.append(entry["path"])
-    except OSError as exc:
-        for path in written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        raise ValidationError(f"cannot write output {entry['path']!r}: {exc}") from exc
-    for path in written:
-        print(f"wrote {path}")
+    _write_outputs([entry["path"] for entry in outputs], contents)
+    for entry in outputs:
+        print(f"wrote {entry['path']}")
     return 0
+
+
+def _write_outputs(paths: list[str], contents: list[bytes]) -> None:
+    """Write every rendered artifact, or, on any failure, remove the files and directories this call made."""
+    made, written = [], []
+    try:
+        for path, blob in zip(paths, contents):
+            parent = head = os.path.dirname(path) or "."
+            missing = []
+            while head and not os.path.exists(head):
+                missing.append(head)
+                head = os.path.dirname(head)
+            made += reversed(missing)  # in creation order, outermost first
+            try:
+                os.makedirs(parent, exist_ok=True)
+                with open(path, "wb") as fh:
+                    written.append(path)
+                    fh.write(blob)
+            except OSError as exc:
+                raise ValidationError(f"cannot write output {path!r}: {exc}") from exc
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
 
 def cmd_estimate(args) -> int:
@@ -400,12 +409,7 @@ def _emit_csv(text: str, out: str) -> None:
     if not out:
         sys.stdout.write(text)
         return
-    try:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write output {out!r}: {exc}") from exc
+    _write_outputs([out], [text.encode()])
     print(f"wrote {out}")
 
 

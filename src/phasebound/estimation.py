@@ -16,6 +16,7 @@ phase derivative, no finite-difference step).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import BoundaryWarning, UsageError, ValidationError
 from .metrology import Measurement, _as_measurement, classical_fisher, outcome_probabilities
-from .opalg import NORM_TOL, HermitianOperator, PureState, evolve, hermitian_eigensystem
+from .opalg import HermitianOperator, PureState, _evolved, evolve, hermitian_eigensystem
 from .procedures import JointGenerator
 from .states import _extreme_columns
 
@@ -99,7 +100,7 @@ class TrialResult:
 def optimal_povm(gen: JointGenerator) -> list[HermitianOperator]:
     """Balanced two-outcome measurement of |h_max><h_min| + h.c.
 
-    On probes confined to the plane of the two extreme eigenvectors this is
+    On probes confined to the plane of the two extreme eigenstates this is
     the parity-type measurement whose statistics carry the full quantum
     Fisher information of the balanced superposition.
     """
@@ -157,25 +158,14 @@ def _floored_log(probs: np.ndarray) -> np.ndarray:
     return np.log(np.clip(probs, 1e-300, None))
 
 
-def _outcome_table(state: PureState, gen: HermitianOperator, povm, grid: np.ndarray) -> np.ndarray:
-    """P[g, k] = outcome_probabilities(evolve(state, gen, grid[g]), povm)[k].
+def _outcome_table(state: PureState, gen: HermitianOperator, povm, grid) -> np.ndarray:
+    """P[g, k] = outcome_probabilities(evolve(state, gen, grid[g]), povm)[k]; one row (K,) for a float grid.
 
-    The probe is evolved to every grid phase at once (a phase matrix for a
-    diagonal generator, the cached eigensystem otherwise), then the whole
-    batch goes through the measurement's probability kernel, site axis by
-    site axis.  The per-point checks hold row by row: evolved norms within
-    NORM_TOL, probabilities below -1e-12 rejected, the rest clipped at 0.
+    The probe is evolved to every phase at once by ``opalg._evolved``, which
+    checks each row's norm, and the batch goes through the measurement's
+    probability kernel, which rejects probabilities below -1e-12.
     """
-    if gen.is_diagonal:
-        evolved = np.exp(-1j * grid[:, None] * gen.diagonal) * state.amplitudes
-    else:
-        spec = hermitian_eigensystem(gen)
-        coeffs = spec.eigenvectors.conj().T @ state.amplitudes
-        evolved = (np.exp(-1j * grid[:, None] * spec.eigenvalues) * coeffs) @ spec.eigenvectors.T
-    norm_defect = np.max(np.abs(np.sum(np.abs(evolved) ** 2, axis=1) - 1.0))
-    if norm_defect > NORM_TOL:
-        raise ValidationError(f"evolved state is not normalized: max |sum |a|^2 - 1| = {norm_defect!r}")
-    return _as_measurement(povm).probabilities(evolved)
+    return _as_measurement(povm).probabilities(_evolved(state, gen, grid))
 
 
 def _scan_and_refine(counts, log_table: np.ndarray, grid: np.ndarray, model) -> float:
@@ -225,7 +215,8 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
     Fisher information of ``classical_fisher``.  The outcome
     probabilities over mle_estimate's grid are tabulated once per call, so
     each trial's grid scan is one table-vector product; the golden-section
-    refinement evaluates the probe exactly as mle_estimate would.
+    refinement evaluates ``_outcome_table`` at one phase, the same
+    probabilities as outcome_probabilities(evolve(...)).
     """
     if state.dim != gen.dim:
         raise UsageError(f"dimension mismatch: state {state.dim} vs generator {gen.dim}")
@@ -238,15 +229,12 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
             f"{2 * math.pi / gen.seminorm:g}; local estimation would be ambiguous"
         )
     povm = config.povm
-
-    def model(phi: float) -> np.ndarray:
-        return outcome_probabilities(evolve(state, gen.generator, phi), povm)
-
+    model = functools.partial(_outcome_table, state, gen.generator, povm)
     fisher = classical_fisher(povm, state, gen.generator, config.phi_true)
     if fisher <= 0:
         raise ValidationError("measurement carries no phase information at phi_true")
     grid = np.linspace(lo, hi, GRID_POINTS)
-    log_table = _floored_log(_outcome_table(state, gen.generator, povm, grid))
+    log_table = _floored_log(model(grid))
     truth = evolve(state, gen.generator, config.phi_true)
     estimates = np.empty(config.n_trials)
     for trial in range(config.n_trials):

@@ -47,7 +47,7 @@ _ROUNDOFF_FLOOR = 32 * np.finfo(float).eps
 
 @dataclass(frozen=True, eq=False)
 class BlackBox:
-    """One parameter-imprinting slot: exp(-i phi H) on ``target_subsystems``.
+    """One parameter-imprinting slot: exp(-i phi H) on ``target_subsystems``, ``order`` of them.
 
     The base generator is forced positive by shifting H -> H - lambda_min I
     when needed; the applied shift is recorded so downstream resource counts
@@ -56,7 +56,6 @@ class BlackBox:
 
     base_generator: HermitianOperator
     target_subsystems: tuple[int, ...]
-    order: int = 0
     shift: float = field(default=0.0, init=False)
 
     def __post_init__(self):
@@ -68,9 +67,6 @@ class BlackBox:
             raise ValidationError(f"box targets must be integers, got {self.target_subsystems!r}") from None
         if len(set(targets)) != len(targets):
             raise ValidationError(f"box targets repeat a subsystem: {targets}")
-        order = self.order or len(targets)
-        if order != len(targets):
-            raise ValidationError(f"order {order} and target count {len(targets)} disagree")
         spec = hermitian_eigensystem(self.base_generator)
         if not np.all(np.isfinite(spec.eigenvalues)):
             raise ValidationError("base generator has non-finite eigenvalues")
@@ -81,8 +77,11 @@ class BlackBox:
             gen = gen.shifted(shift)
         object.__setattr__(self, "base_generator", gen)
         object.__setattr__(self, "target_subsystems", targets)
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "shift", shift)
+
+    @property
+    def order(self) -> int:
+        return len(self.target_subsystems)
 
 
 @dataclass(frozen=True, eq=False)

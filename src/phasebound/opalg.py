@@ -1,16 +1,18 @@
 """Complex linear algebra for small Hilbert spaces, in two operator forms.
 
-A ``HermitianOperator`` is either diagonal or dense.  The diagonal form
-holds one real vector: ``from_diagonal`` and ``identity`` build it, and
-``shifted``, ``+`` and scalar ``*`` keep it when their inputs have it, so
-``evolve``, ``moments``, ``is_diagonal`` and the spectrum cost O(d) or
-O(d log d) and no d x d array exists.  Its ``entries`` matrix, and the
-eigenvector matrix of its spectrum, are built only when a caller asks for
-them.  The dense form holds a d x d complex matrix checked for Hermiticity
-at construction, and its eigensystem comes from ``eigh`` unless the
+A ``HermitianOperator``'s form is decided once, when it is built, and
+``is_diagonal`` reports it.  The diagonal form holds one real vector:
+``from_diagonal`` and ``identity`` build it, and ``shifted``, ``+`` and
+scalar ``*`` keep it when their inputs have it, so ``evolve``, ``moments``
+and the spectrum cost O(d) or O(d log d) and no d x d array exists.  Its
+``entries`` matrix, and the eigenvector matrix of its spectrum, are built
+only when a caller asks for them.  The dense form holds a d x d complex
+matrix checked for Hermiticity at construction, stays dense even when that
+matrix is diagonal, and takes its eigensystem from ``eigh`` unless the
 operator was built with it: a diagonal vector rotated site by site
 (``_rotated_diagonal``) knows its spectrum from that vector and the site
-unitary.
+unitary.  One kernel, ``_evolved``, applies exp(-i phi H) to a state for
+one phase or a batch of them; ``evolve`` is its one-phase case.
 
 Operators and states are immutable after construction and every operation is
 pure, so values can be shared freely between workers.  The tensor convention
@@ -113,13 +115,13 @@ class _Frozen:
 class HermitianOperator(_Frozen):
     """Hermitian operator, dense or diagonal (see the module docstring).
 
-    ``HermitianOperator(entries)`` builds the dense form; violations beyond
-    ``hermitian_tol`` fail construction, and an infinite tolerance skips the
-    scan.  ``from_diagonal`` builds the diagonal form, which is Hermitian by
-    construction.
+    ``HermitianOperator(entries)`` builds the dense form, even for a diagonal
+    matrix; violations beyond ``hermitian_tol`` fail construction, and an
+    infinite tolerance skips the scan.  ``from_diagonal`` builds the diagonal
+    form, which is Hermitian by construction.
     """
 
-    __slots__ = ("_matrix", "_diagonal", "_is_diagonal", "hermitian_tol", "_spectrum_cache")
+    __slots__ = ("_matrix", "_diagonal", "_spectrum_cache")
 
     def __init__(self, entries, hermitian_tol: float = HERMITIAN_TOL):
         a = _as_complex_matrix(entries)
@@ -128,20 +130,13 @@ class HermitianOperator(_Frozen):
             raise ValidationError(
                 f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {hermitian_tol:.1e}"
             )
-        # _is_diagonal stays unknown until first asked: the scan is O(d^2)
-        self._set(
-            _matrix=_read_only(a), _diagonal=None, _is_diagonal=None,
-            hermitian_tol=hermitian_tol, _spectrum_cache=[],
-        )
+        self._set(_matrix=_read_only(a), _diagonal=None, _spectrum_cache=[])
 
     @classmethod
     def _of_vector(cls, values: np.ndarray) -> "HermitianOperator":
         # values: a fresh real vector the new operator owns
         op = object.__new__(cls)
-        op._set(
-            _matrix=None, _diagonal=_read_only(values), _is_diagonal=True,
-            hermitian_tol=HERMITIAN_TOL, _spectrum_cache=[],
-        )
+        op._set(_matrix=None, _diagonal=_read_only(values), _spectrum_cache=[])
         return op
 
     @property
@@ -164,11 +159,8 @@ class HermitianOperator(_Frozen):
 
     @property
     def is_diagonal(self) -> bool:
-        """O(1); a dense operator counts its nonzero entries once, in place, and keeps the answer."""
-        if self._is_diagonal is None:
-            a = self._matrix
-            self._set(_is_diagonal=bool(np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))))
-        return self._is_diagonal
+        """True for the diagonal form; a dense matrix is dense even when it is diagonal."""
+        return self._diagonal is not None
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """A @ amplitudes; elementwise in the diagonal form."""
@@ -244,6 +236,13 @@ class PureState:
         return self.amplitudes.shape[0]
 
     @classmethod
+    def _of_normalized(cls, amplitudes: np.ndarray) -> "PureState":
+        # amplitudes: a fresh complex vector whose norm the caller has checked
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", _read_only(amplitudes))
+        return state
+
+    @classmethod
     def basis_vector(cls, dim: int, index: int) -> "PureState":
         if not 0 <= index < dim:
             raise UsageError(f"basis index {index} out of range for dimension {dim}")
@@ -315,10 +314,9 @@ def hermitian_eigensystem(a: HermitianOperator) -> Spectrum:
     """
     if a._spectrum_cache:
         return a._spectrum_cache[0]
-    if a.is_diagonal:
-        d = a.diagonal
-        order = np.argsort(d, kind="stable")
-        spec = Spectrum._of_permutation(d[order], order)
+    if a._diagonal is not None:
+        order = np.argsort(a._diagonal, kind="stable")
+        spec = Spectrum._of_permutation(a._diagonal[order], order)
     else:
         w, v = np.linalg.eigh(a.entries)
         spec = Spectrum(w, v)
@@ -326,18 +324,30 @@ def hermitian_eigensystem(a: HermitianOperator) -> Spectrum:
     return spec
 
 
-def evolve(state: PureState, gen: HermitianOperator, phi: float) -> PureState:
-    """Apply exp(-i * phi * gen): a phase per basis state when gen is diagonal,
-    otherwise through its eigendecomposition."""
+def _evolved(state: PureState, gen: HermitianOperator, phases) -> np.ndarray:
+    """exp(-i phi gen) psi for one float phase, shape (d,), or a 1-D array of G phases, shape (G, d).
+
+    A phase per basis state in the diagonal form, the cached eigensystem in
+    the dense form; every row's norm must lie within NORM_TOL of 1.
+    """
     if state.dim != gen.dim:
         raise UsageError(f"dimension mismatch: state {state.dim} vs generator {gen.dim}")
-    if gen.is_diagonal:
-        phases = np.exp(-1j * phi * gen.diagonal)
-        return PureState(phases * state.amplitudes)
-    spec = hermitian_eigensystem(gen)
-    coeffs = spec.eigenvectors.conj().T @ state.amplitudes
-    out = spec.eigenvectors @ (np.exp(-1j * phi * spec.eigenvalues) * coeffs)
-    return PureState(out)
+    phi = phases[:, None] if isinstance(phases, np.ndarray) else phases
+    if gen._diagonal is not None:
+        out = np.exp(-1j * phi * gen._diagonal) * state.amplitudes
+    else:
+        spec = hermitian_eigensystem(gen)
+        v = spec.eigenvectors
+        out = (np.exp(-1j * phi * spec.eigenvalues) * (v.conj().T @ state.amplitudes)) @ v.T
+    defect = abs((np.abs(out) ** 2).sum(-1) - 1.0).max()
+    if defect > NORM_TOL:
+        raise ValidationError(f"evolved state is not normalized: max |sum |a|^2 - 1| = {defect!r}")
+    return out
+
+
+def evolve(state: PureState, gen: HermitianOperator, phi: float) -> PureState:
+    """Apply exp(-i * phi * gen): the one-phase case of ``_evolved``."""
+    return PureState._of_normalized(_evolved(state, gen, phi))
 
 
 def moments(state: PureState, a: HermitianOperator) -> tuple[float, float]:

@@ -112,12 +112,8 @@ class JointGenerator:
     def __post_init__(self):
         if self.query_complexity is not None and self.query_complexity < 1:
             raise ValidationError("query_complexity must be >= 1 when defined")
-        if self.generator.is_diagonal:
-            v = self.generator.diagonal
-            lo, hi = float(v.min()), float(v.max())
-        else:
-            spec = hermitian_eigensystem(self.generator)
-            lo, hi = spec.lambda_min, spec.lambda_max
+        spec = hermitian_eigensystem(self.generator)
+        lo, hi = spec.lambda_min, spec.lambda_max
         if abs(lo - self.h_min) > EXTREME_TOL or abs(hi - self.h_max) > EXTREME_TOL:
             raise ValidationError(
                 f"stated extremes ({self.h_min}, {self.h_max}) disagree with the spectrum "

@@ -305,6 +305,29 @@ def test_run_unwritable_output_exits_3_and_removes_earlier_artifacts(tmp_path, m
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("out_dir", ["out", "out2/sub"], ids=["flat", "nested"])
+def test_run_failure_while_rendering_leaves_no_directory(tmp_path, monkeypatch, capsys, out_dir):
+    # the extremes stay finite, but the report overflows to inf at serialization
+    monkeypatch.chdir(tmp_path)
+    payload = minimal_scenario(
+        procedure={"kind": "sequential-wrapped", "n_systems": 2, "base_eigs": [0.0, 1.0], "repetitions": 10**307},
+        outputs=[{"type": "report", "path": f"{out_dir}/report.json"}],
+    )
+    path = write_scenario(tmp_path, payload)
+    assert cli.main(["run", path]) == 4
+    assert "numerical-error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def test_run_write_failure_removes_the_directories_it_made(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    outputs = [{"type": "report", "path": "new/a/report.json"}, {"type": "report", "path": "taken"}]
+    assert cli.main(["run", write_scenario(tmp_path, minimal_scenario(outputs=outputs))]) == 3
+    assert "validation-error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "taken"]
+
+
 def test_run_huge_coherent_amplitude_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     payload = minimal_scenario(procedure=None, state={"kind": "coherent", "alpha": 1e300, "cutoff": 40})

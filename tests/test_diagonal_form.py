@@ -81,6 +81,23 @@ def test_algebra_keeps_the_diagonal_form():
     assert_allclose(mixed.entries, np.diag([1.0, 2.0, 4.0]))
 
 
+def test_dense_matrix_stays_dense_and_runs_eigh(monkeypatch):
+    # only from_diagonal and identity build the diagonal form; diag(v) as a matrix is dense
+    v = [2.0, 0.0, 1.0]
+    op = HermitianOperator(np.diag(v))
+    assert op.is_diagonal is False
+    assert op._diagonal is None
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    spec = hermitian_eigensystem(op)
+    assert calls == [(3, 3)]
+    assert spec._vectors is not None
+    assert_allclose(spec.eigenvalues, [0.0, 1.0, 2.0])
+    assert hermitian_eigensystem(HermitianOperator.from_diagonal(v))._vectors is None
+    assert calls == [(3, 3)]
+
+
 def test_diagonal_spectrum_keeps_the_permutation():
     v = [2.0, 0.0, 1.0, 0.0]
     spec = hermitian_eigensystem(HermitianOperator.from_diagonal(v))

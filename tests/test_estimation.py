@@ -19,7 +19,7 @@ from phasebound.estimation import (
     tensor_power_povm,
 )
 from phasebound.metrology import Measurement, outcome_probabilities, validate_povm
-from phasebound.opalg import HermitianOperator, PureState, evolve, hermitian_eigensystem
+from phasebound.opalg import HermitianOperator, PureState, _evolved, evolve, hermitian_eigensystem
 from phasebound.procedures import JointGenerator, ProcedureSpec, build_generator
 from phasebound.states import mode_number_generator, noon_state, product_balanced_state
 
@@ -266,6 +266,29 @@ def test_table_matches_per_point_site_product():
     grid = np.linspace(0.2, 1.2, GRID_POINTS)
     table = _outcome_table(probe, gen.generator, povm, grid)
     assert_allclose(table, per_point_table(probe, gen.generator, povm, grid), rtol=0, atol=TABLE_ATOL)
+
+
+@pytest.mark.parametrize("form", ["diagonal", "dense"])
+def test_table_and_evolve_share_one_kernel(form):
+    # a one-phase table is evolve's state through the measurement, bit for bit;
+    # a batch differs from it only where BLAS blocks the batched products differently
+    if form == "diagonal":
+        gen = mode_number_generator(3)
+        generator, probe, povm = gen.generator, noon_state(3), Measurement(optimal_povm(gen))
+    else:
+        generator, probe, povm = nondiagonal_case()
+        povm = Measurement(povm)
+    assert generator.is_diagonal is (form == "diagonal")
+    grid = np.linspace(-0.9, 0.9, 37)
+    amplitudes = _evolved(probe, generator, grid)
+    table = _outcome_table(probe, generator, povm, grid)
+    atol = 0.0 if form == "diagonal" else 1e-12
+    for g, phi in enumerate(grid):
+        psi = evolve(probe, generator, float(phi))
+        row = outcome_probabilities(psi, povm)
+        assert np.array_equal(_outcome_table(probe, generator, povm, float(phi)), row)
+        assert_allclose(amplitudes[g], psi.amplitudes, rtol=0, atol=atol)
+        assert_allclose(table[g], row, rtol=0, atol=max(atol, 1e-15))
 
 
 def test_table_rejects_negative_probabilities():

@@ -77,6 +77,10 @@ def test_blackbox_keeps_nonnegative_spectrum():
 def test_blackbox_order_defaults_to_target_count():
     box = BlackBox(HermitianOperator.identity(4), (0, 1))
     assert box.order == 2
+    with pytest.raises(AttributeError):
+        box.order = 3
+    with pytest.raises(TypeError):
+        BlackBox(HermitianOperator.identity(4), (0, 1), order=2)
 
 
 def test_blackbox_rejects_duplicate_targets():

@@ -81,7 +81,11 @@ def dense_product_probabilities(site_mats, n, amplitudes):
 
 
 def dense_diagonal_operator(values):
-    """diag(values) in the dense operator form: the reference for the diagonal form."""
+    """diag(values) as a dense matrix: the eigh-path reference for the diagonal form.
+
+    A dense operator stays dense whatever its entries, so every spectrum,
+    evolution and moment of this twin runs the dense code.
+    """
     from phasebound.opalg import HermitianOperator
 
     return HermitianOperator(np.diag(np.asarray(values, dtype=complex)))
