@@ -2,8 +2,8 @@
 
 For the two-level superposition sqrt(mu)|h_max> + sqrt(1-mu)|h_min>, the
 shifted expectation grows linearly in mu while the standard deviation follows
-a semicircle; the two counts agree only at mu = 1/2. Writes a CSV and prints
-where the curves meet.
+a semicircle; the two counts meet at mu = 0, where both vanish, and cross at
+mu = 1/2. Writes a CSV and prints where the curves agree.
 """
 import argparse
 
@@ -22,9 +22,7 @@ def main():
     parser.add_argument("--out", default="fig5.csv", help="output CSV path")
     args = parser.parse_args()
 
-    gen = JointGenerator(
-        HermitianOperator.from_diagonal([0.0, args.seminorm]), 1, 0.0, args.seminorm
-    )
+    gen = JointGenerator(HermitianOperator.from_diagonal([0.0, args.seminorm]), 1)
     rows = mu_sweep(gen, np.linspace(0.0, 1.0, args.grid))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_text(["mu", "shifted_expectation", "stddev"], [list(r) for r in rows]))

@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from .errors import NumericalIntegrityError, ParseError, UsageError, ValidationError
-from .estimation import TrialConfig, optimal_povm, precision_trial, tensor_power_povm
-from .metrology import build_report, mu_sweep
+from .estimation import TrialConfig, optimal_povm, precision_trial
+from .metrology import Measurement, build_report, mu_sweep
 from .opalg import DIM_CAP, HermitianOperator, evolve, hermitian_eigensystem
 from .procedures import (
     JointGenerator,
@@ -33,7 +33,6 @@ from .procedures import (
     snl_baseline,
 )
 from .states import (
-    StateFamily,
     coherent_state,
     mode_number_generator,
     noon_state,
@@ -71,6 +70,15 @@ _FIELD_TYPES = {
     "phi_true": "number",
     "base_eigs": "pair",
     "search_interval": "pair",
+    "alpha": "complex",
+}
+# the fields each state kind needs, and the message when one is absent or null;
+# their ranges are checked by the state constructors
+_STATE_FIELDS = {
+    "optimal_mu": (("mu",), "optimal_mu needs mu"),
+    "noon": (("n_photons",), "noon needs n_photons >= 1"),
+    "product_balanced": ((), ""),
+    "coherent": (("alpha", "cutoff"), "coherent needs alpha and cutoff"),
 }
 
 
@@ -142,6 +150,10 @@ def _is_number(value) -> bool:
         return False
 
 
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)
+
+
 def _check_fields(section: dict, label: str) -> None:
     # typed parse: every field has its JSON type before any constructor runs
     for key in _REQUIRED_KEYS.get(label, ()):
@@ -155,10 +167,11 @@ def _check_fields(section: dict, label: str) -> None:
             raise ParseError(f"{label} {key} must be an integer, got {value!r}")
         if kind == "number" and not _is_number(value):
             raise ParseError(f"{label} {key} must be a finite number, got {value!r}")
-        if kind == "pair" and not (
-            isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)
-        ):
+        if kind == "pair" and not _is_pair(value):
             raise ParseError(f"{label} {key} must be a pair of finite numbers, got {value!r}")
+        # a null alpha reads as an absent one
+        if kind == "complex" and not (value is None or _is_number(value) or _is_pair(value)):
+            raise ParseError(f"{label} {key} must be a finite number or a [re, im] pair, got {value!r}")
 
 
 def load_scenario(path: str) -> dict:
@@ -187,30 +200,20 @@ def load_scenario(path: str) -> dict:
     outputs = raw.get("outputs", [])
     if not isinstance(outputs, list):
         raise ParseError("outputs must be a list")
+    paths = {}  # resolved path -> the path as written
     for entry in outputs:
         _check_keys(_expect_dict(entry, "output"), _OUTPUT_KEYS, "output")
         if entry.get("type") not in ("report", "mu_sweep", "trial"):
             raise ParseError(f"output type must be report, mu_sweep or trial, got {entry.get('type')!r}")
         if not isinstance(entry.get("path"), str) or not entry["path"]:
             raise ParseError("every output needs a non-empty string path")
+        path = os.path.realpath(entry["path"])
+        if path in paths:
+            raise ParseError(f"outputs {paths[path]!r} and {entry['path']!r} write to the same file")
+        paths[path] = entry["path"]
         if "grid" in entry and (not isinstance(entry["grid"], int) or isinstance(entry["grid"], bool)):
             raise ParseError("output grid must be an integer")
     return raw
-
-
-def _parse_alpha(value):
-    if _is_number(value):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
-        return complex(value[0], value[1])
-    raise ParseError("alpha must be a finite number or a [re, im] pair")
-
-
-def _build_family(section: dict) -> StateFamily:
-    kwargs = dict(section)
-    if "alpha" in kwargs and kwargs["alpha"] is not None:
-        kwargs["alpha"] = _parse_alpha(kwargs["alpha"])
-    return StateFamily(**kwargs)
 
 
 def _build_spec(section: dict) -> ProcedureSpec:
@@ -226,20 +229,26 @@ def realize_scenario(raw: dict):
     Photonic state kinds (noon, coherent) define their own generator and
     reject a procedure section; the qubit kinds require one.
     """
-    family = _build_family(raw["state"])
+    state = raw["state"]
+    kind = state["kind"]
+    if kind not in _STATE_FIELDS:
+        raise ValidationError(f"unknown state kind {kind!r}; expected one of {tuple(_STATE_FIELDS)}")
+    needed, message = _STATE_FIELDS[kind]
+    if any(state.get(key) is None for key in needed):
+        raise ValidationError(message)
     spec = _build_spec(raw["procedure"]) if "procedure" in raw else None
-    if family.kind in ("noon", "coherent"):
+    if kind in ("noon", "coherent"):
         if spec is not None:
-            raise ValidationError(f"state kind {family.kind!r} defines its own generator; drop the procedure section")
-        if family.kind == "noon":
-            return None, mode_number_generator(family.n_photons), noon_state(family.n_photons)
-        gen = number_operator(family.cutoff)
-        return None, gen, coherent_state(family.alpha, family.cutoff)
+            raise ValidationError(f"state kind {kind!r} defines its own generator; drop the procedure section")
+        if kind == "noon":
+            return None, mode_number_generator(state["n_photons"]), noon_state(state["n_photons"])
+        alpha = complex(*state["alpha"]) if isinstance(state["alpha"], list) else complex(state["alpha"])
+        return None, number_operator(state["cutoff"]), coherent_state(alpha, state["cutoff"])
     if spec is None:
-        raise ValidationError(f"state kind {family.kind!r} needs a procedure section")
+        raise ValidationError(f"state kind {kind!r} needs a procedure section")
     gen = build_generator(spec)
-    if family.kind == "optimal_mu":
-        return spec, gen, optimal_state(gen, family.mu, family.rel_phase)
+    if kind == "optimal_mu":
+        return spec, gen, optimal_state(gen, state["mu"], state.get("rel_phase", 0.0))
     base = HermitianOperator.from_diagonal(base_diagonal(spec))
     return spec, gen, product_balanced_state(spec.n_systems, hermitian_eigensystem(base))
 
@@ -250,11 +259,8 @@ def _resolve_povm(token: str, spec: ProcedureSpec | None, gen: JointGenerator):
     if token == "site-product":
         if spec is None:
             raise ValidationError("site-product POVM needs a procedure section")
-        lo, hi = spec.base_eigs
-        site_gen = JointGenerator(
-            HermitianOperator.from_diagonal(base_diagonal(spec)), 1, lo, hi
-        )
-        return tensor_power_povm(optimal_povm(site_gen), spec.n_systems)
+        site_gen = JointGenerator(HermitianOperator.from_diagonal(base_diagonal(spec)), 1)
+        return Measurement(optimal_povm(site_gen), spec.n_systems)
     raise ValidationError(f"unknown povm token {token!r}; expected 'optimal' or 'site-product'")
 
 
@@ -434,9 +440,7 @@ def cmd_sweep_mu(args) -> int:
     if args.seminorm <= 0:
         raise ValidationError("--seminorm must be positive")
     _check_grid(args.grid, "--grid")
-    gen = JointGenerator(
-        HermitianOperator.from_diagonal([0.0, args.seminorm]), 1, 0.0, args.seminorm
-    )
+    gen = JointGenerator(HermitianOperator.from_diagonal([0.0, args.seminorm]), 1)
     rows = mu_sweep(gen, np.linspace(0.0, 1.0, args.grid))
     text = _csv_text(["mu", "shifted_expectation", "stddev"], [list(r) for r in rows])
     _emit_csv(text, args.out)

@@ -1,9 +1,9 @@
 """Monte-Carlo measurement sampling and maximum-likelihood phase estimation.
 
 Measurements are ``metrology.Measurement`` values: the joint optimal POVM is
-one site of two d x d elements, and the site-product POVM from
-``tensor_power_povm`` is one validated site factor applied to every site, so
-its probabilities never need an element of the joint space.
+one site of two d x d elements, and the site-product POVM
+``Measurement(site, n)`` is one validated site factor applied to every site,
+so its probabilities never need an element of the joint space.
 
 Estimation is local: the true phase is assumed to sit inside a known search
 interval shorter than the likelihood period set by the generator's spectrum,
@@ -79,7 +79,6 @@ class TrialResult:
     estimates: np.ndarray
     empirical_rmse: float
     predicted_crb: float
-    rng_algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self):
         est = np.asarray(self.estimates, dtype=float)
@@ -93,7 +92,7 @@ class TrialResult:
             "estimates": [float(x) for x in self.estimates],
             "empirical_rmse": self.empirical_rmse,
             "predicted_crb": self.predicted_crb,
-            "rng_algorithm": self.rng_algorithm,
+            "rng_algorithm": RNG_ALGORITHM,
         }
 
 
@@ -109,15 +108,6 @@ def optimal_povm(gen: JointGenerator) -> list[HermitianOperator]:
     x = cross + cross.conj().T
     eye = np.eye(gen.dim)
     return [HermitianOperator((eye + x) / 2), HermitianOperator((eye - x) / 2)]
-
-
-def tensor_power_povm(povm: list[HermitianOperator], n: int) -> Measurement:
-    """n-fold tensor power of a site POVM: one outcome per length-n word of site outcomes.
-
-    Words are numbered with site 0 most significant.  The result is the site
-    factor, validated once, applied to each of the n sites.
-    """
-    return Measurement(povm, n)
 
 
 def sample_outcomes(state: PureState, povm, shots: int, seed) -> np.ndarray:

@@ -338,7 +338,8 @@ def _evolved(state: PureState, gen: HermitianOperator, phases) -> np.ndarray:
     else:
         spec = hermitian_eigensystem(gen)
         v = spec.eigenvectors
-        out = (np.exp(-1j * phi * spec.eigenvalues) * (v.conj().T @ state.amplitudes)) @ v.T
+        # V^dag psi as conj(V^T conj(psi)): V^T is a view, so no d x d copy is made
+        out = (np.exp(-1j * phi * spec.eigenvalues) * np.conj(v.T @ state.amplitudes.conj())) @ v.T
     defect = abs((np.abs(out) ** 2).sum(-1) - 1.0).max()
     if defect > NORM_TOL:
         raise ValidationError(f"evolved state is not normalized: max |sum |a|^2 - 1| = {defect!r}")

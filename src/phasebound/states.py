@@ -10,7 +10,6 @@ can flow through the same resource accounting as the qubit procedures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,43 +17,8 @@ from .errors import DegenerateGeneratorError, ValidationError
 from .opalg import HermitianOperator, PureState, Spectrum, _check_dim, hermitian_eigensystem, tensor_product
 from .procedures import JointGenerator
 
-STATE_KINDS = ("optimal_mu", "noon", "product_balanced", "coherent")
 COHERENT_DEFICIT_TOL = 1e-8
 _DEGENERACY_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class StateFamily:
-    """Declarative probe description; field relevance depends on the kind.
-
-    optimal_mu uses mu and rel_phase, noon uses n_photons, coherent uses
-    alpha and cutoff, product_balanced needs nothing beyond the procedure it
-    is paired with.
-    """
-
-    kind: str
-    mu: float | None = None
-    rel_phase: float = 0.0
-    n_photons: int | None = None
-    alpha: complex | None = None
-    cutoff: int | None = None
-
-    def __post_init__(self):
-        # presence here; ranges through the checks the constructors run
-        if self.kind not in STATE_KINDS:
-            raise ValidationError(f"unknown state kind {self.kind!r}; expected one of {STATE_KINDS}")
-        if self.kind == "optimal_mu":
-            if self.mu is None:
-                raise ValidationError("optimal_mu needs mu")
-            _check_mu(self.mu)
-        if self.kind == "noon":
-            if self.n_photons is None:
-                raise ValidationError("noon needs n_photons >= 1")
-            _check_photons(self.n_photons)
-        if self.kind == "coherent":
-            if self.alpha is None or self.cutoff is None:
-                raise ValidationError("coherent needs alpha and cutoff")
-            _check_cutoff(self.alpha, self.cutoff)
 
 
 def _check_mu(mu: float) -> None:
@@ -123,7 +87,7 @@ def mode_number_generator(n_photons: int) -> JointGenerator:
     """Mode-1 photon number diag(0..N) on the sector; each photon queries the phase once."""
     _check_photons(n_photons)
     op = HermitianOperator.from_diagonal(np.arange(n_photons + 1, dtype=float))
-    return JointGenerator(op, n_photons, 0.0, float(n_photons))
+    return JointGenerator(op, n_photons)
 
 
 def product_balanced_state(n_systems: int, base_spectrum: Spectrum) -> PureState:
@@ -172,4 +136,4 @@ def number_operator(cutoff: int) -> JointGenerator:
         raise ValidationError("cutoff must be >= 1")
     _check_dim(cutoff + 1)
     op = HermitianOperator.from_diagonal(np.arange(cutoff + 1, dtype=float))
-    return JointGenerator(op, None, 0.0, float(cutoff))
+    return JointGenerator(op, None)

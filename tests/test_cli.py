@@ -275,8 +275,20 @@ def test_run_invalid_state_exits_3_without_artifacts(tmp_path, monkeypatch, caps
         ({"kind": "coherent", "alpha": 2.0, "cutoff": 5}, "cutoff 5 is below 10*|alpha|^2 = 40"),
         ({"kind": "coherent", "alpha": 0.0, "cutoff": 0}, "cutoff must be >= 1"),
         ({"kind": "coherent", "alpha": 2.0}, "coherent needs alpha and cutoff"),
+        ({"kind": "squeezed"}, "unknown state kind 'squeezed'"),
+        ({"kind": "coherent", "alpha": None, "cutoff": 40}, "coherent needs alpha and cutoff"),
     ],
-    ids=["mu-range", "mu-missing", "n_photons-zero", "n_photons-missing", "cutoff-low", "cutoff-zero", "cutoff-missing"],
+    ids=[
+        "mu-range",
+        "mu-missing",
+        "n_photons-zero",
+        "n_photons-missing",
+        "cutoff-low",
+        "cutoff-zero",
+        "cutoff-missing",
+        "kind-unknown",
+        "alpha-null",
+    ],
 )
 def test_run_state_family_rejection_exits_3_without_artifacts(tmp_path, monkeypatch, capsys, state, message):
     monkeypatch.chdir(tmp_path)
@@ -285,6 +297,18 @@ def test_run_state_family_rejection_exits_3_without_artifacts(tmp_path, monkeypa
         del payload["procedure"]
     assert cli.main(["run", write_scenario(tmp_path, payload)]) == 3
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("second", ["./out//a.json", "out/sub/../a.json", "absolute"])
+def test_run_duplicate_output_paths_exit_2_before_anything_runs(tmp_path, monkeypatch, capsys, second):
+    monkeypatch.chdir(tmp_path)
+    second = str(tmp_path / "out" / "a.json") if second == "absolute" else second
+    outputs = [{"type": "report", "path": "out/a.json"}, {"type": "mu_sweep", "path": second}]
+    assert cli.main(["run", write_scenario(tmp_path, minimal_scenario(outputs=outputs))]) == 2
+    captured = capsys.readouterr()
+    assert f"parse-error: outputs 'out/a.json' and {second!r} write to the same file" in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 
@@ -434,6 +458,10 @@ def noon_scenario(n_photons):
         trial_scenario(search_interval=[0.2, "x"]),
         trial_scenario(phi_true="0.4"),
         minimal_scenario(procedure={"kind": "linear", "base_eigs": [0.0, 1.0]}),
+        minimal_scenario(state={"kind": "optimal_mu", "mu": 0.5, "alpha": "2"}),
+        minimal_scenario(state={"kind": "product_balanced", "alpha": [1.0]}),
+        minimal_scenario(procedure=None, state={"kind": "noon", "n_photons": 2, "alpha": True}),
+        minimal_scenario(procedure=None, state={"kind": "coherent", "alpha": "2", "cutoff": 40}),
     ],
     ids=[
         "n_systems-str",
@@ -445,6 +473,10 @@ def noon_scenario(n_photons):
         "search_interval-str",
         "phi_true-str",
         "n_systems-missing",
+        "alpha-str-optimal_mu",
+        "alpha-short-pair-product_balanced",
+        "alpha-bool-noon",
+        "alpha-str-coherent",
     ],
 )
 def test_run_mistyped_field_exits_2(tmp_path, monkeypatch, capsys, payload):

@@ -52,7 +52,7 @@ def expected_diagonal(spec):
 
 
 def dense_twin(gen):
-    ref = JointGenerator(dense_diagonal_operator(gen.generator.diagonal), gen.query_complexity, gen.h_min, gen.h_max)
+    ref = JointGenerator(dense_diagonal_operator(gen.generator.diagonal), gen.query_complexity)
     assert ref.generator._matrix is not None
     return ref
 
@@ -71,7 +71,7 @@ def assert_reports_close(a, b):
 
 def test_algebra_keeps_the_diagonal_form():
     op = HermitianOperator.from_diagonal([0.0, 1.0, 3.0])
-    wrapped = sequential_wrap(JointGenerator(op, 1, 0.0, 3.0), 2).generator
+    wrapped = sequential_wrap(JointGenerator(op, 1), 2).generator
     for out in (op, HermitianOperator.identity(3), op.shifted(2.0), op + op, 3.0 * op, op * 3.0, wrapped):
         assert out.is_diagonal
         assert out._matrix is None

@@ -16,7 +16,6 @@ from phasebound.estimation import (
     optimal_povm,
     precision_trial,
     sample_outcomes,
-    tensor_power_povm,
 )
 from phasebound.metrology import Measurement, outcome_probabilities, validate_povm
 from phasebound.opalg import HermitianOperator, PureState, _evolved, evolve, hermitian_eigensystem
@@ -48,8 +47,8 @@ def test_optimal_povm_is_valid_and_binary():
 
 
 def test_tensor_power_povm_counts_and_completeness():
-    site = optimal_povm(JointGenerator(qubit_base(), 1, 0.0, 1.0))
-    joint = tensor_power_povm(site, 3)
+    site = optimal_povm(JointGenerator(qubit_base(), 1))
+    joint = Measurement(site, 3)
     assert (joint.n_outcomes, joint.dim, joint.n_sites) == (8, 8, 3)
     g = rng(3)
     for _ in range(5):
@@ -168,7 +167,7 @@ def test_trial_fixed_seed_is_bit_identical():
     b = precision_trial(gen, noon_state(3), cfg)
     assert a.estimates.tobytes() == b.estimates.tobytes()
     assert a.empirical_rmse == b.empirical_rmse
-    assert a.rng_algorithm == RNG_ALGORITHM == "pcg64"
+    assert a.to_dict()["rng_algorithm"] == RNG_ALGORITHM == "pcg64"
 
 
 def test_trial_estimates_shape_and_interval():
@@ -191,7 +190,7 @@ def test_trial_rmse_tracks_crb_for_separable_probe():
     n = 4
     gen = build_generator(ProcedureSpec("linear", n, (0.0, 1.0)))
     probe = product_balanced_state(n, hermitian_eigensystem(qubit_base()))
-    povm = tensor_power_povm(optimal_povm(JointGenerator(qubit_base(), 1, 0.0, 1.0)), n)
+    povm = Measurement(optimal_povm(JointGenerator(qubit_base(), 1)), n)
     cfg = TrialConfig(0.7, 1000, 200, 42, povm, (0.2, 1.2))
     res = precision_trial(gen, probe, cfg)
     assert res.predicted_crb == pytest.approx(1.0 / math.sqrt(1000 * n), rel=1e-13)
@@ -230,7 +229,7 @@ def per_point_table(state, generator, povm, grid):
 def site_product_case(n):
     gen = build_generator(ProcedureSpec("linear", n, (0.0, 1.0)))
     probe = product_balanced_state(n, hermitian_eigensystem(qubit_base()))
-    povm = tensor_power_povm(optimal_povm(JointGenerator(qubit_base(), 1, 0.0, 1.0)), n)
+    povm = Measurement(optimal_povm(JointGenerator(qubit_base(), 1)), n)
     return gen, probe, povm
 
 
@@ -331,12 +330,12 @@ REFERENCE_ATOL = 1e-12
 
 
 def qubit_optimal_site():
-    return optimal_povm(JointGenerator(qubit_base(), 1, 0.0, 1.0))
+    return optimal_povm(JointGenerator(qubit_base(), 1))
 
 
 def qutrit_optimal_site():
     # (I +/- X)/2 with X = |2><0| + h.c.: eigenvalue 1/2 on |1>, so not projective
-    return optimal_povm(JointGenerator(HermitianOperator.from_diagonal([0.0, 0.5, 1.0]), 1, 0.0, 1.0))
+    return optimal_povm(JointGenerator(HermitianOperator.from_diagonal([0.0, 0.5, 1.0]), 1))
 
 
 def random_three_outcome_site(seed=33):
@@ -369,7 +368,7 @@ def test_reference_sites_are_what_they_claim():
 def test_site_product_matches_dense_reference(name, n):
     site = SITES[name]()
     mats = [e.entries for e in site]
-    meas = tensor_power_povm(site, n)
+    meas = Measurement(site, n)
     dim = site[0].dim ** n
     assert (meas.dim, meas.n_outcomes) == (dim, len(site) ** n)
     g = rng(100 + n)
@@ -388,7 +387,7 @@ def test_sample_outcomes_match_dense_reference():
     site = random_three_outcome_site()
     n, shots, seed = 4, 5000, 77
     psi = random_state_vector(rng(8), 2**n)
-    counts = sample_outcomes(PureState(psi), tensor_power_povm(site, n), shots, seed)
+    counts = sample_outcomes(PureState(psi), Measurement(site, n), shots, seed)
     dense = dense_product_probabilities([e.entries for e in site], n, psi)
     reference = np.random.default_rng(seed).multinomial(shots, dense / dense.sum())
     assert counts.tolist() == reference.tolist()
@@ -398,7 +397,7 @@ def test_product_measurement_rejects_negative_probability():
     # -delta passes the POVM tolerance but <000|E_0 (x) E_1 (x) E_1|000> = -delta (1 + delta)^2
     delta = 5e-10
     site = [HermitianOperator.from_diagonal([-delta, 1.0]), HermitianOperator.from_diagonal([1.0 + delta, 0.0])]
-    meas = tensor_power_povm(site, 3)
+    meas = Measurement(site, 3)
     probe = PureState.basis_vector(8, 0)
     assert dense_product_probabilities([e.entries for e in site], 3, probe.amplitudes)[3] < -1e-12
     with pytest.raises(ValidationError, match="negative outcome probability"):
@@ -409,11 +408,11 @@ def test_product_measurement_rejects_negative_probability():
 
 
 def test_measurement_dimension_mismatch_is_usage_error():
-    meas = tensor_power_povm(qubit_optimal_site(), 3)
+    meas = Measurement(qubit_optimal_site(), 3)
     with pytest.raises(UsageError):
         outcome_probabilities(PureState.basis_vector(4, 0), meas)
     with pytest.raises(UsageError):
-        tensor_power_povm(qubit_optimal_site(), 0)
+        Measurement(qubit_optimal_site(), 0)
     gen = build_generator(ProcedureSpec("linear", 2, (0.0, 1.0)))
     cfg = TrialConfig(0.7, 10, 2, 1, meas, (0.2, 1.2))
     with pytest.raises(UsageError):
@@ -437,5 +436,5 @@ def test_measurement_is_validated_once(monkeypatch):
 
 def test_invalid_site_rejected_at_construction():
     with pytest.raises(ValidationError):
-        tensor_power_povm([HermitianOperator.from_diagonal([0.5, 0.5])], 4)
-    assert isinstance(tensor_power_povm(qubit_optimal_site(), 2), Measurement)
+        Measurement([HermitianOperator.from_diagonal([0.5, 0.5])], 4)
+    assert Measurement(qubit_optimal_site(), 2).n_outcomes == 4

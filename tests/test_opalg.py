@@ -339,6 +339,23 @@ def test_evolve_diagonal_and_dense_paths_agree():
     assert_allclose(u @ out_diag.amplitudes, out_dense.amplitudes, atol=1e-12)
 
 
+def test_dense_evolve_copies_no_eigenvector_matrix():
+    # with the eigensystem cached, one dense evolve needs only vectors of length d
+    d = 1024
+    g = rng(19)
+    a = HermitianOperator(random_hermitian(g, d))
+    hermitian_eigensystem(a)
+    psi = PureState(random_state_vector(g, d))
+    tracemalloc.start()
+    try:
+        out = evolve(psi, a, 0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one d x d complex copy is 16 MiB
+    assert_allclose(evolve(out, a, -0.6).amplitudes, psi.amplitudes, atol=1e-10)
+
+
 # -------------------------------------------------------------------- moments
 
 def test_moments_balanced_qubit():

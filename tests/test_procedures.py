@@ -104,12 +104,39 @@ def test_spec_dim_property():
     assert ProcedureSpec("linear", 2, (0.0, 1.0), subsystem_dim=3).dim == 9
 
 
-def test_joint_generator_validates_stated_extremes():
-    op = HermitianOperator.from_diagonal([0.0, 2.0])
-    with pytest.raises(ValidationError):
-        JointGenerator(op, 1, 0.0, 3.0)
-    gen = JointGenerator(op, 1, 0.0, 2.0)
-    assert gen.seminorm == pytest.approx(2.0)
+def extreme_cases():
+    """One JointGenerator from every construction path, by name."""
+    from phasebound.networks import BlackBox
+    from phasebound.states import mode_number_generator, number_operator
+
+    u = random_unitary(rng(47), 2)
+    rotated = HermitianOperator(u @ np.diag([-0.4, 1.3]) @ u.conj().T)
+    for base_name, base in (("diagonal", None), ("rotated", rotated)):
+        base_eigs = (0.0, 1.0) if base is None else (-0.4, 1.3)
+        for kind, extra in (("linear", {}), ("kbody", {"body_order": 2}), ("exponential", {}),
+                            ("sequential-wrapped", {"repetitions": 3})):
+            yield f"{kind}-{base_name}", build_generator(ProcedureSpec(kind, 3, base_eigs, **extra), base)
+    layers = [random_unitary(rng(48), 4)]
+    for site in range(2):
+        layers += [BlackBox(rotated, (site,)), random_unitary(rng(49 + site), 4)]
+    yield "from_network", from_network(QuantumNetwork(2, 2, tuple(layers)), 0.2)
+    yield "mode_number_generator", mode_number_generator(4)
+    yield "number_operator", number_operator(6)
+
+
+def test_joint_generator_reads_extremes_from_the_spectrum():
+    names = []
+    for name, gen in extreme_cases():
+        names.append(name)
+        w = hermitian_eigensystem(gen.generator).eigenvalues
+        assert (gen.h_min, gen.h_max) == (w[0], w[-1]), name
+        assert gen.seminorm == w[-1] - w[0], name
+        # an independent eigensolver on the d x d matrix agrees
+        ref = np.linalg.eigvalsh(gen.generator.entries)
+        assert_allclose([gen.h_min, gen.h_max], [ref[0], ref[-1]], atol=1e-9, err_msg=name)
+    assert len(names) == 11
+    with pytest.raises(TypeError):
+        JointGenerator(HermitianOperator.from_diagonal([0.0, 2.0]), 1, 0.0, 2.0)
 
 
 # -------------------------------------------------------------------- linear

@@ -8,7 +8,6 @@ from phasebound.errors import DegenerateGeneratorError, ValidationError
 from phasebound.opalg import HermitianOperator, hermitian_eigensystem, moments
 from phasebound.procedures import JointGenerator, ProcedureSpec, build_generator
 from phasebound.states import (
-    StateFamily,
     coherent_state,
     mode_number_generator,
     noon_state,
@@ -21,22 +20,6 @@ from phasebound.states import (
 def poisson_moments(alpha):
     lam = abs(alpha) ** 2
     return lam, lam
-
-
-# --------------------------------------------------------------- state family
-
-def test_state_family_validation():
-    with pytest.raises(ValidationError):
-        StateFamily("squeezed")
-    with pytest.raises(ValidationError):
-        StateFamily("optimal_mu", mu=1.5)
-    with pytest.raises(ValidationError):
-        StateFamily("noon")
-    with pytest.raises(ValidationError):
-        StateFamily("coherent", alpha=2.0, cutoff=5)  # cutoff below 10 |alpha|^2
-    StateFamily("optimal_mu", mu=0.5)
-    StateFamily("noon", n_photons=3)
-    StateFamily("coherent", alpha=2.0, cutoff=40)
 
 
 # -------------------------------------------------------------- optimal states
@@ -93,13 +76,13 @@ def test_optimal_state_relative_phase_leaves_moments():
 
 
 def test_optimal_state_rejects_flat_generator():
-    flat = JointGenerator(HermitianOperator.identity(2), 1, 1.0, 1.0)
+    flat = JointGenerator(HermitianOperator.identity(2), 1)
     with pytest.raises(DegenerateGeneratorError):
         optimal_state(flat, 0.5)
 
 
 def test_optimal_state_degenerate_top_picks_first_basis_column():
-    gen = JointGenerator(HermitianOperator.from_diagonal([0.0, 2.0, 2.0]), 1, 0.0, 2.0)
+    gen = JointGenerator(HermitianOperator.from_diagonal([0.0, 2.0, 2.0]), 1)
     state = optimal_state(gen, 0.5)
     assert abs(state.amplitudes[1]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert abs(state.amplitudes[2]) < 1e-12
