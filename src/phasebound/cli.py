@@ -33,6 +33,7 @@ from .procedures import (
     snl_baseline,
 )
 from .states import (
+    _check_mu,
     coherent_state,
     mode_number_generator,
     noon_state,
@@ -246,6 +247,8 @@ def realize_scenario(raw: dict):
         return None, number_operator(state["cutoff"]), coherent_state(alpha, state["cutoff"])
     if spec is None:
         raise ValidationError(f"state kind {kind!r} needs a procedure section")
+    if kind == "optimal_mu":
+        _check_mu(state["mu"])  # before the joint generator is built
     gen = build_generator(spec)
     if kind == "optimal_mu":
         return spec, gen, optimal_state(gen, state["mu"], state.get("rel_phase", 0.0))
@@ -260,7 +263,7 @@ def _resolve_povm(token: str, spec: ProcedureSpec | None, gen: JointGenerator):
         if spec is None:
             raise ValidationError("site-product POVM needs a procedure section")
         site_gen = JointGenerator(HermitianOperator.from_diagonal(base_diagonal(spec)), 1)
-        return Measurement(optimal_povm(site_gen), spec.n_systems)
+        return Measurement(optimal_povm(site_gen).site, spec.n_systems)
     raise ValidationError(f"unknown povm token {token!r}; expected 'optimal' or 'site-product'")
 
 

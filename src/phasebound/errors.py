@@ -29,9 +29,5 @@ class StepSizeError(NumericalIntegrityError):
     """Finite-difference residue exceeds its error model; retry with smaller step."""
 
 
-class StationaryPointError(NumericalIntegrityError):
-    """Observable expectation is flat at the working point; move the phase."""
-
-
 class BoundaryWarning(UserWarning):
     """Likelihood maximum sits on the search-interval boundary."""

@@ -1,9 +1,9 @@
 """Monte-Carlo measurement sampling and maximum-likelihood phase estimation.
 
-Measurements are ``metrology.Measurement`` values: the joint optimal POVM is
-one site of two d x d elements, and the site-product POVM
-``Measurement(site, n)`` is one validated site factor applied to every site,
-so its probabilities never need an element of the joint space.
+Every measurement is a validated ``metrology.Measurement``: ``optimal_povm``
+gives one site of two d x d elements, and the site-product POVM
+``Measurement(site, n)`` applies one site factor to every site, so its
+probabilities never need an element of the joint space.
 
 Estimation is local: the true phase is assumed to sit inside a known search
 interval shorter than the likelihood period set by the generator's spectrum,
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryWarning, UsageError, ValidationError
-from .metrology import Measurement, _as_measurement, classical_fisher, outcome_probabilities
+from .metrology import Measurement, _require_measurement, classical_fisher, outcome_probabilities
 from .opalg import HermitianOperator, PureState, _evolved, evolve, hermitian_eigensystem
 from .procedures import JointGenerator
 from .states import _extreme_columns
@@ -41,8 +41,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class TrialConfig:
     """Inputs of one Monte-Carlo estimation run.
 
-    ``povm`` is a Measurement or a list of elements; a list is validated and
-    wrapped here, a Measurement is kept as built.  ``n_trials`` may not exceed
+    ``povm`` is a Measurement, kept as built.  ``n_trials`` may not exceed
     MAX_TRIALS (10^6) and ``shots_per_trial`` may not exceed MAX_SHOTS (10^9).
     """
 
@@ -60,7 +59,7 @@ class TrialConfig:
             raise ValidationError(f"n_trials must lie in [1, {MAX_TRIALS}], got {self.n_trials}")
         if self.rng_seed < 0:
             raise ValidationError("rng_seed must be >= 0")
-        povm = _as_measurement(self.povm)
+        _require_measurement(self.povm)
         lo, hi = (float(self.search_interval[0]), float(self.search_interval[1]))
         if not lo < hi:
             raise ValidationError(f"search interval must satisfy lo < hi, got ({lo}, {hi})")
@@ -68,7 +67,6 @@ class TrialConfig:
             raise ValidationError(
                 f"phi_true {self.phi_true} lies outside the search interval ({lo}, {hi})"
             )
-        object.__setattr__(self, "povm", povm)
         object.__setattr__(self, "search_interval", (lo, hi))
 
 
@@ -96,8 +94,8 @@ class TrialResult:
         }
 
 
-def optimal_povm(gen: JointGenerator) -> list[HermitianOperator]:
-    """Balanced two-outcome measurement of |h_max><h_min| + h.c.
+def optimal_povm(gen: JointGenerator) -> Measurement:
+    """Balanced two-outcome measurement (I +/- X)/2 of X = |h_max><h_min| + h.c.
 
     On probes confined to the plane of the two extreme eigenstates this is
     the parity-type measurement whose statistics carry the full quantum
@@ -107,10 +105,10 @@ def optimal_povm(gen: JointGenerator) -> list[HermitianOperator]:
     cross = np.outer(vec_max, vec_min.conj())
     x = cross + cross.conj().T
     eye = np.eye(gen.dim)
-    return [HermitianOperator((eye + x) / 2), HermitianOperator((eye - x) / 2)]
+    return Measurement((HermitianOperator((eye + x) / 2), HermitianOperator((eye - x) / 2)))
 
 
-def sample_outcomes(state: PureState, povm, shots: int, seed) -> np.ndarray:
+def sample_outcomes(state: PureState, povm: Measurement, shots: int, seed) -> np.ndarray:
     """Multinomial outcome counts for the given probe and measurement.
 
     ``seed`` may be an integer or a numpy SeedSequence; equal seeds give
@@ -148,14 +146,15 @@ def _floored_log(probs: np.ndarray) -> np.ndarray:
     return np.log(np.clip(probs, 1e-300, None))
 
 
-def _outcome_table(state: PureState, gen: HermitianOperator, povm, grid) -> np.ndarray:
+def _outcome_table(state: PureState, gen: HermitianOperator, povm: Measurement, grid) -> np.ndarray:
     """P[g, k] = outcome_probabilities(evolve(state, gen, grid[g]), povm)[k]; one row (K,) for a float grid.
 
     The probe is evolved to every phase at once by ``opalg._evolved``, which
     checks each row's norm, and the batch goes through the measurement's
     probability kernel, which rejects probabilities below -1e-12.
     """
-    return _as_measurement(povm).probabilities(_evolved(state, gen, grid))
+    _require_measurement(povm)
+    return povm.probabilities(_evolved(state, gen, grid))
 
 
 def _scan_and_refine(counts, log_table: np.ndarray, grid: np.ndarray, model) -> float:

@@ -1,4 +1,4 @@
-"""Resource counts, precision bounds, measurements, Fisher information, error propagation.
+"""Resource counts, precision bounds, measurements and Fisher information.
 
 Three resource counts are in play: the query count Q carried by the
 generator, the standard deviation of the generator in the probe, and the
@@ -6,17 +6,17 @@ expectation of the generator above its ground state.  Each feeds its own
 lower bound on the phase uncertainty; for the balanced extreme-eigenvector
 superpositions all of them collapse to the same number.
 
-A measurement is a ``Measurement``: one validated site factor applied to
-each of N sites, with a plain list of elements as the N = 1 case.  One
+A measurement is a ``Measurement``, and nothing else is accepted: one site
+factor, validated once when it is built, applied to each of N sites.  One
 kernel gives the outcome probabilities of a single state or of a batch of
 states by contracting the amplitudes site axis by site axis (the ``opalg``
 site kernel), so a site-product measurement never needs an element of the
 joint space.
 
 Phase derivatives are analytic.  Every phase family is exp(-i phi H) psi, so
-dpsi/dphi = -i H psi costs one ``apply``; the Fisher information pushes that
-tangent through the same kernel, and error propagation takes the slope of
-<X> as -2 Im<H psi|X psi>.  No finite difference is taken here.
+dpsi/dphi = -i H psi costs one ``apply``, and the Fisher information pushes
+that tangent through the same kernel.  The quantum Fisher information of a
+pure probe, 4 Var(H), is the ``qfi`` of ``build_report``.
 
 Bounds that would be infinite (zero resource, e.g. an eigenstate probe or a
 flat generator) are reported as the NO_SENSITIVITY sentinel instead of a
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalIntegrityError, StationaryPointError, UsageError, ValidationError
+from .errors import NumericalIntegrityError, UsageError, ValidationError
 from .opalg import HermitianOperator, PureState, _contract_sites, evolve, hermitian_eigensystem, moments
 from .procedures import JointGenerator, ProcedureSpec, snl_baseline
 from .states import optimal_state
@@ -72,22 +72,7 @@ class ResourceReport:
             raise ValidationError("stddev, seminorm and qfi must be non-negative")
 
     def to_dict(self) -> dict:
-        out = {
-            "expectation_raw": self.expectation_raw,
-            "expectation_shifted": self.expectation_shifted,
-            "stddev": self.stddev,
-            "seminorm": self.seminorm,
-            "bound_new_hl": self.bound_new_hl,
-            "bound_stddev": self.bound_stddev,
-            "qfi": self.qfi,
-        }
-        if self.q is not None:
-            out["q"] = self.q
-        if self.bound_query is not None:
-            out["bound_query"] = self.bound_query
-        if self.bound_snl is not None:
-            out["bound_snl"] = self.bound_snl
-        return out
+        return {name: value for name, value in vars(self).items() if value is not None}
 
 
 def resource_count_shifted(state: PureState, gen: JointGenerator) -> float:
@@ -131,12 +116,6 @@ def query_bound(q: int, lambda_min: float, lambda_max: float, k: int) -> float:
     return 1.0 / (span * q)
 
 
-def qfi_pure(state: PureState, gen: HermitianOperator) -> float:
-    """Quantum Fisher information of a pure probe under exp(-i phi gen): 4 Var(gen)."""
-    _, variance = moments(state, gen)
-    return 4.0 * variance
-
-
 def validate_povm(povm: list[HermitianOperator]) -> None:
     """Reject an empty list, mixed dimensions, a negative eigenvalue or a sum other than I.
 
@@ -164,14 +143,14 @@ class Measurement:
 
     Outcome (k_0, ..., k_{N-1}) has the element E_{k_0} (x) ... (x) E_{k_{N-1}}
     of the ``site`` elements; outcomes are numbered in word order, site 0 most
-    significant (the package's tensor order).  A plain list of elements is the
-    N = 1 case.  The site elements are validated once, here.  Each is kept as
-    the rows of its eigensystem (eigenvalues within rounding of zero dropped)
-    and its signed eigenvalues: a probability is |amplitudes contracted with
-    the rows on every site axis|^2, contracted with those eigenvalues on every
-    axis.  That is exact for non-projective and non-commuting elements, builds
-    no operator on the joint space, and costs O(N d) per state for a
-    projective qubit site.
+    significant (the package's tensor order); N = 1 measures the whole space.
+    The site elements are validated once, here.  Each is kept as the rows of
+    its eigensystem (eigenvalues within rounding of zero dropped) and its
+    signed eigenvalues: a probability is |amplitudes contracted with the rows
+    on every site axis|^2, contracted with those eigenvalues on every axis.
+    That is exact for non-projective and non-commuting elements, builds no
+    operator on the joint space, and costs O(N d) per state for a projective
+    qubit site.
     """
 
     site: tuple
@@ -236,48 +215,30 @@ class Measurement:
         return _contract_sites(2.0 * (r[:1].conj() * r[1:]).real, self._weights_t, self.n_sites)[0]
 
 
-def _as_measurement(povm) -> Measurement:
-    # a raw element list is the one-site case, validated as it is wrapped
-    return povm if isinstance(povm, Measurement) else Measurement(povm)
+def _require_measurement(povm) -> None:
+    if not isinstance(povm, Measurement):
+        raise UsageError(f"a measurement must be a Measurement, got {type(povm).__name__}")
 
 
-def outcome_probabilities(state: PureState, povm) -> np.ndarray:
-    """Outcome probabilities of a Measurement, or of a list of elements, in ``state``.
-
-    A list is validated on every call; a Measurement built once is not.
-    """
-    return _as_measurement(povm).probabilities(state.amplitudes)
+def outcome_probabilities(state: PureState, povm: Measurement) -> np.ndarray:
+    """Outcome probabilities of the Measurement ``povm`` in ``state``."""
+    _require_measurement(povm)
+    return povm.probabilities(state.amplitudes)
 
 
-def classical_fisher(povm, state: PureState, gen: HermitianOperator, phi: float) -> float:
+def classical_fisher(povm: Measurement, state: PureState, gen: HermitianOperator, phi: float) -> float:
     """Fisher information of the POVM statistics of exp(-i phi gen) state, sum over (dp/dphi)^2 / p.
 
-    ``povm`` is a Measurement, used as built, or a list of elements,
-    validated here.  The derivative is exact: the phase tangent -i gen psi
-    goes through the measurement kernel with psi.  Outcomes with probability
-    under 1e-12 are skipped before dividing.
+    The derivative is exact: the phase tangent -i gen psi goes through the
+    measurement kernel with psi.  Outcomes with probability under 1e-12 are
+    skipped before dividing.
     """
-    povm = _as_measurement(povm)
+    _require_measurement(povm)
     psi = evolve(state, gen, phi).amplitudes
     p = povm.probabilities(psi)
     dp = povm._derivative(psi, -1j * gen.apply(psi))
     keep = p >= _PROB_FLOOR
     return float(np.sum(dp[keep] ** 2 / p[keep]))
-
-
-def error_propagation(
-    observable: HermitianOperator, state: PureState, gen: HermitianOperator, phi: float
-) -> float:
-    """dX / |d<X>/dphi| in exp(-i phi gen) state, with the exact slope -2 Im<gen psi|X psi>."""
-    psi = evolve(state, gen, phi)
-    _, variance = moments(psi, observable)
-    slope = -2.0 * np.vdot(gen.apply(psi.amplitudes), observable.apply(psi.amplitudes)).imag
-    if abs(slope) <= 1e-12:
-        raise StationaryPointError(
-            f"expectation of the observable is stationary at phi = {phi!r}; "
-            "move the working point where the signal has slope"
-        )
-    return float(np.sqrt(variance) / abs(slope))
 
 
 def mu_sweep(gen: JointGenerator, grid) -> list[tuple[float, float, float]]:

@@ -247,8 +247,9 @@ def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperat
         box = net.layers[pos]
         sites = box.target_subsystems
         terms_rev.append(w_dag.conj().T @ _apply_on_sites(box.base_generator.entries, sites, w_dag, n, d))
-        o_dag = _box_unitary(box, phi).conj().T
-        w_dag = net.layers[pos - 1].conj().T @ _apply_on_sites(o_dag, sites, w_dag, n, d)
+        if pos > 1:  # no term reads V_0^dag O_1^dag W_1^dag
+            o_dag = _box_unitary(box, phi).conj().T
+            w_dag = net.layers[pos - 1].conj().T @ _apply_on_sites(o_dag, sites, w_dag, n, d)
     terms = [HermitianOperator(t, hermitian_tol=1e-8) for t in reversed(terms_rev)]
     total = np.zeros((dim, dim), dtype=complex)
     for t in terms:

@@ -15,7 +15,7 @@ import numpy as np
 import phasebound.cli as cli
 from phasebound.cli import compare_procedures
 from phasebound.estimation import TrialConfig, optimal_povm, precision_trial
-from phasebound.metrology import NO_SENSITIVITY, build_report, qfi_pure
+from phasebound.metrology import NO_SENSITIVITY, build_report
 from phasebound.networks import (
     BlackBox,
     QuantumNetwork,
@@ -179,7 +179,7 @@ def test_criterion_06_snl_hl_separation():
         q, lo, hi = closed_form_extremes(spec)
         eff = PureState(np.array([math.sqrt(0.5), math.sqrt(0.5)]))
         two_level = HermitianOperator.from_diagonal(np.array([lo, hi]))
-        opt.append(qfi_pure(eff, two_level))
+        opt.append(4.0 * moments(eff, two_level)[1])
     slope_sep = np.polyfit(np.log(ns), np.log(sep), 1)[0]
     slope_opt = np.polyfit(np.log(ns), np.log(opt), 1)[0]
     ok = abs(slope_sep - 1.0) <= 0.01 and abs(slope_opt - 2.0) <= 0.01

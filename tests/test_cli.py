@@ -265,6 +265,21 @@ def test_run_invalid_state_exits_3_without_artifacts(tmp_path, monkeypatch, caps
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_run_out_of_range_mu_exits_3_before_the_generator_is_built(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    build = cli.build_generator
+    monkeypatch.setattr(cli, "build_generator", lambda spec: calls.append(spec) or build(spec))
+    payload = minimal_scenario(
+        procedure={"kind": "linear", "n_systems": 12, "base_eigs": [0.0, 1.0]},
+        state={"kind": "optimal_mu", "mu": 1.5},
+    )
+    assert cli.main(["run", write_scenario(tmp_path, payload)]) == 3
+    assert "mu must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "state, message",
     [

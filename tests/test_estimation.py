@@ -38,16 +38,45 @@ def qubit_base():
 def test_optimal_povm_is_valid_and_binary():
     gen = mode_number_generator(3)
     povm = optimal_povm(gen)
-    assert len(povm) == 2
-    validate_povm(povm)
+    assert isinstance(povm, Measurement)
+    assert (povm.n_sites, povm.n_outcomes, povm.dim) == (1, 2, 4)
+    validate_povm(povm.site)
     # projects onto (|min> +/- |max>)/sqrt(2)
     plus = (PureState.basis_vector(4, 0).amplitudes + PureState.basis_vector(4, 3).amplitudes) / math.sqrt(2)
-    assert_allclose(povm[0].entries @ plus, plus, atol=1e-12)
-    assert_allclose(povm[1].entries @ plus, np.zeros(4), atol=1e-12)
+    assert_allclose(povm.site[0].entries @ plus, plus, atol=1e-12)
+    assert_allclose(povm.site[1].entries @ plus, np.zeros(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_optimal_povm_matches_dense_parity_pair(dim):
+    # (I +/- X)/2 with X = |max><min| + h.c., built from sorted diagonal values, not the spectrum code
+    g = rng(40 + dim)
+    values = g.permutation(np.linspace(-1.0, 2.0, dim))
+    lo, hi = int(np.argmin(values)), int(np.argmax(values))
+    x = np.zeros((dim, dim))
+    x[hi, lo] = x[lo, hi] = 1.0
+    dense = [(np.eye(dim) + x) / 2, (np.eye(dim) - x) / 2]
+    povm = optimal_povm(JointGenerator(HermitianOperator.from_diagonal(values), 1))
+    for _ in range(5):
+        psi = random_state_vector(g, dim)
+        expected = [np.vdot(psi, e @ psi).real for e in dense]
+        assert_allclose(outcome_probabilities(PureState(psi), povm), expected, rtol=0, atol=1e-12)
+
+
+def test_raw_element_list_is_refused_by_sampling_and_trials():
+    povm = optimal_povm(mode_number_generator(2))
+    state = noon_state(2)
+    for raw in (list(povm.site), tuple(povm.site)):
+        with pytest.raises(UsageError, match="must be a Measurement"):
+            sample_outcomes(state, raw, 10, seed=1)
+        with pytest.raises(UsageError, match="must be a Measurement"):
+            TrialConfig(0.4, 100, 10, 1, raw, (0.1, 0.9))
+        with pytest.raises(UsageError, match="must be a Measurement"):
+            _outcome_table(state, mode_number_generator(2).generator, raw, np.linspace(0.1, 0.9, 5))
 
 
 def test_tensor_power_povm_counts_and_completeness():
-    site = optimal_povm(JointGenerator(qubit_base(), 1))
+    site = optimal_povm(JointGenerator(qubit_base(), 1)).site
     joint = Measurement(site, 3)
     assert (joint.n_outcomes, joint.dim, joint.n_sites) == (8, 8, 3)
     g = rng(3)
@@ -61,21 +90,19 @@ def test_tensor_power_povm_counts_and_completeness():
 
 # ------------------------------------------------------------------- sampling
 
+def z_measurement():
+    return Measurement((HermitianOperator.from_diagonal([1.0, 0.0]), HermitianOperator.from_diagonal([0.0, 1.0])))
+
+
 def test_sample_outcomes_eigenstate_all_one_bucket():
-    povm = (
-        HermitianOperator.from_diagonal([1.0, 0.0]),
-        HermitianOperator.from_diagonal([0.0, 1.0]),
-    )
+    povm = z_measurement()
     counts = sample_outcomes(PureState.basis_vector(2, 0), povm, 500, seed=1)
     assert_allclose(counts, [500, 0])
 
 
 def test_sample_outcomes_concentrate_near_expectation():
     state = PureState(np.array([1.0, 1.0]) / math.sqrt(2))
-    povm = (
-        HermitianOperator.from_diagonal([1.0, 0.0]),
-        HermitianOperator.from_diagonal([0.0, 1.0]),
-    )
+    povm = z_measurement()
     shots = 1_000_000
     counts = sample_outcomes(state, povm, shots, seed=7)
     assert counts.sum() == shots
@@ -85,10 +112,7 @@ def test_sample_outcomes_concentrate_near_expectation():
 
 def test_sample_outcomes_seed_reproducible():
     state = PureState(np.array([0.6, 0.8]))
-    povm = (
-        HermitianOperator.from_diagonal([1.0, 0.0]),
-        HermitianOperator.from_diagonal([0.0, 1.0]),
-    )
+    povm = z_measurement()
     a = sample_outcomes(state, povm, 1000, seed=123)
     b = sample_outcomes(state, povm, 1000, seed=123)
     assert_allclose(a, b)
@@ -190,7 +214,7 @@ def test_trial_rmse_tracks_crb_for_separable_probe():
     n = 4
     gen = build_generator(ProcedureSpec("linear", n, (0.0, 1.0)))
     probe = product_balanced_state(n, hermitian_eigensystem(qubit_base()))
-    povm = Measurement(optimal_povm(JointGenerator(qubit_base(), 1)), n)
+    povm = Measurement(optimal_povm(JointGenerator(qubit_base(), 1)).site, n)
     cfg = TrialConfig(0.7, 1000, 200, 42, povm, (0.2, 1.2))
     res = precision_trial(gen, probe, cfg)
     assert res.predicted_crb == pytest.approx(1.0 / math.sqrt(1000 * n), rel=1e-13)
@@ -229,7 +253,7 @@ def per_point_table(state, generator, povm, grid):
 def site_product_case(n):
     gen = build_generator(ProcedureSpec("linear", n, (0.0, 1.0)))
     probe = product_balanced_state(n, hermitian_eigensystem(qubit_base()))
-    povm = Measurement(optimal_povm(JointGenerator(qubit_base(), 1)), n)
+    povm = Measurement(optimal_povm(JointGenerator(qubit_base(), 1)).site, n)
     return gen, probe, povm
 
 
@@ -238,7 +262,7 @@ def nondiagonal_case(dim=6, seed=17):
     generator = HermitianOperator(random_hermitian(gen, dim))
     probe = PureState(random_state_vector(gen, dim))
     basis = random_unitary(gen, dim)
-    povm = [HermitianOperator(np.outer(basis[:, k], basis[:, k].conj())) for k in range(dim)]
+    povm = Measurement([HermitianOperator(np.outer(basis[:, k], basis[:, k].conj())) for k in range(dim)])
     return generator, probe, povm
 
 
@@ -273,10 +297,9 @@ def test_table_and_evolve_share_one_kernel(form):
     # a batch differs from it only where BLAS blocks the batched products differently
     if form == "diagonal":
         gen = mode_number_generator(3)
-        generator, probe, povm = gen.generator, noon_state(3), Measurement(optimal_povm(gen))
+        generator, probe, povm = gen.generator, noon_state(3), optimal_povm(gen)
     else:
         generator, probe, povm = nondiagonal_case()
-        povm = Measurement(povm)
     assert generator.is_diagonal is (form == "diagonal")
     grid = np.linspace(-0.9, 0.9, 37)
     amplitudes = _evolved(probe, generator, grid)
@@ -291,10 +314,12 @@ def test_table_and_evolve_share_one_kernel(form):
 
 
 def test_table_rejects_negative_probabilities():
+    # -delta passes the POVM tolerance, but |0> then gives outcome 0 the probability -delta
+    delta = 5e-10
     gen = mode_number_generator(1)
-    bad = [HermitianOperator.from_diagonal([1.1, 1.0]), HermitianOperator.from_diagonal([-0.1, 0.0])]
-    with pytest.raises(ValidationError):
-        _outcome_table(noon_state(1), gen.generator, bad, np.linspace(0.0, 1.0, 5))
+    meas = Measurement([HermitianOperator.from_diagonal([-delta, 1.0]), HermitianOperator.from_diagonal([1.0 + delta, 0.0])])
+    with pytest.raises(ValidationError, match="negative outcome probability"):
+        _outcome_table(PureState.basis_vector(2, 0), gen.generator, meas, np.linspace(0.0, 1.0, 5))
 
 
 @pytest.mark.parametrize("case, phi_true", [("noon", 0.12), ("noon", 0.88), ("site-product", 0.7)])
@@ -330,12 +355,12 @@ REFERENCE_ATOL = 1e-12
 
 
 def qubit_optimal_site():
-    return optimal_povm(JointGenerator(qubit_base(), 1))
+    return optimal_povm(JointGenerator(qubit_base(), 1)).site
 
 
 def qutrit_optimal_site():
     # (I +/- X)/2 with X = |2><0| + h.c.: eigenvalue 1/2 on |1>, so not projective
-    return optimal_povm(JointGenerator(HermitianOperator.from_diagonal([0.0, 0.5, 1.0]), 1))
+    return optimal_povm(JointGenerator(HermitianOperator.from_diagonal([0.0, 0.5, 1.0]), 1)).site
 
 
 def random_three_outcome_site(seed=33):
@@ -426,11 +451,9 @@ def test_measurement_is_validated_once(monkeypatch):
     original = metrology.validate_povm
     monkeypatch.setattr(metrology, "validate_povm", lambda povm: calls.append(len(povm)) or original(povm))
     gen, probe, povm = site_product_case(3)
-    assert calls == [2]
+    assert calls == [2, 2]  # optimal_povm's one-site measurement, then the three-site one
     cfg = TrialConfig(0.7, 50, 2, 4, povm, (0.2, 1.2))
     precision_trial(gen, probe, cfg)
-    assert calls == [2]
-    TrialConfig(0.7, 50, 2, 4, qubit_optimal_site(), (0.2, 1.2))
     assert calls == [2, 2]
 
 

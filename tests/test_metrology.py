@@ -6,23 +6,17 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from phasebound.errors import (
-    StationaryPointError,
-    UsageError,
-    ValidationError,
-)
+from phasebound.errors import UsageError, ValidationError
 from phasebound.estimation import optimal_povm
 from phasebound.metrology import (
     NO_SENSITIVITY,
     Measurement,
     build_report,
     classical_fisher,
-    error_propagation,
     heisenberg_bound_expectation,
     heisenberg_bound_stddev,
     mu_sweep,
     outcome_probabilities,
-    qfi_pure,
     query_bound,
     resource_count_shifted,
     validate_povm,
@@ -30,7 +24,7 @@ from phasebound.metrology import (
 from phasebound.opalg import HermitianOperator, PureState, evolve, moments
 from phasebound.procedures import JointGenerator, ProcedureSpec, build_generator
 from phasebound.states import mode_number_generator, noon_state, optimal_state
-from util import kron_all, random_hermitian, random_state_vector, random_unitary, rng
+from util import kron_all, moments_by_eigensystem, random_hermitian, random_state_vector, random_unitary, rng
 
 
 def noon_setup(n=3):
@@ -44,7 +38,7 @@ def noon_setup(n=3):
 def noon_parity_povm(n=3):
     _, _, x = noon_setup(n)
     eye = np.eye(n + 1)
-    return (HermitianOperator((eye + x.entries) / 2), HermitianOperator((eye - x.entries) / 2))
+    return Measurement((HermitianOperator((eye + x.entries) / 2), HermitianOperator((eye - x.entries) / 2)))
 
 
 # ------------------------------------------------------------- resource counts
@@ -92,26 +86,27 @@ def test_query_bound_values():
 def test_qfi_balanced_superposition():
     gen = build_generator(ProcedureSpec("linear", 3, (0.0, 1.0)))
     state = optimal_state(gen, 0.5)
-    assert qfi_pure(state, gen.generator) == pytest.approx(9.0, abs=1e-10)
+    assert build_report(state, gen).qfi == pytest.approx(9.0, abs=1e-10)
 
 
 def test_qfi_eigenstate_is_zero():
     gen = build_generator(ProcedureSpec("linear", 2, (0.0, 1.0)))
-    assert qfi_pure(PureState.basis_vector(4, 0), gen.generator) == pytest.approx(0.0, abs=1e-12)
+    assert build_report(PureState.basis_vector(4, 0), gen).qfi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_qfi_is_four_variances():
     g = rng(51)
-    op = HermitianOperator.from_diagonal(np.sort(g.uniform(0.0, 3.0, size=5)))
+    values = np.sort(g.uniform(0.0, 3.0, size=5))
     psi = PureState(random_state_vector(g, 5))
-    _, var = moments(psi, op)
-    assert qfi_pure(psi, op) == pytest.approx(4.0 * var, abs=1e-12)
+    _, var = moments_by_eigensystem(psi.amplitudes, np.diag(values))
+    rep = build_report(psi, JointGenerator(HermitianOperator.from_diagonal(values), None))
+    assert rep.qfi == pytest.approx(4.0 * var, abs=1e-12)
 
 
 # ---------------------------------------------------------------- measurement
 
 def test_validate_povm_accepts_parity_pair():
-    validate_povm(noon_parity_povm())
+    validate_povm(noon_parity_povm().site)
 
 
 def test_validate_povm_rejects_incomplete():
@@ -144,10 +139,10 @@ def test_classical_fisher_noon_parity():
 
 def test_classical_fisher_blind_measurement_is_zero():
     gen, state, _ = noon_setup(2)
-    povm = (
+    povm = Measurement((
         HermitianOperator.from_diagonal([0.5, 0.5, 0.5]),
         HermitianOperator.from_diagonal([0.5, 0.5, 0.5]),
-    )
+    ))
     assert classical_fisher(povm, state, gen.generator, 0.3) == pytest.approx(0.0, abs=1e-8)
 
 
@@ -160,17 +155,17 @@ def test_classical_fisher_never_beats_qfi():
         u = random_unitary(g, dim)
         probs = g.uniform(0.0, 1.0, size=dim)
         e1 = u @ np.diag(probs) @ u.conj().T
-        povm = (
+        povm = Measurement((
             HermitianOperator(e1, hermitian_tol=1e-9),
             HermitianOperator(np.eye(dim) - e1, hermitian_tol=1e-9),
-        )
+        ))
         f = classical_fisher(povm, psi, op, 0.7)
-        q = qfi_pure(psi, op)
+        q = 4.0 * moments(psi, op)[1]
         assert f <= q + 1e-6
 
 
 def qubit_optimal_site():
-    return [e.entries for e in optimal_povm(build_generator(ProcedureSpec("linear", 1, (0.0, 1.0))))]
+    return [e.entries for e in optimal_povm(build_generator(ProcedureSpec("linear", 1, (0.0, 1.0)))).site]
 
 
 def qutrit_parity_site():
@@ -246,33 +241,16 @@ def test_classical_fisher_takes_the_signed_phase_derivative(monkeypatch, site):
     assert_allclose(seen[0], dp, rtol=0, atol=1e-12)
 
 
-# ----------------------------------------------------------- error propagation
+# ------------------------------------------------------- measurement boundary
 
-def test_error_propagation_noon_working_point():
-    gen, state, x = noon_setup(3)
-    assert error_propagation(x, state, gen.generator, math.pi / 6) == pytest.approx(1 / 3, abs=1e-12)
-
-
-def test_error_propagation_equals_spread_bound_at_optimum():
-    gen, state, x = noon_setup(3)
-    _, var = moments(state, gen.generator)
-    assert error_propagation(x, state, gen.generator, math.pi / 6) == pytest.approx(
-        1.0 / (2.0 * math.sqrt(var)), abs=1e-6
-    )
-
-
-def test_error_propagation_sequential_rescale():
-    gen, state, x = noon_setup(3)
-    from phasebound.procedures import sequential_wrap
-
-    doubled = sequential_wrap(gen, 2)
-    assert error_propagation(x, state, doubled.generator, math.pi / 12) == pytest.approx(1 / 6, abs=1e-6)
-
-
-def test_error_propagation_stationary_point():
-    gen, state, x = noon_setup(3)
-    with pytest.raises(StationaryPointError):
-        error_propagation(x, state, gen.generator, 0.0)
+@pytest.mark.parametrize("form", [list, tuple])
+def test_raw_element_list_is_refused(form):
+    gen, state, _ = noon_setup(3)
+    elements = form(noon_parity_povm(3).site)
+    with pytest.raises(UsageError, match="must be a Measurement"):
+        outcome_probabilities(state, elements)
+    with pytest.raises(UsageError, match="must be a Measurement"):
+        classical_fisher(elements, state, gen.generator, 0.4)
 
 
 # ------------------------------------------------------------------- reports

@@ -424,6 +424,23 @@ def test_generator_analytic_terms_match_dense_conjugation():
     assert_allclose(gen.entries, expected_total, atol=1e-12)
 
 
+@pytest.mark.parametrize("targets", [[(0,)], [(1,), (2, 0)], MIXED_TARGETS], ids=len)
+def test_generator_analytic_applies_each_box_twice_but_the_first_once(monkeypatch, targets):
+    # box j forms H_j W_j^dag and, for j > 1, O_j^dag W_j^dag; no term reads V_0^dag O_1^dag W_1^dag
+    net = mixed_net(rng(45), 3, 2, targets)
+    calls = []
+    kernel = networks._apply_on_sites
+
+    def counted(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(networks, "_apply_on_sites", counted)
+    _, terms = generator_analytic(net, 0.35)
+    assert len(terms) == query_count(net) == len(targets)
+    assert len(calls) == 2 * len(targets) - 1
+
+
 def test_generator_analytic_matches_numeric_on_random_nets():
     g = rng(29)
     for _ in range(25):
@@ -507,13 +524,17 @@ def count_box_unitaries(monkeypatch):
     return calls
 
 
+# one analytic pass forms the unitary of every box but the first (no term reads it)
+BOX_UNITARIES_PER_PASS = len(MIXED_TARGETS) - 1
+
+
 def test_from_network_reuses_the_analytic_total(monkeypatch):
     net = mixed_net(rng(45), 3, 2, MIXED_TARGETS)
     calls = count_box_unitaries(monkeypatch)
     total, _ = generator_analytic(net, 0.35)
-    assert len(calls) == len(MIXED_TARGETS)
+    assert len(calls) == BOX_UNITARIES_PER_PASS
     gen = from_network(net, 0.35)
-    assert len(calls) == len(MIXED_TARGETS)
+    assert len(calls) == BOX_UNITARIES_PER_PASS
     assert gen.generator is total
     # the spectrum from_network needed is cached on the caller's operator
     assert total._spectrum_cache
@@ -534,14 +555,14 @@ def test_memo_holds_only_the_latest_phi(monkeypatch):
     calls = count_box_unitaries(monkeypatch)
     first, _ = generator_analytic(net, 0.35)
     second = from_network(net, 0.9)
-    assert len(calls) == 2 * len(MIXED_TARGETS)
+    assert len(calls) == 2 * BOX_UNITARIES_PER_PASS
     assert second.generator is not first
     assert len(net._analytic_memo) == 1
     assert net._analytic_memo[0][1] is second.generator
     # a signed zero is a different phi
     generator_analytic(net, 0.0)
     from_network(net, -0.0)
-    assert len(calls) == 4 * len(MIXED_TARGETS)
+    assert len(calls) == 4 * BOX_UNITARIES_PER_PASS
     assert len(net._analytic_memo) == 1
 
 
