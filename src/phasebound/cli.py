@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .errors import NumericalIntegrityError, ParseError, UsageError, ValidationError
-from .estimation import TrialConfig, optimal_povm, precision_trial
+from .estimation import TrialConfig, _parity_elements, optimal_povm, precision_trial
 from .metrology import Measurement, build_report, mu_sweep
 from .opalg import DIM_CAP, HermitianOperator, evolve, hermitian_eigensystem
 from .procedures import (
@@ -263,7 +263,7 @@ def _resolve_povm(token: str, spec: ProcedureSpec | None, gen: JointGenerator):
         if spec is None:
             raise ValidationError("site-product POVM needs a procedure section")
         site_gen = JointGenerator(HermitianOperator.from_diagonal(base_diagonal(spec)), 1)
-        return Measurement(optimal_povm(site_gen).site, spec.n_systems)
+        return Measurement(_parity_elements(site_gen), spec.n_systems)
     raise ValidationError(f"unknown povm token {token!r}; expected 'optimal' or 'site-product'")
 
 
@@ -468,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="closed-form comparison table across kinds and N")
     p_cmp.add_argument("--kinds", default="", help="comma list: linear, kbody:K, exponential, sequential:T")
     p_cmp.add_argument("--n", default="", help="comma list of system counts")
-    p_cmp.add_argument("--base", default="", help="base eigenvalues lambda_min,lambda_max (default 0,1)")
+    p_cmp.add_argument("--base", default="", help="lambda_min,lambda_max (default 0,1); negative: --base=-0.5,1")
     p_cmp.add_argument("--out", default="", help="output CSV path (default stdout)")
     p_cmp.set_defaults(func=cmd_compare)
 

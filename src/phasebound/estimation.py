@@ -101,11 +101,16 @@ def optimal_povm(gen: JointGenerator) -> Measurement:
     the parity-type measurement whose statistics carry the full quantum
     Fisher information of the balanced superposition.
     """
+    return Measurement(_parity_elements(gen))
+
+
+def _parity_elements(gen: JointGenerator) -> tuple[HermitianOperator, HermitianOperator]:
+    """The two elements (I +/- X)/2 of ``optimal_povm``, not yet validated."""
     vec_min, vec_max = _extreme_columns(hermitian_eigensystem(gen.generator))
     cross = np.outer(vec_max, vec_min.conj())
     x = cross + cross.conj().T
     eye = np.eye(gen.dim)
-    return Measurement((HermitianOperator((eye + x) / 2), HermitianOperator((eye - x) / 2)))
+    return HermitianOperator((eye + x) / 2), HermitianOperator((eye - x) / 2)
 
 
 def sample_outcomes(state: PureState, povm: Measurement, shots: int, seed) -> np.ndarray:

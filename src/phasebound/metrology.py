@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalIntegrityError, UsageError, ValidationError
 from .opalg import HermitianOperator, PureState, _contract_sites, evolve, hermitian_eigensystem, moments
-from .procedures import JointGenerator, ProcedureSpec, snl_baseline
+from .procedures import JointGenerator, ProcedureSpec, snl_baseline, sum_orders
 from .states import optimal_state
 
 NO_SENSITIVITY = "no-sensitivity"
@@ -77,12 +77,12 @@ class ResourceReport:
 
 def resource_count_shifted(state: PureState, gen: JointGenerator) -> float:
     """Expectation of the generator above its ground state, <H - h_min I>."""
-    expectation, _ = moments(state, gen.generator)
-    shifted = expectation - gen.h_min
-    if shifted < -1e-10:
-        raise NumericalIntegrityError(
-            f"shifted expectation {shifted:.3e} fell below the ground state beyond tolerance"
-        )
+    return _shifted_expectation(moments(state, gen.generator)[0], gen)
+
+
+def _shifted_expectation(expectation: float, gen: JointGenerator) -> float:
+    if (shifted := expectation - gen.h_min) < -1e-10:
+        raise NumericalIntegrityError(f"shifted expectation {shifted:.3e} fell below the ground state beyond tolerance")
     return shifted
 
 
@@ -255,16 +255,13 @@ def mu_sweep(gen: JointGenerator, grid) -> list[tuple[float, float, float]]:
 
 
 def _procedure_query_bound(spec: ProcedureSpec, gen: JointGenerator) -> float | None:
-    # linear and sequential-over-linear have per-query span lambda_max - lambda_min;
-    # kbody raises it to the k-th power; the exponential constant is computed
-    # from the seminorm itself (c_e = Q/seminorm, of order one for bases in [0,1])
-    lo, hi = spec.base_eigs
-    try:
-        if spec.kind in ("linear", "sequential-wrapped"):
-            return query_bound(gen.query_complexity, lo, hi, 1)
-        if spec.kind == "kbody":
-            return query_bound(gen.query_complexity, lo, hi, spec.body_order)
+    # a kind adding sums e_k of one order k has per-query span lambda_max^k - lambda_min^k; with several orders
+    # (exponential) the constant is computed from the seminorm itself (c_e = Q/seminorm, of order one on [0,1])
+    orders = sum_orders(spec)[0]
+    if len(orders) > 1:
         return 1.0 / gen.seminorm if gen.seminorm > 0 else None
+    try:
+        return query_bound(gen.query_complexity, *spec.base_eigs, orders[0])
     except ValidationError:
         return None
 
@@ -279,7 +276,7 @@ def build_report(state: PureState, gen: JointGenerator, spec: ProcedureSpec | No
     if state.dim != gen.dim:
         raise UsageError(f"dimension mismatch: state {state.dim} vs generator {gen.dim}")
     expectation, variance = moments(state, gen.generator)
-    shifted = resource_count_shifted(state, gen)
+    shifted = _shifted_expectation(expectation, gen)
     stddev = float(np.sqrt(variance))
     bound_query = None
     bound_snl = None

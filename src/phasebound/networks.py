@@ -146,10 +146,6 @@ class QuantumNetwork:
     def boxes(self) -> tuple[BlackBox, ...]:
         return self.layers[1::2]
 
-    @property
-    def fixed_unitaries(self) -> tuple[np.ndarray, ...]:
-        return self.layers[0::2]
-
 
 def _box_unitary(box: BlackBox, phi: float) -> np.ndarray:
     spec = hermitian_eigensystem(box.base_generator)

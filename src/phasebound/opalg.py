@@ -2,17 +2,17 @@
 
 A ``HermitianOperator``'s form is decided once, when it is built, and
 ``is_diagonal`` reports it.  The diagonal form holds one real vector:
-``from_diagonal`` and ``identity`` build it, and ``shifted``, ``+`` and
-scalar ``*`` keep it when their inputs have it, so ``evolve``, ``moments``
-and the spectrum cost O(d) or O(d log d) and no d x d array exists.  Its
-``entries`` matrix, and the eigenvector matrix of its spectrum, are built
-only when a caller asks for them.  The dense form holds a d x d complex
-matrix checked for Hermiticity at construction, stays dense even when that
-matrix is diagonal, and takes its eigensystem from ``eigh`` unless the
-operator was built with it: a diagonal vector rotated site by site
-(``_rotated_diagonal``) knows its spectrum from that vector and the site
-unitary.  One kernel, ``_evolved``, applies exp(-i phi H) to a state for
-one phase or a batch of them; ``evolve`` is its one-phase case.
+``from_diagonal`` and ``identity`` build it, and ``shifted`` and scalar
+``*`` keep it, so ``evolve``, ``moments`` and the spectrum cost O(d) or
+O(d log d) and no d x d array exists.  Its ``entries`` matrix, and the
+eigenvector matrix of its spectrum, are built only when a caller asks for
+them.  The dense form holds a d x d complex matrix checked for Hermiticity
+at construction (a real scale of a checked matrix is not rescanned), stays
+dense even when that matrix is diagonal, and takes its eigensystem from
+``eigh`` unless the operator was built with it: a diagonal vector rotated
+site by site (``_rotated_diagonal``) knows its spectrum from that vector
+and the site unitary.  One kernel, ``_evolved``, applies exp(-i phi H) to a
+state for one phase or a batch of them; ``evolve`` is its one-phase case.
 
 Operators and states are immutable after construction and every operation is
 pure, so values can be shared freely between workers.  The tensor convention
@@ -189,20 +189,12 @@ class HermitianOperator(_Frozen):
             return HermitianOperator._of_vector(self._diagonal + offset)
         return HermitianOperator(self._matrix + offset * np.eye(self.dim))
 
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        if not isinstance(other, HermitianOperator):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise UsageError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self._diagonal is not None and other._diagonal is not None:
-            return HermitianOperator._of_vector(self._diagonal + other._diagonal)
-        return HermitianOperator(self.entries + other.entries)
-
     def __mul__(self, scalar: float) -> "HermitianOperator":
         s = float(scalar)
         if self._diagonal is not None:
             return HermitianOperator._of_vector(self._diagonal * s)
-        out = HermitianOperator(self._matrix * s)
+        # a real scale keeps the Hermiticity checked at construction, so the scan is not rerun
+        out = HermitianOperator(self._matrix * s, hermitian_tol=np.inf)
         if s > 0 and self._spectrum_cache:
             # a positive scale keeps the eigenvectors and their order
             spec = self._spectrum_cache[0]

@@ -3,26 +3,26 @@
 Four procedure kinds are supported.  ``linear`` applies one box per
 subsystem, ``kbody`` one box per size-k subset (tensor product of the base
 generator over the subset), ``exponential`` one box per nonempty subset, and
-``sequential-wrapped`` repeats an inner evolution T times, which scales the
+``sequential-wrapped`` repeats a linear evolution T times, which scales the
 generator and the query count by T.
 
 Every kind over a base u diag(w) u^dag is the site-wise rotation of one
-diagonal operator, a symmetric sum of the site values x_j (w read by site
-j): ``linear`` is e_1, ``kbody`` is e_k and ``exponential`` is
-e_1 + ... + e_N, where e_k is the elementary symmetric polynomial.  One
-recurrence over the sites builds e_1 .. e_k at O(N k d) with no subset
-enumerated, in a fixed order so results are reproducible bit for bit.  A
-diagonal base keeps that vector and builds no d x d matrix.  A non-diagonal
-base costs one ``eigh`` of the d_s x d_s base; the joint operator
-u^(xN) diag(v) u^(xN)^dag is then built site by site with its spectrum
-known, and no joint-space eigensolver runs.
+diagonal operator, T times a sum of elementary symmetric polynomials e_m of
+the site values x_j (w read by site j).  ``sum_orders`` states each kind's
+orders m and wrap count T once; its query count and closed-form extremes
+follow from them.  One recurrence over the sites builds e_1 .. e_k at
+O(N k d) with no subset enumerated, in a fixed order so results are
+reproducible bit for bit.  A diagonal base keeps that vector and builds no
+d x d matrix.  A non-diagonal base costs one ``eigh`` of the d_s x d_s base;
+the joint operator u^(xN) diag(v) u^(xN)^dag is then built site by site
+with its spectrum known, and no joint-space eigensolver runs.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,9 @@ from .opalg import (
 )
 
 KINDS = ("linear", "kbody", "exponential", "sequential-wrapped")
+_LOG_FLOAT_MAX = math.log(sys.float_info.max) + 1  # with one unit of slack for lgamma rounding
+# each optional ProcedureSpec field and the one kind that needs it
+_FIELD_KINDS = {"body_order": "kbody", "repetitions": "sequential-wrapped"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,22 +74,17 @@ class ProcedureSpec:
             raise ValidationError(f"base_eigs must satisfy lambda_max > lambda_min, got ({lo}, {hi})")
         if self.subsystem_dim < 2:
             raise ValidationError("subsystem_dim must be >= 2 to hold two distinct eigenvalues")
-        if self.kind == "kbody":
-            if self.body_order is None:
-                raise ValidationError("kbody needs body_order")
-            if self.body_order < 1:
-                raise ValidationError("body_order must be >= 1")
-            if self.body_order > self.n_systems:
-                raise UsageError(f"body_order {self.body_order} exceeds n_systems {self.n_systems}")
-        elif self.body_order is not None:
-            raise ValidationError(f"body_order applies to the kbody kind only, not {self.kind!r}")
-        if self.kind == "sequential-wrapped":
-            if self.repetitions is None:
-                raise ValidationError("sequential-wrapped needs repetitions")
-            if self.repetitions < 1:
-                raise ValidationError("repetitions must be >= 1")
-        elif self.repetitions is not None:
-            raise ValidationError(f"repetitions applies to the sequential-wrapped kind only, not {self.kind!r}")
+        for name, owner in _FIELD_KINDS.items():
+            value = getattr(self, name)
+            if self.kind != owner:
+                if value is not None:
+                    raise ValidationError(f"{name} applies to the {owner} kind only, not {self.kind!r}")
+            elif value is None:
+                raise ValidationError(f"{owner} needs {name}")
+            elif value < 1:
+                raise ValidationError(f"{name} must be >= 1")
+        if (k := sum_orders(self)[0][-1]) > self.n_systems:
+            raise UsageError(f"body_order {k} exceeds n_systems {self.n_systems}")
         object.__setattr__(self, "base_eigs", (lo, hi))
 
     @property
@@ -129,6 +127,15 @@ def base_diagonal(spec: ProcedureSpec) -> np.ndarray:
     return np.linspace(lo, hi, spec.subsystem_dim)
 
 
+def sum_orders(spec: ProcedureSpec) -> tuple[range, int]:
+    """The orders m of the symmetric sums e_m the kind adds, and its wrap count T."""
+    if spec.kind == "kbody":
+        return range(spec.body_order, spec.body_order + 1), 1
+    if spec.kind == "exponential":
+        return range(1, spec.n_systems + 1), 1
+    return range(1, 2), spec.repetitions or 1
+
+
 def _check_materialization(spec: ProcedureSpec) -> None:
     # subsystem_dim >= 2, so an n_systems past log2(DIM_CAP) is refused before the power is formed
     if spec.n_systems >= DIM_CAP.bit_length() or spec.dim > DIM_CAP:
@@ -167,13 +174,10 @@ def _joint_generator(spec: ProcedureSpec, base: HermitianOperator | None, kind: 
     else:
         site = hermitian_eigensystem(base)
         w, u = site.eigenvalues, site.eigenvectors
-    n = spec.n_systems
-    if spec.kind == "exponential":
-        # sum of e_k, not prod(1 + x_j) - 1, which loses bits to 1 + x_j and the final - 1
-        q, total = 2**n - 1, _symmetric_sums(w, n, n)[1:].sum(axis=0)
-    else:
-        k = spec.body_order or 1
-        q, total = math.comb(n, k), _symmetric_sums(w, n, k)[k]
+    n, orders = spec.n_systems, sum_orders(spec)[0]
+    # e_1 + ... + e_N for exponential, not prod(1 + x_j) - 1, which loses bits to 1 + x_j and the final - 1
+    total = _symmetric_sums(w, n, orders[-1])[orders.start:].sum(axis=0)
+    q = sum(math.comb(n, m) for m in orders)
     op = HermitianOperator.from_diagonal(total) if u is None else _rotated_diagonal(u, total, n)
     return JointGenerator(op, q)
 
@@ -205,15 +209,10 @@ def sequential_wrap(inner: JointGenerator, t: int) -> JointGenerator:
 
 
 def build_generator(spec: ProcedureSpec, base: HermitianOperator | None = None) -> JointGenerator:
-    """Dispatch on spec.kind; sequential-wrapped wraps the linear procedure."""
-    if spec.kind == "linear":
-        return linear_generator(spec, base)
-    if spec.kind == "kbody":
-        return kbody_generator(spec, base)
-    if spec.kind == "exponential":
-        return exponential_generator(spec, base)
-    inner = replace(spec, kind="linear", repetitions=None)
-    return sequential_wrap(linear_generator(inner, base), spec.repetitions)
+    """The kind's joint generator; sequential-wrapped wraps its linear sum T times."""
+    gen = _joint_generator(spec, base, spec.kind)
+    t = sum_orders(spec)[1]
+    return gen if t == 1 else sequential_wrap(gen, t)
 
 
 def from_network(net: QuantumNetwork, phi: float = 0.0) -> JointGenerator:
@@ -231,45 +230,32 @@ def from_network(net: QuantumNetwork, phi: float = 0.0) -> JointGenerator:
 def closed_form_extremes(spec: ProcedureSpec) -> tuple[int, float, float]:
     """Query count and extreme eigenvalues without constructing any matrix.
 
-    For subset products of degree two and higher the identification of the
-    extremes with powers of the base extremes needs lambda_min >= 0; negative
-    eigenvalues raised to even powers would reorder.  An extreme past float
-    range is a ValidationError.
+    (Q, h_min, h_max) is T times the sum over the kind's orders m of
+    C(N, m) (1, lambda_min^m, lambda_max^m), the symmetric sums at all-ones,
+    all-lambda_min and all-lambda_max sites, added with plain + (``sum``
+    compensates from Python 3.12).  An order of two or more needs
+    lambda_min >= 0: negative eigenvalues raised to even powers would
+    reorder.  An extreme past float range is a ValidationError.
     """
+    orders, t = sum_orders(spec)
+    lo, hi = spec.base_eigs
+    n = spec.n_systems
+    if orders[-1] >= 2 and lo < 0:
+        raise ValidationError(f"{spec.kind} closed form needs lambda_min >= 0, got {lo}")
+    q = h_lo = h_hi = 0
     try:
-        q, h_lo, h_hi = _closed_forms(spec)
+        for m in orders:
+            # a C(N, m) far past float range is refused before its digits are formed
+            if min(m, n - m) > 1 and math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1) > _LOG_FLOAT_MAX:
+                raise OverflowError
+            c = math.comb(n, m)
+            q, h_lo, h_hi = q + c, h_lo + c * lo**m, h_hi + c * hi**m
+        q, h_lo, h_hi = t * q, t * h_lo, t * h_hi
         if math.isfinite(h_lo) and math.isfinite(h_hi):
             return q, h_lo, h_hi
     except OverflowError:
         pass
     raise ValidationError(f"the {spec.kind} extremes leave float range")
-
-
-def _closed_forms(spec: ProcedureSpec) -> tuple[int, float, float]:
-    lo, hi = spec.base_eigs
-    n = spec.n_systems
-    if spec.kind == "linear":
-        return n, n * lo, n * hi
-    if spec.kind == "kbody":
-        k = spec.body_order
-        if k >= 2 and lo < 0:
-            raise ValidationError(f"kbody closed form needs lambda_min >= 0, got {lo}")
-        # a C(N, k) far past float range is refused before its digits are formed
-        if math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) > math.log(sys.float_info.max) + 1:
-            raise OverflowError
-        q = math.comb(n, k)
-        return q, q * lo**k, q * hi**k
-    if spec.kind == "exponential":
-        if lo < 0:
-            raise ValidationError(f"exponential closed form needs lambda_min >= 0, got {lo}")
-        # past N of about 1030 a C(N, j) overflows in the sums, before 2^N - 1 is formed
-        h_lo = sum(math.comb(n, j) * lo**j for j in range(1, n + 1))
-        h_hi = sum(math.comb(n, j) * hi**j for j in range(1, n + 1))
-        return 2**n - 1, h_lo, h_hi
-    inner = replace(spec, kind="linear", repetitions=None)
-    q, h_lo, h_hi = _closed_forms(inner)
-    t = spec.repetitions
-    return t * q, t * h_lo, t * h_hi
 
 
 def snl_baseline(spec: ProcedureSpec) -> tuple[float, float]:

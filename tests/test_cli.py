@@ -153,6 +153,24 @@ def test_compare_custom_base(capsys):
     assert float(line[4]) == pytest.approx(0.25)
 
 
+def test_compare_negative_base_in_equals_form(capsys):
+    # exponential at N = 1 adds e_1 only, so a negative lambda_min gives a row, as for linear
+    args = ["compare", "--kinds", "linear,kbody:2,exponential", "--n", "1,2", "--base=-0.5,1"]
+    assert cli.main(args) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",")[:3] for line in captured.out.strip().splitlines()[1:]]
+    assert rows == [["linear", "1", "1"], ["linear", "2", "2"], ["exponential", "1", "1"]]
+    assert captured.err.strip().splitlines() == [
+        "skipped kind=kbody:2 n=1: body_order 2 exceeds n_systems 1",
+        "skipped kind=kbody:2 n=2: kbody closed form needs lambda_min >= 0, got -0.5",
+        "skipped kind=exponential n=2: exponential closed form needs lambda_min >= 0, got -0.5",
+    ]
+    # written as a separate word, argparse reads -0.5,1 as an option and --base as missing its value
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--kinds", "linear", "--n", "1", "--base", "-0.5,1"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -618,6 +636,17 @@ def test_run_site_product_trial_at_n10_stays_small(tmp_path, monkeypatch):
     assert rc == 0
     assert peak < 128 * 2**20
     assert len(json.loads((tmp_path / "out" / "trial.json").read_text())["estimates"]) == 2
+
+
+def test_site_product_run_validates_the_site_once(tmp_path, monkeypatch):
+    import phasebound.metrology as metrology
+
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    original = metrology.validate_povm
+    monkeypatch.setattr(metrology, "validate_povm", lambda povm: calls.append(len(povm)) or original(povm))
+    assert cli.main(["run", str(SCENARIOS / "linear_n8_siteprod.json")]) == 0
+    assert calls == [2]
 
 
 # -------------------------------------------------- exit-code property test

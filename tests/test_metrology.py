@@ -1,12 +1,14 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from phasebound.errors import UsageError, ValidationError
+import phasebound.metrology as metrology
+from phasebound.errors import NumericalIntegrityError, UsageError, ValidationError
 from phasebound.estimation import optimal_povm
 from phasebound.metrology import (
     NO_SENSITIVITY,
@@ -315,6 +317,43 @@ def test_exponential_report_query_bound_matches_seminorm():
     rep = build_report(optimal_state(gen, 0.5), gen, spec)
     assert rep.bound_query == pytest.approx(1.0 / gen.seminorm, abs=1e-12)
     assert rep.bound_new_hl == pytest.approx(rep.bound_query, abs=1e-10)
+
+
+def test_report_computes_moments_once(monkeypatch):
+    spec = ProcedureSpec("kbody", 3, (0.1, 0.7), body_order=2)
+    gen = build_generator(spec)
+    state = evolve(optimal_state(gen, 0.3), gen.generator, 0.7)
+    before = build_report(state, gen, spec)
+    calls = []
+    monkeypatch.setattr(metrology, "moments", lambda *args: calls.append(args) or moments(*args))
+    after = build_report(state, gen, spec)
+    assert len(calls) == 1
+    assert after.to_dict() == before.to_dict()
+    assert after.expectation_shifted == resource_count_shifted(state, gen)
+
+
+def test_shifted_expectation_below_the_ground_state_is_an_integrity_error():
+    # a generator whose stated ground state sits above the probe's expectation
+    op = HermitianOperator.from_diagonal([0.0, 1.0])
+    gen = SimpleNamespace(generator=op, dim=2, h_min=0.5, seminorm=0.5, query_complexity=None)
+    state = PureState.basis_vector(2, 0)
+    with pytest.raises(NumericalIntegrityError, match="below the ground state"):
+        resource_count_shifted(state, gen)
+    with pytest.raises(NumericalIntegrityError, match="below the ground state"):
+        build_report(state, gen)
+
+
+@pytest.mark.parametrize("base", [(0.0, 1.0), (-0.5, 1.0)])
+def test_single_order_exponential_report_is_the_linear_one(base):
+    # at N = 1 exponential adds e_1 only, so its query bound is c_1 / Q, as for linear
+    reports = []
+    for kind in ("linear", "exponential"):
+        spec = ProcedureSpec(kind, 1, base)
+        gen = build_generator(spec)
+        reports.append(build_report(optimal_state(gen, 0.5), gen, spec).to_dict())
+    assert reports[1]["bound_query"] == reports[0]["bound_query"] == 1.0 / (base[1] - base[0])
+    reports[0].pop("bound_snl")
+    assert reports[1] == reports[0]
 
 
 # ------------------------------------------------------------------ mu sweeps

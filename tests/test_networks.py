@@ -290,7 +290,7 @@ def test_network_unitary_matches_expm_oracle():
 def test_network_unitary_matches_expm_oracle_with_pair_boxes(n, d, targets, phi):
     net = mixed_net(rng(42), n, d, targets)
     expected = net.layers[0]
-    for box, v in zip(net.boxes, net.fixed_unitaries[1:]):
+    for box, v in zip(net.boxes, net.layers[2::2]):
         expected = v @ scipy.linalg.expm(-1j * phi * dense_box(net, box)) @ expected
     assert_allclose(network_unitary(net, phi), expected, atol=1e-11)
 

@@ -1,5 +1,8 @@
+import csv
+import io
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from phasebound.cli import compare_procedures
 from phasebound.errors import UsageError, ValidationError
 from phasebound.networks import QuantumNetwork
 from phasebound.opalg import DIM_CAP, HermitianOperator, hermitian_eigensystem
 from phasebound.procedures import (
+    KINDS,
     JointGenerator,
     ProcedureSpec,
     build_generator,
@@ -85,6 +90,37 @@ def test_spec_repetitions_only_for_sequential():
         ProcedureSpec("linear", 2, (0.0, 1.0), repetitions=2)
     with pytest.raises(ValidationError):
         ProcedureSpec("sequential-wrapped", 2, (0.0, 1.0), repetitions=0)
+
+
+FIELD_OWNERS = {"body_order": "kbody", "repetitions": "sequential-wrapped"}
+
+
+def spec_with(kind, **fields):
+    own = {name: 2 for name, owner in FIELD_OWNERS.items() if owner == kind}
+    return ProcedureSpec(kind, 3, (0.0, 1.0), **{**own, **fields})
+
+
+@pytest.mark.parametrize("name, owner", FIELD_OWNERS.items())
+def test_spec_field_is_required_by_its_kind(name, owner):
+    assert getattr(spec_with(owner), name) == 2
+    with pytest.raises(ValidationError, match=f"^{owner} needs {name}$"):
+        spec_with(owner, **{name: None})
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name, owner", FIELD_OWNERS.items())
+def test_spec_field_must_be_at_least_one(name, owner, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be >= 1$"):
+        spec_with(owner, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, owner, kind",
+    [(name, owner, kind) for name, owner in FIELD_OWNERS.items() for kind in KINDS if kind != owner],
+)
+def test_spec_field_is_refused_on_every_other_kind(name, owner, kind):
+    with pytest.raises(ValidationError, match=f"^{name} applies to the {owner} kind only, not '{kind}'$"):
+        spec_with(kind, **{name: 1})
 
 
 def test_spec_base_eigs_must_ascend():
@@ -284,6 +320,18 @@ def test_sequential_wrap_rejects_bad_repetitions():
             sequential_wrap(gen, t)
 
 
+def test_real_scale_of_a_checked_matrix_is_not_rescanned():
+    # the scaled rounding asymmetry, 1.1e-8 at 10**8, is past the absolute 1e-9 scan tolerance
+    u = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
+    inner = JointGenerator(HermitianOperator(u @ np.diag([0.0, 1, 2, 3]) @ u.T), 1)
+    wrapped = sequential_wrap(inner, 10**8)
+    assert wrapped.query_complexity == 10**8
+    spec = hermitian_eigensystem(inner.generator)
+    assert_allclose(hermitian_eigensystem(wrapped.generator).eigenvalues, 1e8 * spec.eigenvalues, rtol=0, atol=0)
+    assert np.array_equal(hermitian_eigensystem(wrapped.generator).eigenvectors, spec.eigenvectors)
+    assert (wrapped.h_min, wrapped.h_max) == (1e8 * inner.h_min, 1e8 * inner.h_max)
+
+
 def test_build_generator_sequential_spec_wraps_linear():
     spec = ProcedureSpec("sequential-wrapped", 1, (0.0, 1.0), repetitions=5)
     gen = build_generator(spec)
@@ -418,6 +466,30 @@ def test_closed_form_examples():
     assert (q, lo, hi) == (7, 0.0, 7.0)
 
 
+GOLDEN_COMPARE = Path(__file__).parent / "data" / "compare_golden.csv"
+GOLDEN_KINDS = ["linear", "kbody:1", "kbody:2", "kbody:3", "exponential", "sequential:1", "sequential:3"]
+GOLDEN_NS = [1, 2, 3, 5, 8, 13, 64, 100, 1000, 2000]
+GOLDEN_BASES = [(0.0, 1.0), (0.1, 0.7), (-0.5, 1.0), (0.3, 2.9)]
+
+
+def compare_golden_text():
+    """``compare_procedures`` rows and skip notes over the golden grid; floats by repr, so every bit shows."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["lambda_min", "lambda_max", "kind", "n", "q", "seminorm", "bound_query", "bound_snl", "skipped"])
+    for lo, hi in GOLDEN_BASES:
+        rows, skipped = compare_procedures(GOLDEN_NS, GOLDEN_KINDS, (lo, hi))
+        for token, n, q, seminorm, bound_query, snl in rows:
+            writer.writerow([repr(lo), repr(hi), token, n, q, repr(seminorm), repr(bound_query), snl, ""])
+        for note in skipped:
+            writer.writerow([repr(lo), repr(hi), "", "", "", "", "", "", note])
+    return out.getvalue()
+
+
+def test_compare_rows_match_the_golden_capture():
+    assert compare_golden_text() == GOLDEN_COMPARE.read_text(encoding="utf-8")
+
+
 def test_closed_form_matches_construction():
     bases = ((0.0, 1.0), (0.2, 0.9), (0.0, 0.5))
     for base in bases:
@@ -461,6 +533,14 @@ def test_closed_form_refuses_extremes_past_float_range(monkeypatch):
     monkeypatch.setattr(math, "comb", lambda n, k: pytest.fail("C(N, k) was formed"))
     with pytest.raises(ValidationError, match="float range"):
         closed_form_extremes(ProcedureSpec("kbody", 10**6, (0.0, 1.0), body_order=5 * 10**5))
+
+
+def test_first_order_sums_skip_the_binomial_guard():
+    # C(N, 1) = N has few digits; lgamma(N + 1) - lgamma(N) loses every digit at N = 10**23
+    n = 10**23
+    linear = closed_form_extremes(ProcedureSpec("linear", n, (0.0, 1.0)))
+    assert linear == (n, 0.0, 1e23)
+    assert closed_form_extremes(ProcedureSpec("kbody", n, (0.0, 1.0), body_order=1)) == linear
 
 
 def test_closed_form_requires_nonnegative_base_for_products():
