@@ -25,8 +25,10 @@ from .estimation import TrialConfig, _parity_elements, optimal_povm, precision_t
 from .metrology import Measurement, build_report, mu_sweep
 from .opalg import DIM_CAP, HermitianOperator, evolve, hermitian_eigensystem
 from .procedures import (
+    KINDS,
     JointGenerator,
     ProcedureSpec,
+    _FIELD_KINDS,
     base_diagonal,
     build_generator,
     closed_form_extremes,
@@ -367,25 +369,24 @@ def _parse_number(text: str, cast, label: str):
         raise UsageError(f"{label} must be {noun}, got {text!r}") from None
 
 
+# each compare token name and its kind: "sequential" names sequential-wrapped
+_KIND_TOKENS = {kind.partition("-")[0]: kind for kind in KINDS}
+
+
 def _parse_kind_token(token: str) -> tuple[str, dict]:
+    """The ProcedureSpec fields of a compare token: a kind name, then ":integer" if the kind has a field."""
     name, _, arg = token.partition(":")
-    if name == "linear":
+    kind = _KIND_TOKENS.get(name)
+    if kind is None:
+        raise UsageError(f"unknown kind token {token!r}")
+    field = next((f for f, owner in _FIELD_KINDS.items() if owner == kind), None)
+    if field is None:
         if arg:
-            raise UsageError(f"linear takes no argument, got {token!r}")
-        return token, {"kind": "linear"}
-    if name == "kbody":
-        if not arg:
-            raise UsageError("kbody needs an order, e.g. kbody:2")
-        return token, {"kind": "kbody", "body_order": _parse_number(arg, int, "kbody order")}
-    if name == "exponential":
-        if arg:
-            raise UsageError(f"exponential takes no argument, got {token!r}")
-        return token, {"kind": "exponential"}
-    if name == "sequential":
-        if not arg:
-            raise UsageError("sequential needs a repetition count, e.g. sequential:3")
-        return token, {"kind": "sequential-wrapped", "repetitions": _parse_number(arg, int, "repetition count")}
-    raise UsageError(f"unknown kind token {token!r}")
+            raise UsageError(f"{name} takes no argument, got {token!r}")
+        return token, {"kind": kind}
+    if not arg:
+        raise UsageError(f"{name} needs its {field}, e.g. {name}:2")
+    return token, {"kind": kind, field: _parse_number(arg, int, f"{name} {field}")}
 
 
 def compare_procedures(n_range: list[int], kind_tokens: list[str], base_eigs=(0.0, 1.0)):

@@ -246,10 +246,11 @@ def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperat
         if pos > 1:  # no term reads V_0^dag O_1^dag W_1^dag
             o_dag = _box_unitary(box, phi).conj().T
             w_dag = net.layers[pos - 1].conj().T @ _apply_on_sites(o_dag, sites, w_dag, n, d)
-    terms = [HermitianOperator(t, hermitian_tol=1e-8) for t in reversed(terms_rev)]
+    tol = 1e-8 * _generator_scale(net)  # rounding grows with the box eigenvalues
+    terms = [HermitianOperator(t, hermitian_tol=tol) for t in reversed(terms_rev)]
     total = np.zeros((dim, dim), dtype=complex)
     for t in terms:
         total += t.entries
-    total = HermitianOperator(total, hermitian_tol=1e-8)
+    total = HermitianOperator(total, hermitian_tol=tol)
     net._analytic_memo[:] = [(_phi_key(phi), total)]
     return total, terms

@@ -2,12 +2,11 @@
 
 A ``HermitianOperator``'s form is decided once, when it is built, and
 ``is_diagonal`` reports it.  The diagonal form holds one real vector:
-``from_diagonal`` and ``identity`` build it, and ``shifted`` and scalar
-``*`` keep it, so ``evolve``, ``moments`` and the spectrum cost O(d) or
-O(d log d) and no d x d array exists.  Its ``entries`` matrix, and the
-eigenvector matrix of its spectrum, are built only when a caller asks for
-them.  The dense form holds a d x d complex matrix checked for Hermiticity
-at construction (a real scale of a checked matrix is not rescanned), stays
+``from_diagonal`` and ``identity`` build it, and ``shifted`` keeps it, so
+``evolve``, ``moments`` and the spectrum cost O(d) or O(d log d) and no
+d x d array exists.  Its ``entries`` matrix, and the eigenvector matrix of
+its spectrum, are built only when a caller asks for them.  The dense form
+holds a d x d complex matrix checked for Hermiticity at construction, stays
 dense even when that matrix is diagonal, and takes its eigensystem from
 ``eigh`` unless the operator was built with it: a diagonal vector rotated
 site by site (``_rotated_diagonal``) knows its spectrum from that vector
@@ -188,20 +187,6 @@ class HermitianOperator(_Frozen):
         if self._diagonal is not None:
             return HermitianOperator._of_vector(self._diagonal + offset)
         return HermitianOperator(self._matrix + offset * np.eye(self.dim))
-
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        s = float(scalar)
-        if self._diagonal is not None:
-            return HermitianOperator._of_vector(self._diagonal * s)
-        # a real scale keeps the Hermiticity checked at construction, so the scan is not rerun
-        out = HermitianOperator(self._matrix * s, hermitian_tol=np.inf)
-        if s > 0 and self._spectrum_cache:
-            # a positive scale keeps the eigenvectors and their order
-            spec = self._spectrum_cache[0]
-            out._spectrum_cache.append(Spectrum(spec.eigenvalues * s, spec.eigenvectors))
-        return out
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         form = "diagonal" if self._diagonal is not None else "dense"
@@ -409,7 +394,8 @@ def _rotated_diagonal(u: np.ndarray, values: np.ndarray, n: int) -> HermitianOpe
     U^(xn)^dag): n site-kernel passes of u, one per axis, at O(n d^2 d_s),
     with no transpose copy per pass.  The spectrum is known by construction and
     cached: the eigenvalues are ``values`` stably sorted, and eigenvector i is
-    the matching column of U^(xn).
+    the matching column of U^(xn).  The Hermiticity scan allows 1e-8 relative
+    to the largest |value|, the scale of the rounding in the products.
     """
     vectors = u
     for _ in range(n - 1):
@@ -418,7 +404,7 @@ def _rotated_diagonal(u: np.ndarray, values: np.ndarray, n: int) -> HermitianOpe
     np.conj(x, out=x)  # diag(values) U^(xn)^dag, laid out by row for the site passes
     for site in range(n):
         x = _apply_on_sites(u, (site,), x, n, u.shape[0])
-    op = HermitianOperator(x, hermitian_tol=1e-8)
+    op = HermitianOperator(x, hermitian_tol=1e-8 * max(1.0, float(np.abs(values).max())))
     order = np.argsort(values, kind="stable")
     op._spectrum_cache.append(Spectrum(values[order], vectors[:, order]))
     return op

@@ -3,8 +3,8 @@
 Four procedure kinds are supported.  ``linear`` applies one box per
 subsystem, ``kbody`` one box per size-k subset (tensor product of the base
 generator over the subset), ``exponential`` one box per nonempty subset, and
-``sequential-wrapped`` repeats a linear evolution T times, which scales the
-generator and the query count by T.
+``sequential-wrapped`` sends one probe T times through a linear evolution,
+which multiplies the generator and the query count by T.
 
 Every kind over a base u diag(w) u^dag is the site-wise rotation of one
 diagonal operator, T times a sum of elementary symmetric polynomials e_m of
@@ -12,10 +12,12 @@ the site values x_j (w read by site j).  ``sum_orders`` states each kind's
 orders m and wrap count T once; its query count and closed-form extremes
 follow from them.  One recurrence over the sites builds e_1 .. e_k at
 O(N k d) with no subset enumerated, in a fixed order so results are
-reproducible bit for bit.  A diagonal base keeps that vector and builds no
-d x d matrix.  A non-diagonal base costs one ``eigh`` of the d_s x d_s base;
-the joint operator u^(xN) diag(v) u^(xN)^dag is then built site by site
-with its spectrum known, and no joint-space eigensolver runs.
+reproducible bit for bit, and T multiplies that vector before any operator
+is built, so every kind takes the one construction path.  A diagonal base
+keeps the vector and builds no d x d matrix.  A non-diagonal base costs one
+``eigh`` of the d_s x d_s base; the joint operator u^(xN) diag(v)
+u^(xN)^dag is then built site by site with its spectrum known, and no
+joint-space eigensolver runs.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .opalg import (
 )
 
 KINDS = ("linear", "kbody", "exponential", "sequential-wrapped")
-_LOG_FLOAT_MAX = math.log(sys.float_info.max) + 1  # with one unit of slack for lgamma rounding
+_LOG_FLOAT_MAX = math.log(sys.float_info.max) + 1  # with one unit of slack for rounding of the log bound
 # each optional ProcedureSpec field and the one kind that needs it
 _FIELD_KINDS = {"body_order": "kbody", "repetitions": "sequential-wrapped"}
 
@@ -174,10 +176,14 @@ def _joint_generator(spec: ProcedureSpec, base: HermitianOperator | None, kind: 
     else:
         site = hermitian_eigensystem(base)
         w, u = site.eigenvalues, site.eigenvectors
-    n, orders = spec.n_systems, sum_orders(spec)[0]
+    n, (orders, t) = spec.n_systems, sum_orders(spec)
     # e_1 + ... + e_N for exponential, not prod(1 + x_j) - 1, which loses bits to 1 + x_j and the final - 1
     total = _symmetric_sums(w, n, orders[-1])[orders.start:].sum(axis=0)
-    q = sum(math.comb(n, m) for m in orders)
+    # an int compares with a Python float exactly, so a T past float range is refused without converting it
+    if t > sys.float_info.max / max(float(np.abs(total).max()), 1.0):
+        raise ValidationError("the repetition count takes the generator's extremes past float range")
+    total *= float(t)
+    q = t * sum(math.comb(n, m) for m in orders)
     op = HermitianOperator.from_diagonal(total) if u is None else _rotated_diagonal(u, total, n)
     return JointGenerator(op, q)
 
@@ -197,22 +203,9 @@ def exponential_generator(spec: ProcedureSpec, base: HermitianOperator | None = 
     return _joint_generator(spec, base, "exponential")
 
 
-def sequential_wrap(inner: JointGenerator, t: int) -> JointGenerator:
-    """Repeat the inner evolution t times: generator, extremes and Q all scale by t."""
-    if t < 1:
-        raise UsageError(f"repetition count must be >= 1, got {t}")
-    # an int compares with a float exactly, so a t past float range is refused without converting it
-    if t > sys.float_info.max / max(abs(inner.h_min), abs(inner.h_max), 1.0):
-        raise ValidationError("the repetition count takes the generator's extremes past float range")
-    q = None if inner.query_complexity is None else t * inner.query_complexity
-    return JointGenerator(inner.generator * t, q)
-
-
 def build_generator(spec: ProcedureSpec, base: HermitianOperator | None = None) -> JointGenerator:
-    """The kind's joint generator; sequential-wrapped wraps its linear sum T times."""
-    gen = _joint_generator(spec, base, spec.kind)
-    t = sum_orders(spec)[1]
-    return gen if t == 1 else sequential_wrap(gen, t)
+    """The joint generator of the spec's kind."""
+    return _joint_generator(spec, base, spec.kind)
 
 
 def from_network(net: QuantumNetwork, phi: float = 0.0) -> JointGenerator:
@@ -245,8 +238,9 @@ def closed_form_extremes(spec: ProcedureSpec) -> tuple[int, float, float]:
     q = h_lo = h_hi = 0
     try:
         for m in orders:
-            # a C(N, m) far past float range is refused before its digits are formed
-            if min(m, n - m) > 1 and math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1) > _LOG_FLOAT_MAX:
+            # a C(N, m) past float range is refused before its digits are formed, by C(N, m) >= (N/j)^j
+            j = min(m, n - m)
+            if j and j * (math.log(n) - math.log(j)) > _LOG_FLOAT_MAX:
                 raise OverflowError
             c = math.comb(n, m)
             q, h_lo, h_hi = q + c, h_lo + c * lo**m, h_hi + c * hi**m

@@ -171,14 +171,19 @@ def test_compare_negative_base_in_equals_form(capsys):
     assert exc.value.code == 2
 
 
+# a field where the kind has none, no field where it needs one, an unknown name
+MALFORMED_KIND_TOKENS = ["linear:3", "exponential:1", "kbody", "sequential", "bogus:2"]
+
+
 @pytest.mark.parametrize(
     "args",
     [
         ["compare", "--kinds", "linear", "--n", "abc"],
         ["compare", "--kinds", "kbody:x", "--n", "2"],
         ["compare", "--kinds", "linear", "--n", "2", "--base", "a,b"],
+        *(["compare", "--kinds", token, "--n", "2"] for token in MALFORMED_KIND_TOKENS),
     ],
-    ids=["n", "kbody-order", "base"],
+    ids=["n", "kbody-order", "base", *MALFORMED_KIND_TOKENS],
 )
 def test_compare_malformed_number_exits_3_without_output(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)

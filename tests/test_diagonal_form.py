@@ -18,7 +18,6 @@ from phasebound.procedures import (
     ProcedureSpec,
     build_generator,
     closed_form_extremes,
-    sequential_wrap,
 )
 from phasebound.states import optimal_state
 from util import dense_diagonal_operator, random_state_vector, rng, subset_product_diagonal
@@ -71,11 +70,11 @@ def assert_reports_close(a, b):
 
 def test_algebra_keeps_the_diagonal_form():
     op = HermitianOperator.from_diagonal([0.0, 1.0, 3.0])
-    wrapped = sequential_wrap(JointGenerator(op, 1), 2).generator
-    for out in (op, HermitianOperator.identity(3), op.shifted(2.0), 3.0 * op, op * 3.0, wrapped):
+    wrapped = build_generator(ProcedureSpec("sequential-wrapped", 1, (0.0, 3.0), repetitions=2)).generator
+    for out in (op, HermitianOperator.identity(3), op.shifted(2.0), wrapped):
         assert out.is_diagonal
         assert out._matrix is None
-    assert_allclose(wrapped.diagonal, [0.0, 2.0, 6.0])
+    assert_allclose(wrapped.diagonal, [0.0, 6.0])
 
 
 def test_dense_matrix_stays_dense_and_runs_eigh(monkeypatch):

@@ -472,6 +472,21 @@ def test_generator_analytic_term_spectra_fixed_by_base():
             assert_allclose(np.linalg.eigvalsh(term.entries), embedded[site], atol=1e-8)
 
 
+def test_generator_analytic_tolerance_follows_the_box_scale():
+    # at eigenvalues near 1e8 the conjugations round past an absolute 1e-8
+    g = rng(40)
+    n = 6
+    u = random_unitary(g, 2)
+    b = (u * np.array([1e8, 1.5e8])) @ u.conj().T
+    base = HermitianOperator((b + b.conj().T) / 2)
+    layers = [random_unitary(g, 2**n)]
+    for site in range(n):
+        layers += [BlackBox(base, (site,)), random_unitary(g, 2**n)]
+    total, _ = generator_analytic(QuantumNetwork(n, 2, tuple(layers)), 0.3)
+    expected = n * 2 ** (n - 1) * np.trace(base.entries).real
+    assert np.trace(total.entries).real == pytest.approx(expected, rel=1e-9)
+
+
 def test_generator_analytic_global_prefix_is_inert():
     g = rng(31)
     net = random_net(g, 3)

@@ -163,7 +163,6 @@ def test_from_diagonal_and_identity():
 def test_shifted_add_scale():
     op = HermitianOperator.from_diagonal([0.0, 1.0])
     assert_allclose(op.shifted(2.0).entries, np.diag([2.0 + 0j, 3.0]))
-    assert_allclose((3.0 * op).entries, np.diag([0j, 3.0]))
 
 
 def test_state_requires_normalization():
@@ -224,18 +223,6 @@ def test_eigensystem_diagonal_fast_path_is_stable():
 def test_eigensystem_is_cached():
     op = HermitianOperator.from_diagonal([0.0, 2.0])
     assert hermitian_eigensystem(op) is hermitian_eigensystem(op)
-
-
-def test_positive_scale_keeps_cached_spectrum():
-    g = rng(14)
-    op = HermitianOperator(random_hermitian(g, 4))
-    spec = hermitian_eigensystem(op)
-    scaled = hermitian_eigensystem(op * 2.5)
-    assert_allclose(scaled.eigenvalues, 2.5 * spec.eigenvalues, rtol=0, atol=0)
-    assert_allclose(scaled.eigenvectors, spec.eigenvectors, rtol=0, atol=0)
-    # a negative scale reverses the order, so its spectrum is computed afresh
-    flipped = hermitian_eigensystem(op * -1.0)
-    assert_allclose(flipped.eigenvalues, -spec.eigenvalues[::-1], atol=1e-12)
 
 
 # ---------------------------------------------------------------- site kernels

@@ -24,7 +24,6 @@ from phasebound.procedures import (
     from_network,
     kbody_generator,
     linear_generator,
-    sequential_wrap,
     snl_baseline,
 )
 from util import kron_all, random_unitary, rng
@@ -302,34 +301,50 @@ def test_symmetric_sums_match_enumeration_at_every_order(name, n):
 # ----------------------------------------------------------------- sequential
 
 def test_sequential_wrap_scales_everything():
-    inner = linear_generator(ProcedureSpec("linear", 2, (0.0, 1.0)))
-    wrapped = sequential_wrap(inner, 3)
+    # T multiplies the linear sum vector before the operator is built
+    linear = build_generator(ProcedureSpec("linear", 2, (0.0, 1.0)))
+    wrapped = build_generator(ProcedureSpec("sequential-wrapped", 2, (0.0, 1.0), repetitions=3))
     assert wrapped.query_complexity == 6
-    assert wrapped.h_max == pytest.approx(6.0)
-    assert_allclose(wrapped.generator.entries, 3.0 * inner.generator.entries)
-    assert_allclose(sequential_wrap(inner, 1).generator.entries, inner.generator.entries)
+    assert wrapped.h_max == 6.0
+    assert np.array_equal(wrapped.generator.diagonal, 3.0 * linear.generator.diagonal)
+    once = build_generator(ProcedureSpec("sequential-wrapped", 2, (0.0, 1.0), repetitions=1))
+    assert np.array_equal(once.generator.diagonal, linear.generator.diagonal)
 
 
 def test_sequential_wrap_rejects_bad_repetitions():
-    inner = linear_generator(ProcedureSpec("linear", 1, (0.0, 1.0)))
-    with pytest.raises(UsageError):
-        sequential_wrap(inner, 0)
-    wide = linear_generator(ProcedureSpec("linear", 4, (0.0, 1.0)))
-    for gen, t in ((inner, 10**400), (wide, 10**308)):  # past float range, and past it once scaled by h_max = 4
+    with pytest.raises(ValidationError, match="repetitions must be >= 1"):
+        ProcedureSpec("sequential-wrapped", 1, (0.0, 1.0), repetitions=0)
+    # past float range, and past it once scaled by h_max = 4
+    for n, t in ((1, 10**400), (4, 10**308)):
         with pytest.raises(ValidationError, match="float range"):
-            sequential_wrap(gen, t)
+            build_generator(ProcedureSpec("sequential-wrapped", n, (0.0, 1.0), repetitions=t))
 
 
-def test_real_scale_of_a_checked_matrix_is_not_rescanned():
-    # the scaled rounding asymmetry, 1.1e-8 at 10**8, is past the absolute 1e-9 scan tolerance
-    u = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
-    inner = JointGenerator(HermitianOperator(u @ np.diag([0.0, 1, 2, 3]) @ u.T), 1)
-    wrapped = sequential_wrap(inner, 10**8)
-    assert wrapped.query_complexity == 10**8
-    spec = hermitian_eigensystem(inner.generator)
-    assert_allclose(hermitian_eigensystem(wrapped.generator).eigenvalues, 1e8 * spec.eigenvalues, rtol=0, atol=0)
-    assert np.array_equal(hermitian_eigensystem(wrapped.generator).eigenvectors, spec.eigenvectors)
-    assert (wrapped.h_min, wrapped.h_max) == (1e8 * inner.h_min, 1e8 * inner.h_max)
+def test_sequential_wrap_over_a_rotated_base_needs_no_joint_eigh(monkeypatch):
+    # the rounding asymmetry of U D U^dag grows with D, past an absolute 1e-8 at T = 10**8
+    u = random_unitary(rng(7), 2)
+    base = HermitianOperator(u @ np.diag([0.0, 1.0]) @ u.conj().T)
+    once = build_generator(ProcedureSpec("sequential-wrapped", 3, (0.0, 1.0), repetitions=1), base)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    wrapped = build_generator(ProcedureSpec("sequential-wrapped", 3, (0.0, 1.0), repetitions=10**8), base)
+    assert not wrapped.generator.is_diagonal
+    assert wrapped.query_complexity == 3 * 10**8
+    spec = hermitian_eigensystem(once.generator)
+    assert np.array_equal(hermitian_eigensystem(wrapped.generator).eigenvalues, 1e8 * spec.eigenvalues)
+    assert (wrapped.h_min, wrapped.h_max) == (1e8 * once.h_min, 1e8 * once.h_max)
+    assert calls == []
+
+
+def test_rotated_build_checks_hermiticity_relative_to_its_values():
+    # U D U^dag at N = 8 over eigenvalues up to 8e8 rounds past an absolute 1e-8
+    u = random_unitary(rng(8), 2)
+    b = u @ np.diag([0.0, 1e8]) @ u.conj().T
+    base = HermitianOperator((b + b.conj().T) / 2)
+    gen = build_generator(ProcedureSpec("linear", 8, (0.0, 1e8)), base)
+    assert gen.h_max == pytest.approx(8e8, rel=1e-12)
+    assert gen.h_min == pytest.approx(0.0, abs=1e-6)
 
 
 def test_build_generator_sequential_spec_wraps_linear():
@@ -536,11 +551,18 @@ def test_closed_form_refuses_extremes_past_float_range(monkeypatch):
 
 
 def test_first_order_sums_skip_the_binomial_guard():
-    # C(N, 1) = N has few digits; lgamma(N + 1) - lgamma(N) loses every digit at N = 10**23
+    # C(N, 1) = N has few digits, and its bound N^1 is far inside float range
     n = 10**23
     linear = closed_form_extremes(ProcedureSpec("linear", n, (0.0, 1.0)))
     assert linear == (n, 0.0, 1e23)
     assert closed_form_extremes(ProcedureSpec("kbody", n, (0.0, 1.0), body_order=1)) == linear
+
+
+def test_binomial_guard_passes_a_pair_count_that_fits():
+    # log C(10**23, 2) is 105.2; the guard's lower bound 2 log(N / 2) never reads more
+    n = 10**23
+    spec = ProcedureSpec("kbody", n, (0.0, 1e-40), body_order=2)
+    assert closed_form_extremes(spec) == (math.comb(n, 2), 0.0, math.comb(n, 2) * 1e-40**2)
 
 
 def test_closed_form_requires_nonnegative_base_for_products():
