@@ -58,10 +58,8 @@ from .procedures import (
     ProcedureSpec,
     build_generator,
     closed_form_extremes,
-    exponential_generator,
     from_network,
     kbody_generator,
-    linear_generator,
     snl_baseline,
 )
 from .states import (
@@ -102,7 +100,6 @@ __all__ = [
     "closed_form_extremes",
     "coherent_state",
     "evolve",
-    "exponential_generator",
     "from_network",
     "generator_analytic",
     "generator_numeric",
@@ -110,7 +107,6 @@ __all__ = [
     "heisenberg_bound_stddev",
     "hermitian_eigensystem",
     "kbody_generator",
-    "linear_generator",
     "mle_estimate",
     "mode_number_generator",
     "moments",

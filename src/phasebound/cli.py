@@ -2,7 +2,10 @@
 
 Scenario files are JSON with a versioned schema field.  All artifacts are
 written with canonical formatting (sorted JSON keys, 15-significant-digit
-floats, '.' decimal separator) so repeated runs are byte-identical.
+floats, '.' decimal separator) so repeated runs are byte-identical.  The
+tables ``_SECTIONS``, ``_STATE_KINDS``, ``_POVMS`` and ``_OUTPUTS`` are the
+scenario schema: keys, types, messages and dispatch are read from them, so
+a new field, kind, token or output type is one row.
 
 Exit codes: 0 success, 2 parse failure, 3 validation failure, 4 numerical
 integrity failure.  Each failure prints a one-line prefixed reason on
@@ -45,44 +48,18 @@ from .states import (
 )
 
 SCHEMA = "metrology-scenario/1"
-_PROCEDURE_KEYS = {"kind", "n_systems", "base_eigs", "body_order", "repetitions", "subsystem_dim"}
-_STATE_KEYS = {"kind", "mu", "rel_phase", "n_photons", "alpha", "cutoff"}
-_TRIAL_KEYS = {"phi_true", "shots_per_trial", "n_trials", "rng_seed", "search_interval", "povm"}
-_SCENARIO_KEYS = {"schema", "name", "procedure", "state", "phi", "trial", "outputs"}
+# each section: its required fields, and the JSON type of every field it allows
+_SECTIONS = {
+    "state": (("kind",), {"kind": "string", "mu": "number", "rel_phase": "number", "n_photons": "integer",
+                          "alpha": "complex", "cutoff": "integer"}),
+    "procedure": (("kind", "n_systems", "base_eigs"), {"kind": "string", "n_systems": "integer", "base_eigs": "pair",
+                  "body_order": "integer", "repetitions": "integer", "subsystem_dim": "integer"}),
+    "trial": (("phi_true", "shots_per_trial", "n_trials", "rng_seed", "search_interval"),
+              {"phi_true": "number", "shots_per_trial": "integer", "n_trials": "integer", "rng_seed": "integer",
+               "search_interval": "pair", "povm": "string"}),
+}
+_SCENARIO_KEYS = {"schema", "name", "phi", "outputs", *_SECTIONS}
 _OUTPUT_KEYS = {"type", "path", "grid"}
-_REQUIRED_KEYS = {
-    "procedure": ("kind", "n_systems", "base_eigs"),
-    "state": ("kind",),
-    "trial": ("phi_true", "shots_per_trial", "n_trials", "rng_seed", "search_interval"),
-}
-# JSON type of every typed field; each key means the same in every section it appears in
-_FIELD_TYPES = {
-    "kind": "string",
-    "povm": "string",
-    "n_systems": "integer",
-    "body_order": "integer",
-    "repetitions": "integer",
-    "subsystem_dim": "integer",
-    "n_photons": "integer",
-    "cutoff": "integer",
-    "shots_per_trial": "integer",
-    "n_trials": "integer",
-    "rng_seed": "integer",
-    "mu": "number",
-    "rel_phase": "number",
-    "phi_true": "number",
-    "base_eigs": "pair",
-    "search_interval": "pair",
-    "alpha": "complex",
-}
-# the fields each state kind needs, and the message when one is absent or null;
-# their ranges are checked by the state constructors
-_STATE_FIELDS = {
-    "optimal_mu": (("mu",), "optimal_mu needs mu"),
-    "noon": (("n_photons",), "noon needs n_photons >= 1"),
-    "product_balanced": ((), ""),
-    "coherent": (("alpha", "cutoff"), "coherent needs alpha and cutoff"),
-}
 
 
 def format_float(x: float) -> str:
@@ -93,12 +70,8 @@ def format_float(x: float) -> str:
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, fixed float formatting, compact separators."""
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if obj is None:
-        return "null"
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -113,19 +86,14 @@ def canonical_json(obj) -> str:
     raise UsageError(f"cannot serialize {type(obj).__name__}")
 
 
+def _csv_cell(cell) -> str:
+    if isinstance(cell, str):
+        return cell
+    return str(int(cell)) if isinstance(cell, (int, np.integer)) else format_float(float(cell))
+
+
 def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(format_float(float(cell)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]) + "\n"
 
 
 def _expect_dict(value, label: str) -> dict:
@@ -157,24 +125,21 @@ def _is_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)
 
 
-def _check_fields(section: dict, label: str) -> None:
-    # typed parse: every field has its JSON type before any constructor runs
-    for key in _REQUIRED_KEYS.get(label, ()):
-        if key not in section:
-            raise ParseError(f"{label} section is missing {key!r}")
-    for key, value in section.items():
-        kind = _FIELD_TYPES.get(key)
-        if kind == "string" and not isinstance(value, str):
-            raise ParseError(f"{label} {key} must be a string, got {value!r}")
-        if kind == "integer" and not _is_integer(value):
-            raise ParseError(f"{label} {key} must be an integer, got {value!r}")
-        if kind == "number" and not _is_number(value):
-            raise ParseError(f"{label} {key} must be a finite number, got {value!r}")
-        if kind == "pair" and not _is_pair(value):
-            raise ParseError(f"{label} {key} must be a pair of finite numbers, got {value!r}")
-        # a null alpha reads as an absent one
-        if kind == "complex" and not (value is None or _is_number(value) or _is_pair(value)):
-            raise ParseError(f"{label} {key} must be a finite number or a [re, im] pair, got {value!r}")
+# each JSON type: its test, and the noun a violation message names
+_TYPES = {
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "integer": (_is_integer, "an integer"),
+    "number": (_is_number, "a finite number"),
+    "pair": (_is_pair, "a pair of finite numbers"),
+    # a null alpha reads as an absent one
+    "complex": (lambda v: v is None or _is_number(v) or _is_pair(v), "a finite number or a [re, im] pair"),
+}
+
+
+def _either(names) -> str:
+    """'a, b or c' for the names in order."""
+    *head, last = names
+    return f"{', '.join(head)} or {last}" if head else last
 
 
 def load_scenario(path: str) -> dict:
@@ -193,11 +158,18 @@ def load_scenario(path: str) -> dict:
         raise ParseError("scenario needs a string name")
     if "state" not in raw:
         raise ParseError("scenario needs a state section")
-    for label, allowed in (("state", _STATE_KEYS), ("procedure", _PROCEDURE_KEYS), ("trial", _TRIAL_KEYS)):
+    # typed parse: every field has its JSON type before any constructor runs
+    for label, (required, types) in _SECTIONS.items():
         if label in raw:
             section = _expect_dict(raw[label], label)
-            _check_keys(section, allowed, label)
-            _check_fields(section, label)
+            _check_keys(section, types.keys(), label)
+            for key in required:
+                if key not in section:
+                    raise ParseError(f"{label} section is missing {key!r}")
+            for key, value in section.items():
+                test, noun = _TYPES[types[key]]
+                if not test(value):
+                    raise ParseError(f"{label} {key} must be {noun}, got {value!r}")
     if not _is_number(raw.get("phi", 0.0)):
         raise ParseError(f"phi must be a finite number, got {raw['phi']!r}")
     outputs = raw.get("outputs", [])
@@ -206,94 +178,118 @@ def load_scenario(path: str) -> dict:
     paths = {}  # resolved path -> the path as written
     for entry in outputs:
         _check_keys(_expect_dict(entry, "output"), _OUTPUT_KEYS, "output")
-        if entry.get("type") not in ("report", "mu_sweep", "trial"):
-            raise ParseError(f"output type must be report, mu_sweep or trial, got {entry.get('type')!r}")
+        # a non-string type would raise TypeError on the lookup
+        if not isinstance(entry.get("type"), str) or entry["type"] not in _OUTPUTS:
+            raise ParseError(f"output type must be {_either(_OUTPUTS)}, got {entry.get('type')!r}")
         if not isinstance(entry.get("path"), str) or not entry["path"]:
             raise ParseError("every output needs a non-empty string path")
         path = os.path.realpath(entry["path"])
         if path in paths:
             raise ParseError(f"outputs {paths[path]!r} and {entry['path']!r} write to the same file")
         paths[path] = entry["path"]
-        if "grid" in entry and (not isinstance(entry["grid"], int) or isinstance(entry["grid"], bool)):
+        if "grid" in entry and not _is_integer(entry["grid"]):
             raise ParseError("output grid must be an integer")
     return raw
 
 
-def _build_spec(section: dict) -> ProcedureSpec:
-    kwargs = dict(section)
-    eigs = kwargs["base_eigs"]
-    kwargs["base_eigs"] = (float(eigs[0]), float(eigs[1]))
-    return ProcedureSpec(**kwargs)
+def _optimal_mu(state: dict, spec: ProcedureSpec):
+    _check_mu(state["mu"])  # before the joint generator is built
+    gen = build_generator(spec)
+    return gen, optimal_state(gen, state["mu"], state.get("rel_phase", 0.0))
+
+
+def _product_balanced(state: dict, spec: ProcedureSpec):
+    base = HermitianOperator.from_diagonal(base_diagonal(spec))
+    return build_generator(spec), product_balanced_state(spec.n_systems, hermitian_eigensystem(base))
+
+
+def _noon(state: dict, spec: None):
+    return mode_number_generator(state["n_photons"]), noon_state(state["n_photons"])
+
+
+def _coherent(state: dict, spec: None):
+    alpha = complex(*state["alpha"]) if isinstance(state["alpha"], list) else complex(state["alpha"])
+    return number_operator(state["cutoff"]), coherent_state(alpha, state["cutoff"])
+
+
+# each state kind: the fields it needs and the message when one is absent or null, whether it takes
+# a procedure section, and its (generator, probe) builder, which checks value ranges; builders look
+# build_generator up when called, so a wrapped module attribute sees every call
+_STATE_KINDS = {
+    "optimal_mu": (("mu",), "optimal_mu needs mu", True, _optimal_mu),
+    "noon": (("n_photons",), "noon needs n_photons >= 1", False, _noon),
+    "product_balanced": ((), "", True, _product_balanced),
+    "coherent": (("alpha", "cutoff"), "coherent needs alpha and cutoff", False, _coherent),
+}
 
 
 def realize_scenario(raw: dict):
-    """Scenario dict -> (spec or None, generator, probe state).
+    """Scenario dict -> (spec or None, generator, probe state), by the state kind's row.
 
-    Photonic state kinds (noon, coherent) define their own generator and
-    reject a procedure section; the qubit kinds require one.
+    Photonic kinds (noon, coherent) define their own generator; the qubit kinds need a procedure.
     """
     state = raw["state"]
     kind = state["kind"]
-    if kind not in _STATE_FIELDS:
-        raise ValidationError(f"unknown state kind {kind!r}; expected one of {tuple(_STATE_FIELDS)}")
-    needed, message = _STATE_FIELDS[kind]
+    if kind not in _STATE_KINDS:
+        raise ValidationError(f"unknown state kind {kind!r}; expected one of {tuple(_STATE_KINDS)}")
+    needed, message, takes_procedure, build = _STATE_KINDS[kind]
     if any(state.get(key) is None for key in needed):
         raise ValidationError(message)
-    spec = _build_spec(raw["procedure"]) if "procedure" in raw else None
-    if kind in ("noon", "coherent"):
-        if spec is not None:
-            raise ValidationError(f"state kind {kind!r} defines its own generator; drop the procedure section")
-        if kind == "noon":
-            return None, mode_number_generator(state["n_photons"]), noon_state(state["n_photons"])
-        alpha = complex(*state["alpha"]) if isinstance(state["alpha"], list) else complex(state["alpha"])
-        return None, number_operator(state["cutoff"]), coherent_state(alpha, state["cutoff"])
-    if spec is None:
+    spec = ProcedureSpec(**raw["procedure"]) if "procedure" in raw else None
+    if spec is not None and not takes_procedure:
+        raise ValidationError(f"state kind {kind!r} defines its own generator; drop the procedure section")
+    if spec is None and takes_procedure:
         raise ValidationError(f"state kind {kind!r} needs a procedure section")
-    if kind == "optimal_mu":
-        _check_mu(state["mu"])  # before the joint generator is built
-    gen = build_generator(spec)
-    if kind == "optimal_mu":
-        return spec, gen, optimal_state(gen, state["mu"], state.get("rel_phase", 0.0))
-    base = HermitianOperator.from_diagonal(base_diagonal(spec))
-    return spec, gen, product_balanced_state(spec.n_systems, hermitian_eigensystem(base))
+    return (spec, *build(state, spec))
 
 
-def _resolve_povm(token: str, spec: ProcedureSpec | None, gen: JointGenerator):
-    if token == "optimal":
-        return optimal_povm(gen)
-    if token == "site-product":
-        if spec is None:
-            raise ValidationError("site-product POVM needs a procedure section")
-        site_gen = JointGenerator(HermitianOperator.from_diagonal(base_diagonal(spec)), 1)
-        return Measurement(_parity_elements(site_gen), spec.n_systems)
-    raise ValidationError(f"unknown povm token {token!r}; expected 'optimal' or 'site-product'")
+def _site_product(spec: ProcedureSpec | None, gen: JointGenerator) -> Measurement:
+    if spec is None:
+        raise ValidationError("site-product POVM needs a procedure section")
+    site_gen = JointGenerator(HermitianOperator.from_diagonal(base_diagonal(spec)), 1)
+    return Measurement(_parity_elements(site_gen), spec.n_systems)
+
+
+# each trial povm token and its measurement constructor
+_POVMS = {"optimal": lambda spec, gen: optimal_povm(gen), "site-product": _site_product}
+
+
+def _povm_token(trial: dict) -> str:
+    token = trial.get("povm", "optimal")  # a string, by the typed parse
+    if token not in _POVMS:
+        raise ValidationError(f"unknown povm token {token!r}; expected {_either(map(repr, _POVMS))}")
+    return token
 
 
 def _build_trial_config(raw: dict, spec, gen) -> TrialConfig:
     section = raw["trial"]
-    interval = section["search_interval"]
-    povm = _resolve_povm(section.get("povm", "optimal"), spec, gen)
+    lo, hi = section["search_interval"]
     return TrialConfig(
         phi_true=float(section["phi_true"]),
         shots_per_trial=section["shots_per_trial"],
         n_trials=section["n_trials"],
         rng_seed=section["rng_seed"],
-        povm=povm,
-        search_interval=(float(interval[0]), float(interval[1])),
+        povm=_POVMS[_povm_token(section)](spec, gen),
+        search_interval=(float(lo), float(hi)),
     )
 
 
-def _render_output(entry: dict, raw: dict, spec, gen, probe, config: TrialConfig | None) -> bytes:
-    kind = entry["type"]
-    if kind == "report":
-        evolved = evolve(probe, gen.generator, float(raw.get("phi", 0.0)))
-        report = build_report(evolved, gen, spec)
-        return (canonical_json(report.to_dict()) + "\n").encode()
-    if kind == "mu_sweep":
-        rows = mu_sweep(gen, np.linspace(0.0, 1.0, entry.get("grid", 101)))
-        return _csv_text(["mu", "shifted_expectation", "stddev"], [list(r) for r in rows]).encode()
-    result = precision_trial(gen, probe, config)
-    return (canonical_json(result.to_dict()) + "\n").encode()
+def _render_report(entry: dict, raw: dict, spec, gen, probe, config) -> str:
+    evolved = evolve(probe, gen.generator, float(raw.get("phi", 0.0)))
+    return canonical_json(build_report(evolved, gen, spec).to_dict()) + "\n"
+
+
+def _render_mu_sweep(entry: dict, raw: dict, spec, gen, probe, config) -> str:
+    rows = mu_sweep(gen, np.linspace(0.0, 1.0, entry.get("grid", 101)))
+    return _csv_text(["mu", "shifted_expectation", "stddev"], rows)
+
+
+def _render_trial(entry: dict, raw: dict, spec, gen, probe, config: TrialConfig) -> str:
+    return canonical_json(precision_trial(gen, probe, config).to_dict()) + "\n"
+
+
+# each output type and its artifact renderer
+_OUTPUTS = {"report": _render_report, "mu_sweep": _render_mu_sweep, "trial": _render_trial}
 
 
 def _check_grid(grid: int, label: str) -> None:
@@ -309,12 +305,14 @@ def cmd_run(args) -> int:
         if entry["type"] == "mu_sweep":
             _check_grid(entry.get("grid", 101), "mu_sweep grid")
     spec, gen, probe = realize_scenario(raw)
+    if "trial" in raw:
+        _povm_token(raw["trial"])  # checked without a trial output too; only a trial output builds it
     config = None
     if any(entry["type"] == "trial" for entry in outputs):
         if "trial" not in raw:
             raise ValidationError("scenario requests a trial artifact but has no trial section")
         config = _build_trial_config(raw, spec, gen)  # all validation before any computation
-    contents = [_render_output(entry, raw, spec, gen, probe, config) for entry in outputs]
+    contents = [_OUTPUTS[entry["type"]](entry, raw, spec, gen, probe, config).encode() for entry in outputs]
     _write_outputs([entry["path"] for entry in outputs], contents)
     for entry in outputs:
         print(f"wrote {entry['path']}")
@@ -354,9 +352,8 @@ def cmd_estimate(args) -> int:
     spec, gen, probe = realize_scenario(raw)
     if "trial" not in raw:
         raise ValidationError("estimate needs a trial section in the scenario")
-    config = _build_trial_config(raw, spec, gen)
-    result = precision_trial(gen, probe, config)
-    print(canonical_json(result.to_dict()))
+    # the trial artifact's bytes, on stdout
+    sys.stdout.write(_render_trial({}, raw, spec, gen, probe, _build_trial_config(raw, spec, gen)))
     return 0
 
 
@@ -446,8 +443,7 @@ def cmd_sweep_mu(args) -> int:
     _check_grid(args.grid, "--grid")
     gen = JointGenerator(HermitianOperator.from_diagonal([0.0, args.seminorm]), 1)
     rows = mu_sweep(gen, np.linspace(0.0, 1.0, args.grid))
-    text = _csv_text(["mu", "shifted_expectation", "stddev"], [list(r) for r in rows])
-    _emit_csv(text, args.out)
+    _emit_csv(_csv_text(["mu", "shifted_expectation", "stddev"], rows), args.out)
     return 0
 
 

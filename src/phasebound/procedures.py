@@ -138,15 +138,6 @@ def sum_orders(spec: ProcedureSpec) -> tuple[range, int]:
     return range(1, 2), spec.repetitions or 1
 
 
-def _check_materialization(spec: ProcedureSpec) -> None:
-    # subsystem_dim >= 2, so an n_systems past log2(DIM_CAP) is refused before the power is formed
-    if spec.n_systems >= DIM_CAP.bit_length() or spec.dim > DIM_CAP:
-        raise ValidationError(
-            f"joint space dimension {spec.subsystem_dim}^{spec.n_systems} exceeds the cap {DIM_CAP}; "
-            "closed_form_extremes and snl_baseline still work at this size"
-        )
-
-
 def _symmetric_sums(w: np.ndarray, n: int, k: int) -> np.ndarray:
     """Elementary symmetric sums e_0 .. e_k of the n site values, shape (k + 1, d^n).
 
@@ -163,10 +154,14 @@ def _symmetric_sums(w: np.ndarray, n: int, k: int) -> np.ndarray:
     return e
 
 
-def _joint_generator(spec: ProcedureSpec, base: HermitianOperator | None, kind: str) -> JointGenerator:
-    if spec.kind != kind:
-        raise UsageError(f"{kind}_generator got kind {spec.kind!r}")
-    _check_materialization(spec)
+def build_generator(spec: ProcedureSpec, base: HermitianOperator | None = None) -> JointGenerator:
+    """The joint generator of the spec's kind, over ``base`` or the default diagonal base."""
+    # subsystem_dim >= 2, so an n_systems past log2(DIM_CAP) is refused before the power is formed
+    if spec.n_systems >= DIM_CAP.bit_length() or spec.dim > DIM_CAP:
+        raise ValidationError(
+            f"joint space dimension {spec.subsystem_dim}^{spec.n_systems} exceeds the cap {DIM_CAP}; "
+            "closed_form_extremes and snl_baseline still work at this size"
+        )
     if base is None:
         base = HermitianOperator.from_diagonal(base_diagonal(spec))
     elif base.dim != spec.subsystem_dim:
@@ -188,24 +183,11 @@ def _joint_generator(spec: ProcedureSpec, base: HermitianOperator | None, kind: 
     return JointGenerator(op, q)
 
 
-def linear_generator(spec: ProcedureSpec, base: HermitianOperator | None = None) -> JointGenerator:
-    """One box per subsystem: the sum of N commuting single-site terms, Q = N."""
-    return _joint_generator(spec, base, "linear")
-
-
 def kbody_generator(spec: ProcedureSpec, base: HermitianOperator | None = None) -> JointGenerator:
     """One box per size-k subset, each a k-fold tensor power of the base, Q = C(N,k)."""
-    return _joint_generator(spec, base, "kbody")
-
-
-def exponential_generator(spec: ProcedureSpec, base: HermitianOperator | None = None) -> JointGenerator:
-    """One box per nonempty subset of the N subsystems, Q = 2^N - 1; DIM_CAP bounds N."""
-    return _joint_generator(spec, base, "exponential")
-
-
-def build_generator(spec: ProcedureSpec, base: HermitianOperator | None = None) -> JointGenerator:
-    """The joint generator of the spec's kind."""
-    return _joint_generator(spec, base, spec.kind)
+    if spec.kind != "kbody":
+        raise UsageError(f"kbody_generator got kind {spec.kind!r}")
+    return build_generator(spec, base)
 
 
 def from_network(net: QuantumNetwork, phi: float = 0.0) -> JointGenerator:

@@ -442,6 +442,17 @@ def test_run_unknown_povm_token_exits_3(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", path]) == 3
 
 
+def test_run_checks_the_povm_token_without_a_trial_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    payload = trial_scenario(povm="magic")
+    payload["outputs"] = [{"type": "report", "path": "out/report.json"}]
+    assert cli.main(["run", write_scenario(tmp_path, payload)]) == 3
+    assert capsys.readouterr().err == (
+        "validation-error: unknown povm token 'magic'; expected 'optimal' or 'site-product'\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def trial_scenario(**trial_overrides):
     trial = {
         "phi_true": 0.4,
@@ -523,6 +534,57 @@ def test_run_mistyped_field_exits_2(tmp_path, monkeypatch, capsys, payload):
     path = write_scenario(tmp_path, payload)
     assert cli.main(["run", path]) == 2
     assert "parse-error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "payload, code, line",
+    [
+        (
+            minimal_scenario(state={"kind": "noon", "n_photons": 2}),
+            3,
+            "validation-error: state kind 'noon' defines its own generator; drop the procedure section",
+        ),
+        (
+            minimal_scenario(procedure=None),
+            3,
+            "validation-error: state kind 'optimal_mu' needs a procedure section",
+        ),
+        (
+            {**trial_scenario(povm="site-product"), "procedure": None, "state": {"kind": "noon", "n_photons": 2}},
+            3,
+            "validation-error: site-product POVM needs a procedure section",
+        ),
+        (
+            trial_scenario(povm="magic"),
+            3,
+            "validation-error: unknown povm token 'magic'; expected 'optimal' or 'site-product'",
+        ),
+        (
+            minimal_scenario(outputs=[{"type": "plot", "path": "out/plot.png"}]),
+            2,
+            "parse-error: output type must be report, mu_sweep or trial, got 'plot'",
+        ),
+        (
+            minimal_scenario(procedure={"kind": "linear", "n_systems": 2}),
+            2,
+            "parse-error: procedure section is missing 'base_eigs'",
+        ),
+        (
+            minimal_scenario(state={"kind": "squeezed"}),
+            3,
+            "validation-error: unknown state kind 'squeezed'; expected one of "
+            "('optimal_mu', 'noon', 'product_balanced', 'coherent')",
+        ),
+    ],
+    ids=["noon-procedure", "optimal_mu-bare", "site-product-bare", "povm-unknown", "output-unknown",
+         "base_eigs-missing", "kind-unknown"],
+)
+def test_run_schema_messages_are_pinned(tmp_path, monkeypatch, capsys, payload, code, line):
+    monkeypatch.chdir(tmp_path)
+    payload = {key: value for key, value in payload.items() if value is not None}
+    assert cli.main(["run", write_scenario(tmp_path, payload)]) == code
+    assert capsys.readouterr().err == line + "\n"
     assert not (tmp_path / "out").exists()
 
 

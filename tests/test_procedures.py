@@ -20,10 +20,8 @@ from phasebound.procedures import (
     ProcedureSpec,
     build_generator,
     closed_form_extremes,
-    exponential_generator,
     from_network,
     kbody_generator,
-    linear_generator,
     snl_baseline,
 )
 from util import kron_all, random_unitary, rng
@@ -177,13 +175,13 @@ def test_joint_generator_reads_extremes_from_the_spectrum():
 # -------------------------------------------------------------------- linear
 
 def test_linear_single_site_is_base():
-    gen = linear_generator(ProcedureSpec("linear", 1, (0.0, 1.0)))
+    gen = build_generator(ProcedureSpec("linear", 1, (0.0, 1.0)))
     assert_allclose(joint_diagonal(gen), [0.0, 1.0])
     assert gen.query_complexity == 1
 
 
 def test_linear_three_qubits_binomial_degeneracies():
-    gen = linear_generator(ProcedureSpec("linear", 3, (0.0, 1.0)))
+    gen = build_generator(ProcedureSpec("linear", 3, (0.0, 1.0)))
     diag = joint_diagonal(gen)
     values, counts = np.unique(np.round(diag, 12), return_counts=True)
     assert_allclose(values, [0.0, 1.0, 2.0, 3.0])
@@ -192,7 +190,7 @@ def test_linear_three_qubits_binomial_degeneracies():
 
 
 def test_linear_symmetric_base_extremes():
-    gen = linear_generator(ProcedureSpec("linear", 4, (-0.5, 0.5)))
+    gen = build_generator(ProcedureSpec("linear", 4, (-0.5, 0.5)))
     assert gen.h_min == pytest.approx(-2.0)
     assert gen.h_max == pytest.approx(2.0)
     assert gen.seminorm == pytest.approx(4.0)
@@ -200,7 +198,7 @@ def test_linear_symmetric_base_extremes():
 
 def test_linear_matches_enumeration_oracle():
     # a qutrit site interpolates the pair to [0.1, 0.5, 0.9]
-    gen = linear_generator(ProcedureSpec("linear", 2, (0.1, 0.9), subsystem_dim=3))
+    gen = build_generator(ProcedureSpec("linear", 2, (0.1, 0.9), subsystem_dim=3))
     levels = np.linspace(0.1, 0.9, 3)
     assert_allclose(
         joint_diagonal(gen), eigenvalues_by_enumeration("linear", 2, levels), atol=1e-12
@@ -243,7 +241,7 @@ def test_kbody_rejects_order_above_system_count():
 # --------------------------------------------------------------- exponential
 
 def test_exponential_three_qubits_power_spectrum():
-    gen = exponential_generator(ProcedureSpec("exponential", 3, (0.0, 1.0)))
+    gen = build_generator(ProcedureSpec("exponential", 3, (0.0, 1.0)))
     diag = joint_diagonal(gen)
     expected = [2.0 ** bin(i).count("1") - 1.0 for i in range(8)]
     assert_allclose(diag, expected, atol=1e-12)
@@ -252,14 +250,14 @@ def test_exponential_three_qubits_power_spectrum():
 
 
 def test_exponential_single_site_equals_linear():
-    e = exponential_generator(ProcedureSpec("exponential", 1, (0.0, 1.0)))
-    l = linear_generator(ProcedureSpec("linear", 1, (0.0, 1.0)))
+    e = build_generator(ProcedureSpec("exponential", 1, (0.0, 1.0)))
+    l = build_generator(ProcedureSpec("linear", 1, (0.0, 1.0)))
     assert_allclose(e.generator.entries, l.generator.entries)
 
 
 def test_exponential_matches_enumeration_oracle():
     base = (0.3, 0.8)
-    gen = exponential_generator(ProcedureSpec("exponential", 4, base))
+    gen = build_generator(ProcedureSpec("exponential", 4, base))
     assert_allclose(
         joint_diagonal(gen), eigenvalues_by_enumeration("exponential", 4, base), atol=1e-10
     )
@@ -269,14 +267,14 @@ def test_exponential_system_cap():
     # only the dimension cap bounds the exponential kind: 2^12 = DIM_CAP builds, 2^13 does not
     for n in (11, 12):
         spec = ProcedureSpec("exponential", n, (0.2, 0.9))
-        gen = exponential_generator(spec)
+        gen = build_generator(spec)
         q, lo, hi = closed_form_extremes(spec)
         assert gen.query_complexity == q == 2**n - 1
         assert gen.h_min == pytest.approx(lo, rel=1e-12)
         assert gen.h_max == pytest.approx(hi, rel=1e-12)
     assert 2**12 == DIM_CAP
     with pytest.raises(ValidationError, match="exceeds the cap"):
-        exponential_generator(ProcedureSpec("exponential", 13, (0.0, 1.0)))
+        build_generator(ProcedureSpec("exponential", 13, (0.0, 1.0)))
 
 
 # Diagonal qubit and qutrit bases; a qutrit joint space passes DIM_CAP at N = 8.
@@ -377,11 +375,11 @@ def test_rotated_base_keeps_joint_spectrum():
         spec = ProcedureSpec(kind, 3, (0.0, 1.0), **extra)
         plain = build_generator(spec)
         if kind == "linear":
-            dense = linear_generator(spec, base=rotated)
+            dense = build_generator(spec, base=rotated)
         elif kind == "kbody":
             dense = kbody_generator(spec, base=rotated)
         else:
-            dense = exponential_generator(spec, base=rotated)
+            dense = build_generator(spec, base=rotated)
         assert not dense.generator.is_diagonal
         assert_allclose(
             np.linalg.eigvalsh(dense.generator.entries),
