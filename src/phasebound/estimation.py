@@ -1,17 +1,20 @@
 """Monte-Carlo measurement sampling and maximum-likelihood phase estimation.
 
 Every measurement is a validated ``metrology.Measurement``: ``optimal_povm``
-gives one site of two d x d elements, and the site-product POVM
-``Measurement(site, n)`` applies one site factor to every site, so its
-probabilities never need an element of the joint space.
+gives the fringe form, two vectors and no d x d element, and the
+site-product POVM ``Measurement(site, n)`` applies one site factor to every
+site, so neither needs an element of the joint space.
 
 Estimation is local: the true phase is assumed to sit inside a known search
 interval shorter than the likelihood period set by the generator's spectrum,
 so the global phase ambiguity never enters.  Outcome sampling is multinomial
 with a splittable counter-based seed scheme (one child stream per trial), so
-results are reproducible and independent of execution order.  The predicted
-error uses the exact Fisher information at the true phase (an analytic
-phase derivative, no finite-difference step).
+results are reproducible and independent of execution order.  When the
+fringe vectors are extreme eigenvectors of the trial's generator, p+ is the
+closed form 1/2 + V cos(Delta phi + theta) and each estimate is a fringe
+inversion; every other measurement is estimated on a phase grid.  The
+predicted error uses the exact Fisher information at the true phase (an
+analytic phase derivative, no finite-difference step).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryWarning, UsageError, ValidationError
-from .metrology import Measurement, _require_measurement, classical_fisher, outcome_probabilities
+from .metrology import Measurement, _parity_pair, _require_measurement, classical_fisher, outcome_probabilities
 from .opalg import HermitianOperator, PureState, _evolved, evolve, hermitian_eigensystem
 from .procedures import JointGenerator
 from .states import _extreme_columns
@@ -95,22 +98,21 @@ class TrialResult:
 
 
 def optimal_povm(gen: JointGenerator) -> Measurement:
-    """Balanced two-outcome measurement (I +/- X)/2 of X = |h_max><h_min| + h.c.
+    """Balanced two-outcome measurement (I +/- X)/2 of X = |h_max><h_min| + h.c., in the fringe form.
 
     On probes confined to the plane of the two extreme eigenstates this is
     the parity-type measurement whose statistics carry the full quantum
-    Fisher information of the balanced superposition.
+    Fisher information of the balanced superposition.  Only the two extreme
+    eigenvectors are kept; ``.site`` builds the dense elements on request.
     """
-    return Measurement(_parity_elements(gen))
+    vec_min, vec_max = _extreme_columns(hermitian_eigensystem(gen.generator))
+    return Measurement._of_fringe(vec_max, vec_min)
 
 
 def _parity_elements(gen: JointGenerator) -> tuple[HermitianOperator, HermitianOperator]:
-    """The two elements (I +/- X)/2 of ``optimal_povm``, not yet validated."""
+    """The two dense elements (I +/- X)/2 of ``optimal_povm``, not yet validated."""
     vec_min, vec_max = _extreme_columns(hermitian_eigensystem(gen.generator))
-    cross = np.outer(vec_max, vec_min.conj())
-    x = cross + cross.conj().T
-    eye = np.eye(gen.dim)
-    return HermitianOperator((eye + x) / 2), HermitianOperator((eye - x) / 2)
+    return _parity_pair(vec_max, vec_min)
 
 
 def sample_outcomes(state: PureState, povm: Measurement, shots: int, seed) -> np.ndarray:
@@ -162,6 +164,57 @@ def _outcome_table(state: PureState, gen: HermitianOperator, povm: Measurement, 
     return povm.probabilities(_evolved(state, gen, grid))
 
 
+def _warn_boundary() -> None:
+    # reported at the caller of precision_trial or mle_estimate, two frames above the estimator
+    warnings.warn(
+        "likelihood maximum sits on the search-interval boundary; the interval may not contain the true phase",
+        BoundaryWarning,
+        stacklevel=4,
+    )
+
+
+def _fringe_model(povm: Measurement, gen: JointGenerator, state: PureState) -> tuple[float, float, float] | None:
+    """(Delta, V, theta) of p+(phi) = 1/2 + V cos(Delta phi + theta), or None when that form does not hold.
+
+    It holds, for any probe, when the fringe vectors are eigenvectors of the
+    generator at h_max and h_min (residual within 1e-8 of the spectral scale):
+    V = |ab| and theta = arg(conj(a) b) with a = <max|psi>, b = <min|psi>.  A
+    probe with V = 0 has a flat fringe and keeps the grid path.
+    """
+    if povm._fringe is None:
+        return None
+    tol = 1e-8 * max(1.0, abs(gen.h_min), abs(gen.h_max))
+    for v, h in zip(povm._fringe, (gen.h_max, gen.h_min)):
+        if np.linalg.norm(gen.generator.apply(v) - h * v) > tol:
+            return None
+    a, b = povm._fringe.conj() @ state.amplitudes
+    z = a.conj() * b
+    return (gen.seminorm, float(abs(z)), float(np.angle(z))) if z != 0 else None
+
+
+def _fringe_estimate(delta: float, vis: float, theta: float, lo: float, hi: float, counts) -> float:
+    """Maximize the floored log-likelihood of counts (n+, n-) under the fringe over [lo, hi], with no grid.
+
+    The candidates are the roots of p+ = n+/n, the fringe extrema (cos = +/-1)
+    inside the interval and its two ends; the highest likelihood wins, ties go
+    to the smaller phase, and a winning end raises BoundaryWarning.
+    """
+    counts = np.asarray(counts, dtype=float)
+    c = (counts[0] / counts.sum() - 0.5) / vis
+    # (phase, cos(Delta phi + theta)): a root or an extremum carries its cosine exactly, so mirror roots tie exactly
+    candidates = [(lo, math.cos(delta * lo + theta)), (hi, math.cos(delta * hi + theta))]
+    for x, cos_x in [(0.0, 1.0), (math.pi, -1.0)] + ([(math.acos(c), c), (-math.acos(c), c)] if abs(c) <= 1 else []):
+        k_lo = math.ceil((delta * lo + theta - x) / (2 * math.pi))  # Delta phi + theta = x + 2 pi k
+        k_hi = math.floor((delta * hi + theta - x) / (2 * math.pi))
+        phis = ((x - theta + 2 * math.pi * k) / delta for k in range(k_lo, k_hi + 1))
+        candidates += [(phi, cos_x) for phi in phis if lo < phi < hi]
+    # one small product per candidate: a batched product may round equal columns differently
+    best, _ = max(sorted(candidates), key=lambda cand: counts @ _floored_log(0.5 + vis * np.array([1, -1]) * cand[1]))
+    if best in (lo, hi):
+        _warn_boundary()
+    return float(best)
+
+
 def _scan_and_refine(counts, log_table: np.ndarray, grid: np.ndarray, model) -> float:
     # grid scan over the tabulated log-probabilities, golden refinement on the model
     counts = np.asarray(counts, dtype=float)
@@ -170,27 +223,24 @@ def _scan_and_refine(counts, log_table: np.ndarray, grid: np.ndarray, model) -> 
         return float(np.dot(counts, _floored_log(np.asarray(model(phi), dtype=float))))
 
     best = int(np.argmax(log_table @ counts))
-    if best in (0, grid.size - 1):
-        warnings.warn(
-            "likelihood maximum sits on the search-interval boundary; the interval may not "
-            "contain the true phase",
-            BoundaryWarning,
-            stacklevel=3,
-        )
     left = grid[max(best - 1, 0)]
     right = grid[min(best + 1, grid.size - 1)]
-    return _golden_max(loglik, float(left), float(right), REFINE_TOL)
+    estimate = _golden_max(loglik, float(left), float(right), REFINE_TOL)
+    if min(estimate - grid[0], grid[-1] - estimate) <= REFINE_TOL:
+        _warn_boundary()
+    return estimate
 
 
 def mle_estimate(counts, model, interval: tuple[float, float]) -> float:
     """Maximize the multinomial log-likelihood of the counts over the interval.
 
     The model is tabulated on a 1000-point grid whose scan brackets the
-    maximum (first occurrence wins, so exact ties resolve to the smaller
-    phase), then golden-section search on the model tightens the bracket to
-    1e-8.  A maximum on the interval edge raises BoundaryWarning since the
-    true optimum may lie outside.  precision_trial runs the same scan and
-    refinement on a table it builds once per trial run.
+    maximum (the first of exactly tied grid points wins, so ties in the
+    table resolve to the smaller phase), then golden-section search on the
+    model tightens the bracket to 1e-8.  An estimate within 1e-8 of an
+    interval end raises BoundaryWarning since the true optimum may lie
+    outside.  precision_trial runs the same scan and refinement, on a table
+    it builds once per trial run, for every measurement but the fringe.
     """
     lo, hi = (float(interval[0]), float(interval[1]))
     if not lo < hi:
@@ -206,11 +256,10 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
     Each trial draws its RNG stream from (rng_seed, trial_index), so the
     result does not depend on scheduling; the predicted error is the
     Cramer-Rao value 1/sqrt(shots * F) at the true phase, with F the exact
-    Fisher information of ``classical_fisher``.  The outcome
-    probabilities over mle_estimate's grid are tabulated once per call, so
-    each trial's grid scan is one table-vector product; the golden-section
-    refinement evaluates ``_outcome_table`` at one phase, the same
-    probabilities as outcome_probabilities(evolve(...)).
+    Fisher information of ``classical_fisher``.  A fringe on the extreme
+    eigenvectors of ``gen`` is estimated by ``_fringe_estimate``; any other
+    measurement by mle_estimate's grid scan, on outcome probabilities
+    tabulated once per call, and its golden-section refinement.
     """
     if state.dim != gen.dim:
         raise UsageError(f"dimension mismatch: state {state.dim} vs generator {gen.dim}")
@@ -223,18 +272,20 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
             f"{2 * math.pi / gen.seminorm:g}; local estimation would be ambiguous"
         )
     povm = config.povm
-    model = functools.partial(_outcome_table, state, gen.generator, povm)
     fisher = classical_fisher(povm, state, gen.generator, config.phi_true)
     if fisher <= 0:
         raise ValidationError("measurement carries no phase information at phi_true")
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    log_table = _floored_log(model(grid))
+    if (fringe := _fringe_model(povm, gen, state)) is not None:
+        estimate = functools.partial(_fringe_estimate, *fringe, lo, hi)
+    else:
+        model = functools.partial(_outcome_table, state, gen.generator, povm)
+        grid = np.linspace(lo, hi, GRID_POINTS)
+        estimate = functools.partial(_scan_and_refine, log_table=_floored_log(model(grid)), grid=grid, model=model)
     truth = evolve(state, gen.generator, config.phi_true)
     estimates = np.empty(config.n_trials)
     for trial in range(config.n_trials):
         stream = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(trial,))
-        counts = sample_outcomes(truth, povm, config.shots_per_trial, stream)
-        estimates[trial] = _scan_and_refine(counts, log_table, grid, model)
+        estimates[trial] = estimate(sample_outcomes(truth, povm, config.shots_per_trial, stream))
     rmse = float(np.sqrt(np.mean((estimates - config.phi_true) ** 2)))
     crb = 1.0 / math.sqrt(config.shots_per_trial * fisher)
     return TrialResult(estimates, rmse, crb)

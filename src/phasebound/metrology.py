@@ -7,11 +7,12 @@ lower bound on the phase uncertainty; for the balanced extreme-eigenvector
 superpositions all of them collapse to the same number.
 
 A measurement is a ``Measurement``, and nothing else is accepted: one site
-factor, validated once when it is built, applied to each of N sites.  One
-kernel gives the outcome probabilities of a single state or of a batch of
-states by contracting the amplitudes site axis by site axis (the ``opalg``
-site kernel), so a site-product measurement never needs an element of the
-joint space.
+factor, validated once when it is built, applied to each of N sites, or the
+two-outcome fringe (I +/- X)/2 held as two vectors.  One kernel gives the
+outcome probabilities of a single state or of a batch of states, by
+contracting the amplitudes site axis by site axis (the ``opalg`` site
+kernel) or with the two fringe vectors, so neither form needs an element of
+the joint space.
 
 Phase derivatives are analytic.  Every phase family is exp(-i phi H) psi, so
 dpsi/dphi = -i H psi costs one ``apply``, and the Fisher information pushes
@@ -25,12 +26,13 @@ float so serialized reports stay finite and explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalIntegrityError, UsageError, ValidationError
-from .opalg import HermitianOperator, PureState, _contract_sites, evolve, hermitian_eigensystem, moments
+from .opalg import (HermitianOperator, PureState, _contract_sites, _Frozen, _read_only, evolve,
+                    hermitian_eigensystem, moments)
 from .procedures import JointGenerator, ProcedureSpec, snl_baseline, sum_orders
 from .states import optimal_state
 
@@ -137,9 +139,16 @@ def validate_povm(povm: list[HermitianOperator]) -> None:
         raise ValidationError(f"POVM does not sum to identity: defect {defect:.3e}")
 
 
-@dataclass(frozen=True, eq=False)
-class Measurement:
-    """A POVM given by one site factor applied to each of ``n_sites`` sites.
+def _parity_pair(vec_max: np.ndarray, vec_min: np.ndarray) -> tuple[HermitianOperator, HermitianOperator]:
+    """The dense elements (I +/- X)/2 of X = |max><min| + h.c., not yet validated."""
+    cross = np.outer(vec_max, vec_min.conj())
+    x = cross + cross.conj().T
+    eye = np.eye(vec_max.size)
+    return HermitianOperator((eye + x) / 2), HermitianOperator((eye - x) / 2)
+
+
+class Measurement(_Frozen):
+    """A POVM given by one site factor applied to each of ``n_sites`` sites, or a fringe.
 
     Outcome (k_0, ..., k_{N-1}) has the element E_{k_0} (x) ... (x) E_{k_{N-1}}
     of the ``site`` elements; outcomes are numbered in word order, site 0 most
@@ -151,20 +160,20 @@ class Measurement:
     That is exact for non-projective and non-commuting elements, builds no
     operator on the joint space, and costs O(N d) per state for a projective
     qubit site.
+
+    The fringe form, built by ``_of_fringe``, is the two-outcome (I +/- X)/2
+    of X = |max><min| + h.c., held as its two vectors, whose orthonormality
+    is checked once.  Its probabilities are p+/- = 1/2 +/- Re(conj(<max|psi>)
+    <min|psi>), O(d) per state; ``site`` builds and validates the two dense
+    elements only when it is first read.
     """
 
-    site: tuple
-    n_sites: int = 1
-    dim: int = field(init=False)
-    n_outcomes: int = field(init=False)
-    _rows_t: np.ndarray = field(init=False, repr=False)
-    _weights_t: np.ndarray = field(init=False, repr=False)
-    _chunk: int = field(init=False, repr=False)
+    __slots__ = ("n_sites", "dim", "n_outcomes", "_fringe", "_site", "_rows_t", "_weights_t", "_chunk")
 
-    def __post_init__(self):
-        site = tuple(self.site)
-        if self.n_sites < 1:
-            raise UsageError(f"site count must be >= 1, got {self.n_sites}")
+    def __init__(self, site, n_sites: int = 1):
+        site = tuple(site)
+        if n_sites < 1:
+            raise UsageError(f"site count must be >= 1, got {n_sites}")
         validate_povm(site)
         columns, weights = [], []
         for k, element in enumerate(site):
@@ -175,15 +184,36 @@ class Measurement:
             block[:, k] = spec.eigenvalues[keep]
             weights.append(block)
         rows_t = np.hstack(columns)  # (d_s, R): the eigen-rows, transposed
-        for name, value in (
-            ("site", site),
-            ("dim", site[0].dim**self.n_sites),
-            ("n_outcomes", len(site) ** self.n_sites),
-            ("_rows_t", rows_t),
-            ("_weights_t", np.vstack(weights)),  # (R, K): signed eigenvalues by outcome
-            ("_chunk", max(1, _CHUNK_AMPLITUDES // rows_t.shape[1] ** self.n_sites)),
-        ):
-            object.__setattr__(self, name, value)
+        self._set(
+            n_sites=n_sites,
+            dim=site[0].dim**n_sites,
+            n_outcomes=len(site) ** n_sites,
+            _fringe=None,
+            _site=[site],
+            _rows_t=rows_t,
+            _weights_t=np.vstack(weights),  # (R, K): signed eigenvalues by outcome
+            _chunk=max(1, _CHUNK_AMPLITUDES // rows_t.shape[1] ** n_sites),
+        )
+
+    @classmethod
+    def _of_fringe(cls, vec_max: np.ndarray, vec_min: np.ndarray) -> "Measurement":
+        """The fringe form of (I +/- X)/2; the two vectors must be orthonormal."""
+        vectors = np.array([vec_max, vec_min], dtype=complex)
+        defect = float(np.max(np.abs(vectors.conj() @ vectors.T - np.eye(2))))
+        if defect > POVM_TOL:
+            raise ValidationError(f"fringe vectors are not orthonormal: defect {defect:.3e}")
+        meas = object.__new__(cls)
+        meas._set(n_sites=1, dim=vectors.shape[1], n_outcomes=2, _fringe=_read_only(vectors), _site=[])
+        return meas
+
+    @property
+    def site(self) -> tuple:
+        """The site elements; the fringe form builds and validates its two d x d elements on first read."""
+        if not self._site:
+            pair = _parity_pair(*self._fringe)
+            validate_povm(pair)
+            self._site.append(pair)
+        return self._site[0]
 
     def probabilities(self, amplitudes) -> np.ndarray:
         """Outcome probabilities of one state (dim,) or of each row of a batch (G, dim).
@@ -195,22 +225,32 @@ class Measurement:
         psi = np.asarray(amplitudes)
         if psi.shape[-1] != self.dim:
             raise UsageError(f"dimension mismatch: state {psi.shape[-1]} vs measurement {self.dim}")
-        batch = psi.reshape(-1, self.dim)
-        n, step = self.n_sites, self._chunk
-        probs = np.concatenate([
-            _contract_sites(np.abs(_contract_sites(batch[i:i + step], self._rows_t, n)) ** 2, self._weights_t, n)
-            for i in range(0, batch.shape[0], step)
-        ])
+        if self._fringe is not None:
+            ab = psi @ self._fringe.conj().T  # (..., 2): <max|psi>, <min|psi>
+            half = (ab[..., 0].conj() * ab[..., 1]).real
+            probs = np.stack([0.5 + half, 0.5 - half], axis=-1)
+        else:
+            batch = psi.reshape(-1, self.dim)
+            n, step = self.n_sites, self._chunk
+            probs = np.concatenate([
+                _contract_sites(np.abs(_contract_sites(batch[i:i + step], self._rows_t, n)) ** 2, self._weights_t, n)
+                for i in range(0, batch.shape[0], step)
+            ]).reshape(psi.shape[:-1] + (self.n_outcomes,))
         if probs.min() < -1e-12:
             raise ValidationError(f"negative outcome probability {probs.min():.3e}")
-        return np.maximum(probs, 0.0).reshape(psi.shape[:-1] + (self.n_outcomes,))
+        return np.maximum(probs, 0.0)
 
     def _derivative(self, psi: np.ndarray, tangent: np.ndarray) -> np.ndarray:
         """dp/dphi of one state psi (dim,) whose phase derivative is ``tangent``.
 
         d|R psi|^2 = 2 Re(conj(R psi) (R tangent)) on every site-eigenbasis
-        amplitude, weighted as ``probabilities`` weights |R psi|^2.
+        amplitude, weighted as ``probabilities`` weights |R psi|^2; the fringe
+        form differentiates Re(conj(a) b) the same way.
         """
+        if self._fringe is not None:
+            (a, b), (da, db) = np.stack([psi, tangent]) @ self._fringe.conj().T
+            dp = (a.conj() * db + da.conj() * b).real
+            return np.array([dp, -dp])
         r = _contract_sites(np.stack([psi, tangent]), self._rows_t, self.n_sites)
         return _contract_sites(2.0 * (r[:1].conj() * r[1:]).real, self._weights_t, self.n_sites)[0]
 

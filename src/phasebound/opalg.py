@@ -67,6 +67,12 @@ def _hermitian_defect(a: np.ndarray) -> float:
     return np.max([np.max(np.abs(a[i:i + rows, i:] - a[i:, i:i + rows].conj().T)) for i in range(0, d, rows)])
 
 
+def _max_abs(a: np.ndarray) -> float:
+    """max |A| over the row blocks of ``_hermitian_defect``; a NaN propagates."""
+    rows = max(1, _SCAN_BLOCK_BYTES // (16 * a.shape[0]))
+    return float(np.max([np.max(np.abs(a[i:i + rows])) for i in range(0, a.shape[0], rows)]))
+
+
 def _unitary_defect(v: np.ndarray) -> float:
     """max |V V^dag - I| over row blocks of the upper triangle; no d x d temporary is built.
 
@@ -115,19 +121,23 @@ class HermitianOperator(_Frozen):
     """Hermitian operator, dense or diagonal (see the module docstring).
 
     ``HermitianOperator(entries)`` builds the dense form, even for a diagonal
-    matrix; violations beyond ``hermitian_tol`` fail construction, and an
-    infinite tolerance skips the scan.  ``from_diagonal`` builds the diagonal
-    form, which is Hermitian by construction.
+    matrix; violations beyond ``hermitian_tol`` (by default HERMITIAN_TOL
+    times max(1, max |A|), the scale of the rounding in A) or a NaN fail
+    construction, and an infinite tolerance skips the scan.
+    ``from_diagonal`` builds the diagonal form, which is Hermitian by
+    construction.
     """
 
     __slots__ = ("_matrix", "_diagonal", "_spectrum_cache")
 
-    def __init__(self, entries, hermitian_tol: float = HERMITIAN_TOL):
+    def __init__(self, entries, hermitian_tol: float | None = None):
         a = _as_complex_matrix(entries)
         _check_dim(a.shape[0])
-        if hermitian_tol < np.inf and (defect := _hermitian_defect(a)) > hermitian_tol:
+        if hermitian_tol is None:
+            hermitian_tol = HERMITIAN_TOL * max(1.0, _max_abs(a))
+        if hermitian_tol < np.inf and not (defect := _hermitian_defect(a)) <= hermitian_tol:
             raise ValidationError(
-                f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {hermitian_tol:.1e}"
+                f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {hermitian_tol:.3e}"
             )
         self._set(_matrix=_read_only(a), _diagonal=None, _spectrum_cache=[])
 

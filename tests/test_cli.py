@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -221,6 +222,22 @@ def test_run_bundled_linear_scenario(tmp_path, monkeypatch, capsys):
     header, rows = read_csv(tmp_path / "out/linear_n3_mu.csv")
     assert header == ["mu", "shifted_expectation", "stddev"]
     assert len(rows) == 11
+
+
+def test_run_noon_trial_makes_no_eigh_call(tmp_path, monkeypatch):
+    # a diagonal generator and the fringe measurement: no element eigensystem, no d x d element
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw))
+    monkeypatch.chdir(tmp_path)
+    trial = {"phi_true": 0.5, "shots_per_trial": 1000, "n_trials": 25, "rng_seed": 3,
+             "search_interval": [0.25, 0.75], "povm": "optimal"}
+    outputs = [{"type": "report", "path": "out/report.json"}, {"type": "trial", "path": "out/trial.json"}]
+    scenario = minimal_scenario(state={"kind": "noon", "n_photons": 3}, phi=0.5, trial=trial, outputs=outputs)
+    del scenario["procedure"]
+    assert cli.main(["run", write_scenario(tmp_path, scenario)]) == 0
+    assert len(json.loads((tmp_path / "out/trial.json").read_text())["estimates"]) == 25
+    assert calls == []
 
 
 def test_run_report_json_is_sorted_and_omits_absent_fields(tmp_path, monkeypatch):

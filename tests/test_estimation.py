@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phasebound.errors import BoundaryWarning, UsageError, ValidationError
@@ -11,6 +14,7 @@ from phasebound.estimation import (
     REFINE_TOL,
     RNG_ALGORITHM,
     TrialConfig,
+    _fringe_estimate,
     _outcome_table,
     mle_estimate,
     optimal_povm,
@@ -20,9 +24,16 @@ from phasebound.estimation import (
 from phasebound.metrology import Measurement, outcome_probabilities, validate_povm
 from phasebound.opalg import HermitianOperator, PureState, _evolved, evolve, hermitian_eigensystem
 from phasebound.procedures import JointGenerator, ProcedureSpec, build_generator
-from phasebound.states import mode_number_generator, noon_state, product_balanced_state
+from phasebound.states import mode_number_generator, noon_state, optimal_state, product_balanced_state
 
-from util import dense_product_probabilities, random_hermitian, random_state_vector, random_unitary, rng
+from util import (
+    dense_product_probabilities,
+    fringe_mle_bounded,
+    random_hermitian,
+    random_state_vector,
+    random_unitary,
+    rng,
+)
 
 
 def binary_model(phi):
@@ -151,6 +162,21 @@ def test_mle_warns_at_interval_boundary():
     with pytest.warns(BoundaryWarning):
         est = mle_estimate(counts, binary_model, (-0.4, 0.4))
     assert abs(abs(est) - 0.4) < 1e-6
+
+
+@pytest.mark.parametrize("n_plus", [97750, 97766])
+def test_mle_inside_the_interval_does_not_warn(n_plus):
+    # NOON N = 3 parity, p+ = (1 + cos 3 phi)/2: the root of p+ = n+/n lies under half a grid step
+    # above 0.1, so the grid argmax is the end point, but the refined estimate is inside the interval
+    gen = mode_number_generator(3)
+    probe, povm = noon_state(3), optimal_povm(gen)
+    model = lambda phi: outcome_probabilities(evolve(probe, gen.generator, phi), povm)
+    root = math.acos(2 * n_plus / 10**5 - 1) / 3
+    assert 0.1 < root < 0.1 + 0.4 / (GRID_POINTS - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mle_estimate([n_plus, 10**5 - n_plus], model, (0.1, 0.9))
+    assert est == pytest.approx(root, abs=REFINE_TOL)
 
 
 # ------------------------------------------------------------ trial harness
@@ -347,6 +373,91 @@ def test_trial_matches_per_trial_mle_estimate(case, phi_true):
     assert len(batched) == len(scalar)
     if case == "noon":
         assert len(scalar) > 0  # phi_true next to an edge puts some maxima on it
+
+
+# ------------------------------------------------------ closed-form fringe
+
+def test_fringe_on_a_rotated_generator_takes_the_grid_path(monkeypatch):
+    # the fringe's vectors are no eigenvectors of U H U^dag, so p+ is no cosine in phi there
+    import phasebound.estimation as estimation
+
+    closed = []
+    original = estimation._fringe_estimate
+    monkeypatch.setattr(estimation, "_fringe_estimate", lambda *args: closed.append(args) or original(*args))
+    gen = mode_number_generator(3)
+    u = random_unitary(rng(21), 4)
+    rotated = JointGenerator(HermitianOperator(u @ gen.generator.entries @ u.conj().T), 1)
+    probe, povm = noon_state(3), optimal_povm(gen)
+    cfg = TrialConfig(0.4, 200, 6, 5, povm, (0.1, 0.9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        precision_trial(gen, probe, cfg)
+        assert len(closed) == cfg.n_trials
+        closed.clear()
+        res = precision_trial(rotated, probe, cfg)
+        assert closed == []
+        model = lambda phi: outcome_probabilities(evolve(probe, rotated.generator, phi), povm)
+        truth = evolve(probe, rotated.generator, cfg.phi_true)
+        reference = [
+            mle_estimate(sample_outcomes(truth, povm, cfg.shots_per_trial, np.random.SeedSequence(5, spawn_key=(t,))),
+                         model, cfg.search_interval)
+            for t in range(cfg.n_trials)
+        ]
+    assert_allclose(res.estimates, reference, rtol=0, atol=REFINE_TOL)
+
+
+def test_fringe_estimate_candidates_ties_and_ends():
+    # p+ = 1/2 + cos(2 phi)/2: on (0.1, 3.0) the mirror roots of p+ = 0.6 tie and the smaller phase wins
+    root = math.acos(0.2) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _fringe_estimate(2.0, 0.5, 0.0, 0.1, 3.0, [60, 40]) == pytest.approx(root, abs=1e-15)
+        assert _fringe_estimate(2.0, 0.5, 0.0, 0.1, 3.0, [40, 60]) == pytest.approx(math.pi / 2 - root, abs=1e-15)
+        assert _fringe_estimate(2.0, 0.5, 0.0, 0.1, 3.0, [0, 40]) == pytest.approx(math.pi / 2, abs=1e-15)
+    with pytest.warns(BoundaryWarning):
+        assert _fringe_estimate(2.0, 0.5, 0.0, 0.1, 1.5, [40, 0]) == 0.1  # p+ peaks at phi = 0, left of the interval
+    # mirror roots near 1.0795 and 2.2356 among six candidates, where one batched likelihood product
+    # rounded the two roots' columns apart and the larger phase won
+    args = (3.3556834957278125, 0.4462128641578254, 0.7209082426552142, 0.4743080203462817, 2.2747438595404663)
+    assert _fringe_estimate(*args, [25607, 49909]) == pytest.approx(1.0795311864136574, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    delta=st.floats(0.5, 12.0),
+    vis=st.floats(0.01, 0.49),
+    theta=st.floats(-math.pi, math.pi),
+    lo=st.floats(-2.0, 2.0),
+    width=st.floats(0.01, 0.999),
+    n=st.integers(1, 10**4),
+    share=st.floats(0.0, 1.0),
+)
+def test_fringe_estimate_matches_bounded_search(delta, vis, theta, lo, width, n, share):
+    # the closed-form candidates against scipy's bounded search on the binomial log-likelihood
+    hi = lo + width * 2 * math.pi / delta
+    counts = [round(share * n), n - round(share * n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        est = _fringe_estimate(delta, vis, theta, lo, hi, counts)
+    assert abs(est - fringe_mle_bounded(delta, vis, theta, lo, hi, counts)) <= 1e-9
+
+
+def test_linear_n12_optimal_trial_stays_small():
+    # the fringe holds two vectors, so d = 4096 needs no d x d array (one is 128-256 MB)
+    tracemalloc.start()
+    try:
+        gen = build_generator(ProcedureSpec("linear", 12, (0.0, 1.0)))
+        probe = optimal_state(gen, 0.5)
+        tracemalloc.reset_peak()
+        povm = optimal_povm(gen)
+        povm_peak = tracemalloc.get_traced_memory()[1]
+        res = precision_trial(gen, probe, TrialConfig(0.4, 100, 2, 7, povm, (0.27, 0.52)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert povm_peak < gen.dim**2  # bytes: smaller than any d x d array
+    assert peak < 128 * 2**20
+    assert np.all(np.abs(res.estimates - 0.4) < 0.05)
 
 
 # ------------------------------------------------- site-factored measurements

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import phasebound.metrology as metrology
@@ -26,7 +28,16 @@ from phasebound.metrology import (
 from phasebound.opalg import HermitianOperator, PureState, evolve, moments
 from phasebound.procedures import JointGenerator, ProcedureSpec, build_generator
 from phasebound.states import mode_number_generator, noon_state, optimal_state
-from util import kron_all, moments_by_eigensystem, random_hermitian, random_state_vector, random_unitary, rng
+from util import (
+    fringe_fisher,
+    kron_all,
+    moments_by_eigensystem,
+    parity_pair_probabilities,
+    random_hermitian,
+    random_state_vector,
+    random_unitary,
+    rng,
+)
 
 
 def noon_setup(n=3):
@@ -241,6 +252,71 @@ def test_classical_fisher_takes_the_signed_phase_derivative(monkeypatch, site):
     monkeypatch.setattr(Measurement, "_derivative", spy)
     classical_fisher(measurement, state, gen, 0.37)
     assert_allclose(seen[0], dp, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- fringe form
+
+def fringe_case(seed, dim, form):
+    """A random generator, its extreme eigenvectors and Delta = h_max - h_min.
+
+    A diagonal generator's extreme eigenvectors are read off its values.  A
+    dense one's carry an arbitrary phase that X depends on, so they come from
+    the ``eigh`` call the package makes, on the same matrix.
+    """
+    g = rng(seed)
+    if form == "diagonal":
+        values = g.normal(size=dim)
+        generator = HermitianOperator.from_diagonal(values)
+        eye = np.eye(dim)
+        vec_max, vec_min, delta = eye[np.argmax(values)], eye[np.argmin(values)], values.max() - values.min()
+    else:
+        generator = HermitianOperator(random_hermitian(g, dim))
+        w, v = np.linalg.eigh(generator.entries)
+        vec_max, vec_min, delta = v[:, -1], v[:, 0], w[-1] - w[0]
+    return JointGenerator(generator, 1), vec_max, vec_min, delta, g
+
+
+FRINGE_CASES = dict(seed=st.integers(0, 10**6), dim=st.integers(2, 40), form=st.sampled_from(["diagonal", "dense"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**FRINGE_CASES)
+def test_fringe_probabilities_match_dense_parity_pair(seed, dim, form):
+    gen, vec_max, vec_min, _, g = fringe_case(seed, dim, form)
+    povm = optimal_povm(gen)
+    batch = np.array([random_state_vector(g, dim) for _ in range(3)])
+    expected = parity_pair_probabilities(vec_max, vec_min, batch)
+    assert_allclose(povm.probabilities(batch), expected, rtol=0, atol=1e-12)
+    assert_allclose(outcome_probabilities(PureState(batch[0]), povm), expected[0], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**FRINGE_CASES, phi=st.floats(-3.0, 3.0))
+def test_fringe_fisher_matches_closed_form(seed, dim, form, phi):
+    gen, vec_max, vec_min, delta, g = fringe_case(seed, dim, form)
+    probe = PureState(random_state_vector(g, dim))
+    expected = fringe_fisher(delta, vec_max, vec_min, probe.amplitudes, phi)
+    assert abs(classical_fisher(optimal_povm(gen), probe, gen.generator, phi) - expected) <= 1e-10 * expected
+
+
+def test_fringe_builds_dense_elements_only_on_request(monkeypatch):
+    calls = []
+    original = metrology.validate_povm
+    monkeypatch.setattr(metrology, "validate_povm", lambda povm: calls.append(len(povm)) or original(povm))
+    gen, vec_max, vec_min, _, g = fringe_case(5, 6, "dense")
+    povm = optimal_povm(gen)
+    assert calls == []
+    assert povm.site is povm.site and calls == [2]  # built and validated once, on the first read
+    psi = random_state_vector(g, 6)
+    dense = [np.vdot(psi, e.entries @ psi).real for e in povm.site]
+    assert_allclose(dense, parity_pair_probabilities(vec_max, vec_min, psi), rtol=0, atol=1e-12)
+
+
+def test_fringe_vectors_must_be_orthonormal():
+    eye = np.eye(3)
+    for vec_max, vec_min in ((eye[0], eye[0]), (2 * eye[0], eye[1]), (eye[0], (eye[0] + eye[1]) / math.sqrt(2))):
+        with pytest.raises(ValidationError, match="not orthonormal"):
+            Measurement._of_fringe(vec_max, vec_min)
 
 
 # ------------------------------------------------------- measurement boundary

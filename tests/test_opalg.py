@@ -89,7 +89,7 @@ def test_hermitian_defect_equals_whole_matrix_expression(monkeypatch, d, rows):
 
 @pytest.mark.parametrize("rows", [None, 3])
 def test_near_threshold_verdict_and_message_follow_whole_matrix_defect(monkeypatch, rows):
-    # a defect of about 1e-9 lands on either side of the default tolerance by rounding
+    # a defect of about the default tolerance, 1e-9 max(1, max |A|), lands on either side of it by rounding
     if rows is not None:
         monkeypatch.setattr(opalg, "_SCAN_BLOCK_BYTES", 16 * 40 * rows)
     g = rng(12)
@@ -97,17 +97,32 @@ def test_near_threshold_verdict_and_message_follow_whole_matrix_defect(monkeypat
     for _ in range(40):
         a = random_hermitian(g, 40)
         i, j = g.integers(0, 40, size=2)
-        a[i, j] += 1e-9 * np.exp(1j * g.uniform(0, 2 * np.pi))
-        want = whole_matrix_defect(a)
-        if want > 1e-9:
-            message = f"matrix is not Hermitian: max |A - A^dag| = {want:.3e} > {1e-9:.1e}"
+        a[i, j] += 1e-9 * max(1.0, np.max(np.abs(a))) * np.exp(1j * g.uniform(0, 2 * np.pi))
+        want, tol = whole_matrix_defect(a), 1e-9 * max(1.0, np.max(np.abs(a)))
+        if want > tol:
+            message = f"matrix is not Hermitian: max |A - A^dag| = {want:.3e} > {tol:.3e}"
             with pytest.raises(ValidationError) as err:
                 HermitianOperator(a)
             assert str(err.value) == message
         else:
             HermitianOperator(a)
-        verdicts.add(bool(want > 1e-9))
+        verdicts.add(bool(want > tol))
     assert verdicts == {True, False}
+
+
+def test_default_tolerance_scales_with_the_largest_entry():
+    # a correctly rounded u diag(0, 1e8) u^dag carries an absolute defect near 1e-8, far below 1e-9 of its scale
+    g = rng(13)
+    for _ in range(20):
+        u = random_unitary(g, 2)
+        assert HermitianOperator(u @ np.diag([0.0, 1e8]) @ u.conj().T).dim == 2
+    small = np.array([[0.0, 0.5], [0.5 + 4e-9, 0.0]])  # below unit scale the tolerance stays 1e-9
+    with pytest.raises(ValidationError, match=r"= 4\.000e-09 > 1\.000e-09"):
+        HermitianOperator(small)
+    nan = np.eye(2, dtype=complex)
+    nan[0, 1] = np.nan
+    with pytest.raises(ValidationError, match="not Hermitian: max .* = nan"):
+        HermitianOperator(nan)
 
 
 @pytest.mark.parametrize("d, rows", [(1, None), (50, 1), (50, 7), (50, 64), (700, None)], ids=str)

@@ -6,8 +6,10 @@ embedding helper, and per-eigenvalue probability sums instead of vector
 moments.
 """
 import itertools
+import math
 
 import numpy as np
+import scipy.optimize
 
 
 def rng(seed=0):
@@ -125,3 +127,62 @@ def kron_embedding(small, sites, n, d):
             factors[sites[t]] = unit
         total += small[row, col] * kron_all(factors)
     return total
+
+
+def parity_pair_probabilities(vec_max, vec_min, amplitudes):
+    """<psi|(I +/- X)/2|psi> with X = |max><min| + h.c. built as an explicit d x d matrix.
+
+    ``amplitudes`` is one state (d,) or a batch (G, d); the result has a
+    trailing outcome axis (+, -).
+    """
+    cross = np.outer(vec_max, np.conj(vec_min))
+    x = cross + cross.conj().T
+    eye = np.eye(len(vec_max))
+    batch = np.atleast_2d(np.asarray(amplitudes, dtype=complex))
+    probs = [[np.vdot(psi, e @ psi).real for e in ((eye + x) / 2, (eye - x) / 2)] for psi in batch]
+    return np.array(probs).reshape(np.shape(amplitudes)[:-1] + (2,))
+
+
+def fringe_fisher(delta, vec_max, vec_min, amplitudes, phi):
+    """F = Delta^2 V^2 sin^2 x / (1/4 - V^2 cos^2 x), x = Delta phi + theta, of the (I +/- X)/2 fringe.
+
+    V = |ab| and theta = arg(conj(a) b) with a = <max|psi>, b = <min|psi> of
+    the probe before the phase exp(-i phi H) is applied.
+    """
+    z = np.conj(np.vdot(vec_max, amplitudes)) * np.vdot(vec_min, amplitudes)
+    v, x = abs(z), delta * phi + np.angle(z)
+    return delta**2 * v**2 * np.sin(x) ** 2 / (0.25 - v**2 * np.cos(x) ** 2)
+
+
+def fringe_mle_bounded(delta, vis, theta, lo, hi, counts):
+    """argmax over [lo, hi] of the binomial log-likelihood of counts (n+, n-) under p+ = 1/2 + vis cos(delta phi + theta).
+
+    ``scipy.optimize.minimize_scalar(method="bounded")`` runs on each piece
+    between fringe extrema, where the likelihood is unimodal, and then again
+    within 1e-5 of its result x on the likelihood relative to x,
+    L(x + t) - L(x).  That difference is summed from log1p of the
+    probability differences -/+ 2 vis sin(delta (x + t/2) + theta) sin(delta t/2),
+    which carry no cancellation, so the optimum is found far below the 1e-8
+    that values of L itself resolve.  The best piece optimum or piece end
+    wins, compared by the same relative form; exact ties (within 1e-15) go
+    to the smaller phase.  ``vis`` must stay below 1/2.
+    """
+    def relative(x, t):
+        p = 0.5 + vis * math.cos(delta * x + theta)
+        dp = -2 * vis * math.sin(delta * (x + t / 2) + theta) * math.sin(delta * t / 2)
+        return sum(n * math.log1p(d / q) for n, q, d in ((counts[0], p, dp), (counts[1], 1 - p, -dp)) if n)
+
+    first = math.floor((delta * lo + theta) / math.pi) + 1
+    cuts = [lo] + [(m * math.pi - theta) / delta for m in range(first, math.ceil((delta * hi + theta) / math.pi))] + [hi]
+    candidates = []
+    for a, b in zip(cuts, cuts[1:]):
+        x = scipy.optimize.minimize_scalar(lambda phi: -relative(a, phi - a), bounds=(a, b), method="bounded").x
+        t_lo, t_hi = max(a, x - 1e-5) - x, min(b, x + 1e-5) - x
+        t = scipy.optimize.minimize_scalar(lambda t: -relative(x, t), bounds=(t_lo, t_hi), method="bounded",
+                                           options={"xatol": 1e-14}).x
+        candidates += [a, x + t, b]
+    best = lo
+    for phi in sorted(candidates):
+        if relative(best, phi - best) > 1e-15:
+            best = phi
+    return best
