@@ -12,9 +12,11 @@ with a splittable counter-based seed scheme (one child stream per trial), so
 results are reproducible and independent of execution order.  When the
 fringe vectors are extreme eigenvectors of the trial's generator, p+ is the
 closed form 1/2 + V cos(Delta phi + theta) and each estimate is a fringe
-inversion; every other measurement is estimated on a phase grid.  The
-predicted error uses the exact Fisher information at the true phase (an
-analytic phase derivative, no finite-difference step).
+inversion; every other measurement is estimated on a phase grid, refined
+by bisection on the sign of the log-likelihood score.  The score and the
+predicted error share one analytic phase derivative (no finite-difference
+step): the score at each bisection point, the Fisher information at the
+true phase.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryWarning, UsageError, ValidationError
-from .metrology import Measurement, _parity_pair, _require_measurement, classical_fisher, outcome_probabilities
+from .metrology import (Measurement, _parity_pair, _probabilities_and_slope, _require_measurement, classical_fisher,
+                        outcome_probabilities)
 from .opalg import HermitianOperator, PureState, _evolved, evolve, hermitian_eigensystem
 from .procedures import JointGenerator
 from .states import _extreme_columns
@@ -37,7 +40,6 @@ GRID_POINTS = 1000
 REFINE_TOL = 1e-8
 MAX_TRIALS = 10**6
 MAX_SHOTS = 10**9  # multinomial draws need a C long, 32 bits on some platforms
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,24 +133,6 @@ def sample_outcomes(state: PureState, povm: Measurement, shots: int, seed) -> np
     return rng.multinomial(shots, probs / total)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    # ties break toward the left end, keeping estimates deterministic
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (a + b) / 2
-
-
 def _floored_log(probs: np.ndarray) -> np.ndarray:
     return np.log(np.clip(probs, 1e-300, None))
 
@@ -165,7 +149,7 @@ def _outcome_table(state: PureState, gen: HermitianOperator, povm: Measurement, 
 
 
 def _warn_boundary() -> None:
-    # reported at the caller of precision_trial or mle_estimate, two frames above the estimator
+    # reported at the caller of precision_trial, two frames above the estimator
     warnings.warn(
         "likelihood maximum sits on the search-interval boundary; the interval may not contain the true phase",
         BoundaryWarning,
@@ -215,39 +199,41 @@ def _fringe_estimate(delta: float, vis: float, theta: float, lo: float, hi: floa
     return float(best)
 
 
-def _scan_and_refine(counts, log_table: np.ndarray, grid: np.ndarray, model) -> float:
-    # grid scan over the tabulated log-probabilities, golden refinement on the model
-    counts = np.asarray(counts, dtype=float)
+def _scan_and_refine(counts, log_table: np.ndarray, grid: np.ndarray, slope) -> float:
+    """Maximize the floored log-likelihood of the counts over [grid[0], grid[-1]].
 
-    def loglik(phi: float) -> float:
-        return float(np.dot(counts, _floored_log(np.asarray(model(phi), dtype=float))))
-
-    best = int(np.argmax(log_table @ counts))
-    left = grid[max(best - 1, 0)]
-    right = grid[min(best + 1, grid.size - 1)]
-    estimate = _golden_max(loglik, float(left), float(right), REFINE_TOL)
-    if min(estimate - grid[0], grid[-1] - estimate) <= REFINE_TOL:
-        _warn_boundary()
-    return estimate
-
-
-def mle_estimate(counts, model, interval: tuple[float, float]) -> float:
-    """Maximize the multinomial log-likelihood of the counts over the interval.
-
-    The model is tabulated on a 1000-point grid whose scan brackets the
-    maximum (the first of exactly tied grid points wins, so ties in the
-    table resolve to the smaller phase), then golden-section search on the
-    model tightens the bracket to 1e-8.  An estimate within 1e-8 of an
-    interval end raises BoundaryWarning since the true optimum may lie
-    outside.  precision_trial runs the same scan and refinement, on a table
-    it builds once per trial run, for every measurement but the fringe.
+    The scan takes the best grid point of the tabulated log-probabilities
+    (the first of exactly tied points, so the smaller phase); bisection on
+    the sign of the score sum_k n_k p_k'/p_k, with (p, p') = slope(phi),
+    then halves that point's bracket until it is narrower than REFINE_TOL.
+    An interval end is tested only when the best grid point is that end; if
+    the score there points outward, the end is the estimate and raises
+    BoundaryWarning.
     """
-    lo, hi = (float(interval[0]), float(interval[1]))
-    if not lo < hi:
-        raise UsageError(f"interval must satisfy lo < hi, got ({lo}, {hi})")
+    counts = np.asarray(counts, dtype=float)
+    seen = counts > 0
+
+    def score(phi: float) -> float:
+        p, dp = slope(phi)
+        return float(counts[seen] @ (dp[seen] / np.clip(p[seen], 1e-300, None)))
+
+    best, last = int(np.argmax(log_table @ counts)), grid.size - 1
+    if (best == 0 and score(grid[0]) <= 0) or (best == last and score(grid[last]) >= 0):
+        _warn_boundary()
+        return float(grid[best])
+    a, b = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, last)])
+    while b - a >= REFINE_TOL:
+        mid = (a + b) / 2
+        a, b = (mid, b) if score(mid) > 0 else (a, mid)
+    return (a + b) / 2
+
+
+def _grid_estimator(state: PureState, gen: HermitianOperator, povm: Measurement, lo: float, hi: float):
+    """counts -> ``_scan_and_refine`` estimate, on outcome probabilities tabulated once over the GRID_POINTS grid."""
     grid = np.linspace(lo, hi, GRID_POINTS)
-    table = np.array([np.asarray(model(phi), dtype=float) for phi in grid])
-    return _scan_and_refine(counts, _floored_log(table), grid, model)
+    slope = functools.partial(_probabilities_and_slope, povm, state, gen)
+    return functools.partial(_scan_and_refine, log_table=_floored_log(_outcome_table(state, gen, povm, grid)),
+                             grid=grid, slope=slope)
 
 
 def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) -> TrialResult:
@@ -258,8 +244,9 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
     Cramer-Rao value 1/sqrt(shots * F) at the true phase, with F the exact
     Fisher information of ``classical_fisher``.  A fringe on the extreme
     eigenvectors of ``gen`` is estimated by ``_fringe_estimate``; any other
-    measurement by mle_estimate's grid scan, on outcome probabilities
-    tabulated once per call, and its golden-section refinement.
+    measurement by a grid scan, on outcome probabilities tabulated once per
+    call, refined by bisection on the score.  Either path raises one
+    BoundaryWarning per estimate that equals an interval end.
     """
     if state.dim != gen.dim:
         raise UsageError(f"dimension mismatch: state {state.dim} vs generator {gen.dim}")
@@ -278,9 +265,7 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
     if (fringe := _fringe_model(povm, gen, state)) is not None:
         estimate = functools.partial(_fringe_estimate, *fringe, lo, hi)
     else:
-        model = functools.partial(_outcome_table, state, gen.generator, povm)
-        grid = np.linspace(lo, hi, GRID_POINTS)
-        estimate = functools.partial(_scan_and_refine, log_table=_floored_log(model(grid)), grid=grid, model=model)
+        estimate = _grid_estimator(state, gen.generator, povm, lo, hi)
     truth = evolve(state, gen.generator, config.phi_true)
     estimates = np.empty(config.n_trials)
     for trial in range(config.n_trials):

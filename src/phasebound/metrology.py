@@ -274,11 +274,15 @@ def classical_fisher(povm: Measurement, state: PureState, gen: HermitianOperator
     skipped before dividing.
     """
     _require_measurement(povm)
-    psi = evolve(state, gen, phi).amplitudes
-    p = povm.probabilities(psi)
-    dp = povm._derivative(psi, -1j * gen.apply(psi))
+    p, dp = _probabilities_and_slope(povm, state, gen, phi)
     keep = p >= _PROB_FLOOR
     return float(np.sum(dp[keep] ** 2 / p[keep]))
+
+
+def _probabilities_and_slope(povm: Measurement, state: PureState, gen: HermitianOperator, phi: float):
+    """(p, dp/dphi) of the outcome probabilities of exp(-i phi gen) state; the tangent -i gen psi goes through the kernel."""
+    psi = evolve(state, gen, phi).amplitudes
+    return povm.probabilities(psi), povm._derivative(psi, -1j * gen.apply(psi))
 
 
 def mu_sweep(gen: JointGenerator, grid) -> list[tuple[float, float, float]]:

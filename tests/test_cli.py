@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import phasebound.cli as cli
 import phasebound.estimation as estimation
 from phasebound.errors import NumericalIntegrityError
-from phasebound.opalg import DIM_CAP
+from phasebound.opalg import DIM_CAP, evolve
+from util import product_probe_mle
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -731,6 +732,25 @@ def test_site_product_run_validates_the_site_once(tmp_path, monkeypatch):
     monkeypatch.setattr(metrology, "validate_povm", lambda povm: calls.append(len(povm)) or original(povm))
     assert cli.main(["run", str(SCENARIOS / "linear_n8_siteprod.json")]) == 0
     assert calls == [2]
+
+
+def test_site_product_scenario_estimates_are_the_closed_form_mle(tmp_path, monkeypatch):
+    # the product probe's likelihood peaks where the per-site fringe (1 + cos phi)/2 meets the plus share
+    monkeypatch.chdir(tmp_path)
+    path = str(SCENARIOS / "linear_n8_siteprod.json")
+    assert cli.main(["run", path]) == 0
+    estimates = json.loads((tmp_path / "out" / "linear_n8_siteprod_trial.json").read_text())["estimates"]
+    raw = cli.load_scenario(path)
+    spec, gen, probe = cli.realize_scenario(raw)
+    config = cli._build_trial_config(raw, spec, gen)
+    truth = evolve(probe, gen.generator, config.phi_true)
+    reference = [
+        product_probe_mle(estimation.sample_outcomes(truth, config.povm, config.shots_per_trial,
+                                                     np.random.SeedSequence(config.rng_seed, spawn_key=(t,))),
+                          spec.n_systems, *config.search_interval)
+        for t in range(config.n_trials)
+    ]
+    np.testing.assert_allclose(estimates, reference, rtol=0, atol=estimation.REFINE_TOL)
 
 
 # -------------------------------------------------- exit-code property test

@@ -15,8 +15,9 @@ from phasebound.estimation import (
     RNG_ALGORITHM,
     TrialConfig,
     _fringe_estimate,
+    _grid_estimator,
     _outcome_table,
-    mle_estimate,
+    _scan_and_refine,
     optimal_povm,
     precision_trial,
     sample_outcomes,
@@ -28,7 +29,9 @@ from phasebound.states import mode_number_generator, noon_state, optimal_state, 
 
 from util import (
     dense_product_probabilities,
+    dense_score_mle,
     fringe_mle_bounded,
+    product_probe_mle,
     random_hermitian,
     random_state_vector,
     random_unitary,
@@ -38,6 +41,20 @@ from util import (
 
 def binary_model(phi):
     return np.array([math.cos(phi) ** 2, math.sin(phi) ** 2])
+
+
+def binary_grid_estimate(counts, interval):
+    """The grid path on ``binary_model``: its table scanned, refined by bisection on its analytic score."""
+    grid = np.linspace(*interval, GRID_POINTS)
+    log_table = np.log(np.clip([binary_model(phi) for phi in grid], 1e-300, None))
+    slope = lambda phi: (binary_model(phi), np.array([-math.sin(2 * phi), math.sin(2 * phi)]))
+    return _scan_and_refine(counts, log_table, grid, slope)
+
+
+def noon_grid_estimator(interval):
+    """NOON N = 3 with the dense parity elements: no fringe form, so precision_trial would take the grid path."""
+    gen = mode_number_generator(3)
+    return _grid_estimator(noon_state(3), gen.generator, Measurement(optimal_povm(gen).site), *interval)
 
 
 def qubit_base():
@@ -133,18 +150,14 @@ def test_sample_outcomes_seed_reproducible():
 
 def test_mle_recovers_exact_model_counts():
     counts = 1000.0 * binary_model(0.4)
-    est = mle_estimate(counts, binary_model, (0.1, 0.9))
+    est = binary_grid_estimate(counts, (0.1, 0.9))
     assert est == pytest.approx(0.4, abs=1e-6)
 
 
 def test_mle_consistent_for_many_shots():
     gen = mode_number_generator(3)
-    state_at = lambda phi: evolve(noon_state(3), gen.generator, phi)
-    model = lambda phi: np.array(
-        [(1 + math.cos(3 * phi)) / 2, (1 - math.cos(3 * phi)) / 2]
-    )
-    counts = sample_outcomes(state_at(0.4), optimal_povm(gen), 100_000, seed=5)
-    est = mle_estimate(counts, model, (0.1, 0.9))
+    counts = sample_outcomes(evolve(noon_state(3), gen.generator, 0.4), optimal_povm(gen), 100_000, seed=5)
+    est = noon_grid_estimator((0.1, 0.9))(counts)
     assert abs(est - 0.4) < 0.01
 
 
@@ -153,29 +166,27 @@ def test_mle_tie_break_takes_smaller_phase():
     counts = 1000.0 * binary_model(0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = mle_estimate(counts, binary_model, (-0.5, 0.5))
+        est = binary_grid_estimate(counts, (-0.5, 0.5))
     assert est == pytest.approx(-0.2, abs=1e-4)
 
 
 def test_mle_warns_at_interval_boundary():
     counts = 1000.0 * binary_model(0.6)
     with pytest.warns(BoundaryWarning):
-        est = mle_estimate(counts, binary_model, (-0.4, 0.4))
+        est = binary_grid_estimate(counts, (-0.4, 0.4))
     assert abs(abs(est) - 0.4) < 1e-6
+    assert est in (-0.4, 0.4)  # the winning end itself, not a point next to it
 
 
 @pytest.mark.parametrize("n_plus", [97750, 97766])
 def test_mle_inside_the_interval_does_not_warn(n_plus):
     # NOON N = 3 parity, p+ = (1 + cos 3 phi)/2: the root of p+ = n+/n lies under half a grid step
     # above 0.1, so the grid argmax is the end point, but the refined estimate is inside the interval
-    gen = mode_number_generator(3)
-    probe, povm = noon_state(3), optimal_povm(gen)
-    model = lambda phi: outcome_probabilities(evolve(probe, gen.generator, phi), povm)
     root = math.acos(2 * n_plus / 10**5 - 1) / 3
     assert 0.1 < root < 0.1 + 0.4 / (GRID_POINTS - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = mle_estimate([n_plus, 10**5 - n_plus], model, (0.1, 0.9))
+        est = noon_grid_estimator((0.1, 0.9))([n_plus, 10**5 - n_plus])
     assert est == pytest.approx(root, abs=REFINE_TOL)
 
 
@@ -350,29 +361,30 @@ def test_table_rejects_negative_probabilities():
 
 @pytest.mark.parametrize("case, phi_true", [("noon", 0.12), ("noon", 0.88), ("site-product", 0.7)])
 def test_trial_matches_per_trial_mle_estimate(case, phi_true):
+    # each estimate against an independent maximizer of its counts' likelihood: scipy's bounded search on
+    # the NOON fringe p+ = 1/2 + V cos(3 phi + theta), the closed form on the product probe
     if case == "noon":
         gen = mode_number_generator(3)
         probe, povm = noon_state(3), optimal_povm(gen)
         cfg = TrialConfig(phi_true, 200, 12, 5, povm, (0.1, 0.9))
+        z = np.conj(probe.amplitudes[3]) * probe.amplitudes[0]  # conj(<max|psi>) <min|psi>
+        oracle = lambda counts: fringe_mle_bounded(3.0, abs(z), np.angle(z), *cfg.search_interval, counts)
     else:
         gen, probe, povm = site_product_case(3)
         cfg = TrialConfig(phi_true, 300, 4, 8, povm, (0.2, 1.2))
-    model = lambda phi: outcome_probabilities(evolve(probe, gen.generator, phi), povm)
+        oracle = lambda counts: product_probe_mle(counts, 3, *cfg.search_interval)
     truth = evolve(probe, gen.generator, cfg.phi_true)
-    with warnings.catch_warnings(record=True) as batched:
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", BoundaryWarning)
         res = precision_trial(gen, probe, cfg)
-    reference = []
-    with warnings.catch_warnings(record=True) as scalar:
-        warnings.simplefilter("always", BoundaryWarning)
-        for trial in range(cfg.n_trials):
-            stream = np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(trial,))
-            counts = sample_outcomes(truth, povm, cfg.shots_per_trial, stream)
-            reference.append(mle_estimate(counts, model, cfg.search_interval))
+    reference = [
+        oracle(sample_outcomes(truth, povm, cfg.shots_per_trial, np.random.SeedSequence(cfg.rng_seed, spawn_key=(t,))))
+        for t in range(cfg.n_trials)
+    ]
     assert_allclose(res.estimates, reference, rtol=0, atol=REFINE_TOL)
-    assert len(batched) == len(scalar)
+    assert len(caught) == np.isin(res.estimates, cfg.search_interval).sum()  # one warning per estimate on an end
     if case == "noon":
-        assert len(scalar) > 0  # phi_true next to an edge puts some maxima on it
+        assert len(caught) > 0  # phi_true next to an edge puts some maxima on it
 
 
 # ------------------------------------------------------ closed-form fringe
@@ -396,13 +408,16 @@ def test_fringe_on_a_rotated_generator_takes_the_grid_path(monkeypatch):
         closed.clear()
         res = precision_trial(rotated, probe, cfg)
         assert closed == []
-        model = lambda phi: outcome_probabilities(evolve(probe, rotated.generator, phi), povm)
-        truth = evolve(probe, rotated.generator, cfg.phi_true)
-        reference = [
-            mle_estimate(sample_outcomes(truth, povm, cfg.shots_per_trial, np.random.SeedSequence(5, spawn_key=(t,))),
-                         model, cfg.search_interval)
-            for t in range(cfg.n_trials)
-        ]
+    truth = evolve(probe, rotated.generator, cfg.phi_true)
+    x = np.zeros((4, 4))
+    x[3, 0] = x[0, 3] = 1.0  # X = |max><min| + h.c. of the unrotated generator
+    elements = [(np.eye(4) + x) / 2, (np.eye(4) - x) / 2]
+    reference = [
+        dense_score_mle(elements, rotated.generator.entries, probe.amplitudes,
+                        sample_outcomes(truth, povm, cfg.shots_per_trial, np.random.SeedSequence(5, spawn_key=(t,))),
+                        *cfg.search_interval)
+        for t in range(cfg.n_trials)
+    ]
     assert_allclose(res.estimates, reference, rtol=0, atol=REFINE_TOL)
 
 

@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 
@@ -165,7 +166,8 @@ def fringe_mle_bounded(delta, vis, theta, lo, hi, counts):
     which carry no cancellation, so the optimum is found far below the 1e-8
     that values of L itself resolve.  The best piece optimum or piece end
     wins, compared by the same relative form; exact ties (within 1e-15) go
-    to the smaller phase.  ``vis`` must stay below 1/2.
+    to the smaller phase.  ``vis`` must stay below 1/2, or no fringe
+    extremum with a vanishing probability may lie in [lo, hi].
     """
     def relative(x, t):
         p = 0.5 + vis * math.cos(delta * x + theta)
@@ -186,3 +188,53 @@ def fringe_mle_bounded(delta, vis, theta, lo, hi, counts):
         if relative(best, phi - best) > 1e-15:
             best = phi
     return best
+
+
+def product_probe_mle(counts, n, lo, hi):
+    """argmax over [lo, hi], inside [0, pi], of the likelihood of word counts under the site fringe p+ = (1 + cos phi)/2.
+
+    Each of the n sites has outcome 0 (plus) or 1 and word w numbers them
+    site 0 most significant, so word w holds n - popcount(w) plus outcomes.
+    The likelihood factorizes over sites: only the plus total n+ of the
+    nu n site outcomes enters, and on [0, pi] it is unimodal with its peak
+    at cos phi = 2 n+ / (nu n) - 1.
+    """
+    counts = np.asarray(counts)
+    plus = np.array([n - bin(w).count("1") for w in range(2**n)])
+    peak = math.acos(2 * int(counts @ plus) / (int(counts.sum()) * n) - 1)
+    return min(max(peak, lo), hi)
+
+
+def dense_score_mle(elements, generator, amplitudes, counts, lo, hi, points=1501):
+    """argmax over [lo, hi] of sum_k n_k log p_k, p_k = <psi|E_k|psi> with psi = expm(-i phi H) psi_0, all dense.
+
+    A scan of the log-likelihood over ``points`` phases brackets the
+    maximum, and ``scipy.optimize.brentq`` finds the root of the score
+    sum_k n_k p_k'/p_k, p_k' = 2 Re <psi|E_k|-i H psi>, between the best
+    scan point's neighbours.  A best scan point on an end whose score points
+    out of the interval returns that end.
+    """
+    elements = [np.asarray(e, dtype=complex) for e in elements]
+    h = np.asarray(generator, dtype=complex)
+    counts = np.asarray(counts, dtype=float)
+    seen = counts > 0
+
+    def probabilities_and_slopes(phi):
+        psi = scipy.linalg.expm(-1j * phi * h) @ amplitudes
+        tangent = -1j * (h @ psi)
+        p = np.array([np.vdot(psi, e @ psi).real for e in elements])
+        dp = np.array([2 * np.vdot(psi, e @ tangent).real for e in elements])
+        return p, dp
+
+    def loglik(phi):
+        return counts[seen] @ np.log(probabilities_and_slopes(phi)[0][seen])
+
+    def score(phi):
+        p, dp = probabilities_and_slopes(phi)
+        return counts[seen] @ (dp[seen] / p[seen])
+
+    grid = np.linspace(lo, hi, points)
+    best = int(np.argmax([loglik(phi) for phi in grid]))
+    if (best == 0 and score(lo) <= 0) or (best == points - 1 and score(hi) >= 0):
+        return float(grid[best])
+    return scipy.optimize.brentq(score, grid[max(best - 1, 0)], grid[min(best + 1, points - 1)], xtol=1e-14)
