@@ -18,6 +18,7 @@ from .errors import (
 from .estimation import (
     TrialConfig,
     TrialResult,
+    mle_estimate,
     optimal_povm,
     precision_trial,
     sample_outcomes,
@@ -106,6 +107,7 @@ __all__ = [
     "heisenberg_bound_stddev",
     "hermitian_eigensystem",
     "kbody_generator",
+    "mle_estimate",
     "mode_number_generator",
     "moments",
     "mu_sweep",

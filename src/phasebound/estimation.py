@@ -13,10 +13,9 @@ results are reproducible and independent of execution order.  When the
 fringe vectors are extreme eigenvectors of the trial's generator, p+ is the
 closed form 1/2 + V cos(Delta phi + theta) and each estimate is a fringe
 inversion; every other measurement is estimated on a phase grid, refined
-by bisection on the sign of the log-likelihood score.  The score and the
-predicted error share one analytic phase derivative (no finite-difference
-step): the score at each bisection point, the Fisher information at the
-true phase.
+by bisection on the sign of the log-likelihood score.  The score's slope is
+the analytic phase derivative that also gives the Fisher information
+(``mle_estimate``, on a model callable, takes a central difference).
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from .states import _extreme_columns
 RNG_ALGORITHM = "pcg64"  # numpy default_rng bit generator
 GRID_POINTS = 1000
 REFINE_TOL = 1e-8
+MODEL_STEP = 1e-6  # central-difference step of mle_estimate's score
 MAX_TRIALS = 10**6
 MAX_SHOTS = 10**9  # multinomial draws need a C long, 32 bits on some platforms
 
@@ -202,13 +202,10 @@ def _fringe_estimate(delta: float, vis: float, theta: float, lo: float, hi: floa
 def _scan_and_refine(counts, log_table: np.ndarray, grid: np.ndarray, slope) -> float:
     """Maximize the floored log-likelihood of the counts over [grid[0], grid[-1]].
 
-    The scan takes the best grid point of the tabulated log-probabilities
-    (the first of exactly tied points, so the smaller phase); bisection on
-    the sign of the score sum_k n_k p_k'/p_k, with (p, p') = slope(phi),
-    then halves that point's bracket until it is narrower than REFINE_TOL.
-    An interval end is tested only when the best grid point is that end; if
-    the score there points outward, the end is the estimate and raises
-    BoundaryWarning.
+    The scan keeps the first of exactly tied grid points; bisection on the sign
+    of the score sum_k n_k p_k'/p_k, (p, p') = slope(phi), halves that point's
+    bracket to REFINE_TOL.  An end is the estimate, with a BoundaryWarning, only
+    when it is the best grid point and the score there points outward.
     """
     counts = np.asarray(counts, dtype=float)
     seen = counts > 0
@@ -222,8 +219,8 @@ def _scan_and_refine(counts, log_table: np.ndarray, grid: np.ndarray, slope) -> 
         _warn_boundary()
         return float(grid[best])
     a, b = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, last)])
-    while b - a >= REFINE_TOL:
-        mid = (a + b) / 2
+    # far from 0 adjacent floats may be wider than REFINE_TOL: stop once the midpoint rounds onto an end
+    while b - a >= REFINE_TOL and a < (mid := (a + b) / 2) < b:
         a, b = (mid, b) if score(mid) > 0 else (a, mid)
     return (a + b) / 2
 
@@ -234,6 +231,26 @@ def _grid_estimator(state: PureState, gen: HermitianOperator, povm: Measurement,
     slope = functools.partial(_probabilities_and_slope, povm, state, gen)
     return functools.partial(_scan_and_refine, log_table=_floored_log(_outcome_table(state, gen, povm, grid)),
                              grid=grid, slope=slope)
+
+
+def mle_estimate(counts, model, interval: tuple[float, float]) -> float:
+    """Maximize the multinomial log-likelihood of the counts over the interval by precision_trial's grid path.
+
+    The model (phase -> outcome probabilities) has no analytic derivative, so the
+    score's slope is a central difference with step MODEL_STEP, which reaches
+    that far outside the interval.
+    """
+    lo, hi = (float(interval[0]), float(interval[1]))
+    if not lo < hi:
+        raise UsageError(f"interval must satisfy lo < hi, got ({lo}, {hi})")
+    grid = np.linspace(lo, hi, GRID_POINTS)
+    table = np.array([np.asarray(model(phi), dtype=float) for phi in grid])
+
+    def slope(phi: float):
+        ahead, behind = (np.asarray(model(phi + s), dtype=float) for s in (MODEL_STEP, -MODEL_STEP))
+        return np.asarray(model(phi), dtype=float), (ahead - behind) / (2 * MODEL_STEP)
+
+    return _scan_and_refine(counts, _floored_log(table), grid, slope)
 
 
 def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) -> TrialResult:

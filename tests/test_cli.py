@@ -753,6 +753,40 @@ def test_site_product_scenario_estimates_are_the_closed_form_mle(tmp_path, monke
     np.testing.assert_allclose(estimates, reference, rtol=0, atol=estimation.REFINE_TOL)
 
 
+
+def test_site_product_trial_far_from_zero_phase_finishes(tmp_path):
+    # near 1e8 adjacent floats are 1.5e-8 apart, wider than REFINE_TOL, so bisection must stop on float spacing
+    lo = 1e8
+    payload = json.loads((SCENARIOS / "linear_n8_siteprod.json").read_text())
+    payload["procedure"]["n_systems"] = 2
+    payload["trial"].update(phi_true=lo + 0.1, n_trials=3, search_interval=[lo, lo + 0.2])
+    payload["outputs"] = [{"type": "trial", "path": "out/trial.json"}]
+    path = write_scenario(tmp_path, payload)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", CHILD_RUN, path, str(CHILD_ADDRESS_SPACE)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    raw = cli.load_scenario(path)
+    spec, gen, probe = cli.realize_scenario(raw)
+    config = cli._build_trial_config(raw, spec, gen)
+    # the artifact keeps 15 significant digits, 1e-6 here, so the float estimates are checked in process
+    estimates = estimation.precision_trial(gen, probe, config).estimates
+    written = json.loads((tmp_path / "out" / "trial.json").read_text())["estimates"]
+    np.testing.assert_allclose(written, estimates, rtol=1e-14, atol=0)
+    truth = evolve(probe, gen.generator, config.phi_true)
+    for t, estimate in enumerate(estimates):
+        counts = estimation.sample_outcomes(truth, config.povm, config.shots_per_trial,
+                                            np.random.SeedSequence(config.rng_seed, spawn_key=(t,)))
+        # the closed-form MLE peak on [0, pi], carried to the period that holds the interval
+        peak = product_probe_mle(counts, spec.n_systems, 0.0, math.pi)
+        roots = [lo + math.remainder(sign * peak - lo, 2 * math.pi) for sign in (1, -1)]
+        assert min(abs(estimate - root) for root in roots) <= 4 * np.spacing(lo)
+
+
 # -------------------------------------------------- exit-code property test
 
 PROPERTY_MAX_SYSTEMS = 6

@@ -18,6 +18,7 @@ from phasebound.estimation import (
     _grid_estimator,
     _outcome_table,
     _scan_and_refine,
+    mle_estimate,
     optimal_povm,
     precision_trial,
     sample_outcomes,
@@ -188,6 +189,27 @@ def test_mle_inside_the_interval_does_not_warn(n_plus):
         warnings.simplefilter("error")
         est = noon_grid_estimator((0.1, 0.9))([n_plus, 10**5 - n_plus])
     assert est == pytest.approx(root, abs=REFINE_TOL)
+
+
+
+def test_mle_estimate_on_a_model_callable_finds_the_root():
+    # cos^2 phi = 0.9 at phi = arccos(sqrt 0.9), inside the interval
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mle_estimate([900, 100], binary_model, (0.1, 0.9))
+    assert est == pytest.approx(math.acos(math.sqrt(0.9)), abs=REFINE_TOL)
+    assert est == pytest.approx(binary_grid_estimate([900, 100], (0.1, 0.9)), abs=REFINE_TOL)
+
+
+def test_mle_estimate_returns_a_winning_end_and_warns():
+    # every shot on outcome 1: the likelihood peaks at pi/2, right of the interval
+    with pytest.warns(BoundaryWarning):
+        assert mle_estimate([0, 100], binary_model, (0.0, 1.0)) == 1.0
+
+
+def test_mle_estimate_rejects_an_empty_interval():
+    with pytest.raises(UsageError):
+        mle_estimate([1, 1], binary_model, (0.5, 0.5))
 
 
 # ------------------------------------------------------------ trial harness
