@@ -149,7 +149,7 @@ def _outcome_table(state: PureState, gen: HermitianOperator, povm: Measurement, 
 
 
 def _warn_boundary() -> None:
-    # reported at the caller of precision_trial, two frames above the estimator
+    # reported at the caller of precision_trial or mle_estimate, two frames above the estimator
     warnings.warn(
         "likelihood maximum sits on the search-interval boundary; the interval may not contain the true phase",
         BoundaryWarning,
