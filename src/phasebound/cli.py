@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .errors import NumericalIntegrityError, ParseError, UsageError, ValidationError
-from .estimation import TrialConfig, _parity_elements, optimal_povm, precision_trial
+from .estimation import TrialConfig, optimal_povm, precision_trial
 from .metrology import Measurement, build_report, mu_sweep
 from .opalg import DIM_CAP, HermitianOperator, evolve, hermitian_eigensystem
 from .procedures import (
@@ -247,7 +247,7 @@ def _site_product(spec: ProcedureSpec | None, gen: JointGenerator) -> Measuremen
     if spec is None:
         raise ValidationError("site-product POVM needs a procedure section")
     site_gen = JointGenerator(HermitianOperator.from_diagonal(base_diagonal(spec)), 1)
-    return Measurement(_parity_elements(site_gen), spec.n_systems)
+    return Measurement(optimal_povm(site_gen).site, spec.n_systems)
 
 
 # each trial povm token and its measurement constructor

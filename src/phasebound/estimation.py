@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryWarning, UsageError, ValidationError
-from .metrology import (Measurement, _parity_pair, _probabilities_and_slope, _require_measurement, classical_fisher,
+from .metrology import (Measurement, _probabilities_and_slope, _require_measurement, classical_fisher,
                         outcome_probabilities)
 from .opalg import HermitianOperator, PureState, _evolved, evolve, hermitian_eigensystem
 from .procedures import JointGenerator
@@ -105,16 +105,10 @@ def optimal_povm(gen: JointGenerator) -> Measurement:
     On probes confined to the plane of the two extreme eigenstates this is
     the parity-type measurement whose statistics carry the full quantum
     Fisher information of the balanced superposition.  Only the two extreme
-    eigenvectors are kept; ``.site`` builds the dense elements on request.
+    eigenvectors are kept; ``.site`` builds the dense elements, unvalidated, on request.
     """
     vec_min, vec_max = _extreme_columns(hermitian_eigensystem(gen.generator))
     return Measurement._of_fringe(vec_max, vec_min)
-
-
-def _parity_elements(gen: JointGenerator) -> tuple[HermitianOperator, HermitianOperator]:
-    """The two dense elements (I +/- X)/2 of ``optimal_povm``, not yet validated."""
-    vec_min, vec_max = _extreme_columns(hermitian_eigensystem(gen.generator))
-    return _parity_pair(vec_max, vec_min)
 
 
 def sample_outcomes(state: PureState, povm: Measurement, shots: int, seed) -> np.ndarray:

@@ -139,14 +139,6 @@ def validate_povm(povm: list[HermitianOperator]) -> None:
         raise ValidationError(f"POVM does not sum to identity: defect {defect:.3e}")
 
 
-def _parity_pair(vec_max: np.ndarray, vec_min: np.ndarray) -> tuple[HermitianOperator, HermitianOperator]:
-    """The dense elements (I +/- X)/2 of X = |max><min| + h.c., not yet validated."""
-    cross = np.outer(vec_max, vec_min.conj())
-    x = cross + cross.conj().T
-    eye = np.eye(vec_max.size)
-    return HermitianOperator((eye + x) / 2), HermitianOperator((eye - x) / 2)
-
-
 class Measurement(_Frozen):
     """A POVM given by one site factor applied to each of ``n_sites`` sites, or a fringe.
 
@@ -164,8 +156,8 @@ class Measurement(_Frozen):
     The fringe form, built by ``_of_fringe``, is the two-outcome (I +/- X)/2
     of X = |max><min| + h.c., held as its two vectors, whose orthonormality
     is checked once.  Its probabilities are p+/- = 1/2 +/- Re(conj(<max|psi>)
-    <min|psi>), O(d) per state; ``site`` builds and validates the two dense
-    elements only when it is first read.
+    <min|psi>), O(d) per state; ``site`` builds the two dense elements only
+    when it is first read, and ``Measurement(site, n)`` validates them.
     """
 
     __slots__ = ("n_sites", "dim", "n_outcomes", "_fringe", "_site", "_rows_t", "_weights_t", "_chunk")
@@ -208,11 +200,12 @@ class Measurement(_Frozen):
 
     @property
     def site(self) -> tuple:
-        """The site elements; the fringe form builds and validates its two d x d elements on first read."""
+        """The site elements; the fringe form builds its two d x d elements (I +/- X)/2 on first read, unvalidated."""
         if not self._site:
-            pair = _parity_pair(*self._fringe)
-            validate_povm(pair)
-            self._site.append(pair)
+            cross = np.outer(self._fringe[0], self._fringe[1].conj())
+            x = cross + cross.conj().T  # X = |max><min| + h.c.
+            eye = np.eye(self.dim)
+            self._site.append((HermitianOperator((eye + x) / 2), HermitianOperator((eye - x) / 2)))
         return self._site[0]
 
     def probabilities(self, amplitudes) -> np.ndarray:

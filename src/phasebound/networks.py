@@ -23,7 +23,8 @@ phi + eps and phi - eps, with U(phi) taken as their mean (accurate to
 O(eps^2)); and analytically, as the sum of Q unitary conjugations of the box
 generators.  The two routes cross-check each other; the numeric route never
 reads the memoised total.  The numeric definition is the authoritative sign
-convention.
+convention.  Terms, totals and numeric generators all pass the one
+Hermiticity rule of ``HermitianOperator``.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def generator_numeric(net: QuantumNetwork, phi: float, eps: float = DEFAULT_FD_S
         raise StepSizeError(
             f"anti-Hermitian residue {residue:.3e} exceeds {bound:.3e}; try eps = {eps / 10:g}"
         )
-    return HermitianOperator((raw + raw.conj().T) / 2, hermitian_tol=np.inf)
+    return HermitianOperator((raw + raw.conj().T) / 2)
 
 
 def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperator, list[HermitianOperator]]:
@@ -246,11 +247,10 @@ def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperat
         if pos > 1:  # no term reads V_0^dag O_1^dag W_1^dag
             o_dag = _box_unitary(box, phi).conj().T
             w_dag = net.layers[pos - 1].conj().T @ _apply_on_sites(o_dag, sites, w_dag, n, d)
-    tol = 1e-8 * _generator_scale(net)  # rounding grows with the box eigenvalues
-    terms = [HermitianOperator(t, hermitian_tol=tol) for t in reversed(terms_rev)]
+    terms = [HermitianOperator(t) for t in reversed(terms_rev)]
     total = np.zeros((dim, dim), dtype=complex)
     for t in terms:
         total += t.entries
-    total = HermitianOperator(total, hermitian_tol=tol)
+    total = HermitianOperator(total)
     net._analytic_memo[:] = [(_phi_key(phi), total)]
     return total, terms

@@ -121,24 +121,21 @@ class HermitianOperator(_Frozen):
     """Hermitian operator, dense or diagonal (see the module docstring).
 
     ``HermitianOperator(entries)`` builds the dense form, even for a diagonal
-    matrix; violations beyond ``hermitian_tol`` (by default HERMITIAN_TOL
-    times max(1, max |A|), the scale of the rounding in A) or a NaN fail
-    construction, and an infinite tolerance skips the scan.
-    ``from_diagonal`` builds the diagonal form, which is Hermitian by
-    construction.
+    matrix, under one Hermiticity rule with no tolerance parameter: a NaN or a
+    defect max |A - A^dag| above HERMITIAN_TOL times max(1, max |A|), the scale
+    of the rounding in A, fails construction; max |A| is read only past
+    HERMITIAN_TOL.  ``from_diagonal`` builds the diagonal form, Hermitian by construction.
     """
 
     __slots__ = ("_matrix", "_diagonal", "_spectrum_cache")
 
-    def __init__(self, entries, hermitian_tol: float | None = None):
+    def __init__(self, entries):
         a = _as_complex_matrix(entries)
         _check_dim(a.shape[0])
-        if hermitian_tol is None:
-            hermitian_tol = HERMITIAN_TOL * max(1.0, _max_abs(a))
-        if hermitian_tol < np.inf and not (defect := _hermitian_defect(a)) <= hermitian_tol:
-            raise ValidationError(
-                f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {hermitian_tol:.3e}"
-            )
+        if not (defect := _hermitian_defect(a)) <= HERMITIAN_TOL:
+            tol = HERMITIAN_TOL * max(1.0, _max_abs(a))
+            if not defect <= tol:
+                raise ValidationError(f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol:.3e}")
         self._set(_matrix=_read_only(a), _diagonal=None, _spectrum_cache=[])
 
     @classmethod
@@ -213,7 +210,7 @@ class PureState:
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         _check_dim(a.shape[0])
         norm_sq = float(np.sum(np.abs(a) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # a NaN fails too
             raise ValidationError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
@@ -315,7 +312,7 @@ def _evolved(state: PureState, gen: HermitianOperator, phases) -> np.ndarray:
     """exp(-i phi gen) psi for one float phase, shape (d,), or a 1-D array of G phases, shape (G, d).
 
     A phase per basis state in the diagonal form, the cached eigensystem in
-    the dense form; every row's norm must lie within NORM_TOL of 1.
+    the dense form; a row norm off 1 by over NORM_TOL, or NaN, raises NumericalIntegrityError.
     """
     if state.dim != gen.dim:
         raise UsageError(f"dimension mismatch: state {state.dim} vs generator {gen.dim}")
@@ -327,9 +324,9 @@ def _evolved(state: PureState, gen: HermitianOperator, phases) -> np.ndarray:
         v = spec.eigenvectors
         # V^dag psi as conj(V^T conj(psi)): V^T is a view, so no d x d copy is made
         out = (np.exp(-1j * phi * spec.eigenvalues) * np.conj(v.T @ state.amplitudes.conj())) @ v.T
-    defect = abs((np.abs(out) ** 2).sum(-1) - 1.0).max()
-    if defect > NORM_TOL:
-        raise ValidationError(f"evolved state is not normalized: max |sum |a|^2 - 1| = {defect!r}")
+    defect = float(abs((np.abs(out) ** 2).sum(-1) - 1.0).max())
+    if not defect <= NORM_TOL:
+        raise NumericalIntegrityError(f"evolved state is not normalized: max |sum |a|^2 - 1| = {defect!r}")
     return out
 
 
@@ -404,8 +401,7 @@ def _rotated_diagonal(u: np.ndarray, values: np.ndarray, n: int) -> HermitianOpe
     U^(xn)^dag): n site-kernel passes of u, one per axis, at O(n d^2 d_s),
     with no transpose copy per pass.  The spectrum is known by construction and
     cached: the eigenvalues are ``values`` stably sorted, and eigenvector i is
-    the matching column of U^(xn).  The Hermiticity scan allows 1e-8 relative
-    to the largest |value|, the scale of the rounding in the products.
+    the matching column of U^(xn).  ``HermitianOperator``'s one rule checks the product.
     """
     vectors = u
     for _ in range(n - 1):
@@ -414,7 +410,7 @@ def _rotated_diagonal(u: np.ndarray, values: np.ndarray, n: int) -> HermitianOpe
     np.conj(x, out=x)  # diag(values) U^(xn)^dag, laid out by row for the site passes
     for site in range(n):
         x = _apply_on_sites(u, (site,), x, n, u.shape[0])
-    op = HermitianOperator(x, hermitian_tol=1e-8 * max(1.0, float(np.abs(values).max())))
+    op = HermitianOperator(x)
     order = np.argsort(values, kind="stable")
     op._spectrum_cache.append(Spectrum(values[order], vectors[:, order]))
     return op

@@ -891,6 +891,17 @@ def test_estimate_without_trial_section_exits_3(tmp_path, capsys):
     assert cli.main(["estimate", path]) == 3
 
 
+def test_overflowing_phase_is_refused_by_the_evolution(tmp_path, monkeypatch, capsys):
+    # at phi = 1e308 the top eigenvalue 3 overflows the phase; the NaN state never reaches serialization
+    monkeypatch.chdir(tmp_path)
+    procedure = {"kind": "linear", "n_systems": 3, "base_eigs": [0.0, 1.0]}
+    path = write_scenario(tmp_path, minimal_scenario(procedure=procedure, phi=1e308))
+    with pytest.warns(RuntimeWarning):  # overflow in the phase, then NaN from exp
+        assert cli.main(["run", path]) == 4
+    assert "numerical-error: evolved state is not normalized" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
 # ------------------------------------------------------------------- plumbing
 
 def test_numerical_error_maps_to_exit_4(monkeypatch, capsys):

@@ -599,10 +599,10 @@ def test_measurement_is_validated_once(monkeypatch):
     original = metrology.validate_povm
     monkeypatch.setattr(metrology, "validate_povm", lambda povm: calls.append(len(povm)) or original(povm))
     gen, probe, povm = site_product_case(3)
-    assert calls == [2, 2]  # optimal_povm's one-site measurement, then the three-site one
+    assert calls == [2]  # the three-site measurement; reading the fringe's site validates nothing
     cfg = TrialConfig(0.7, 50, 2, 4, povm, (0.2, 1.2))
     precision_trial(gen, probe, cfg)
-    assert calls == [2, 2]
+    assert calls == [2]
 
 
 def test_invalid_site_rejected_at_construction():

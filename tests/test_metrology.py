@@ -169,8 +169,8 @@ def test_classical_fisher_never_beats_qfi():
         probs = g.uniform(0.0, 1.0, size=dim)
         e1 = u @ np.diag(probs) @ u.conj().T
         povm = Measurement((
-            HermitianOperator(e1, hermitian_tol=1e-9),
-            HermitianOperator(np.eye(dim) - e1, hermitian_tol=1e-9),
+            HermitianOperator(e1),
+            HermitianOperator(np.eye(dim) - e1),
         ))
         f = classical_fisher(povm, psi, op, 0.7)
         q = 4.0 * moments(psi, op)[1]
@@ -306,7 +306,7 @@ def test_fringe_builds_dense_elements_only_on_request(monkeypatch):
     gen, vec_max, vec_min, _, g = fringe_case(5, 6, "dense")
     povm = optimal_povm(gen)
     assert calls == []
-    assert povm.site is povm.site and calls == [2]  # built and validated once, on the first read
+    assert povm.site is povm.site and calls == []  # built once, on the first read; Measurement(site, n) validates
     psi = random_state_vector(g, 6)
     dense = [np.vdot(psi, e.entries @ psi).real for e in povm.site]
     assert_allclose(dense, parity_pair_probabilities(vec_max, vec_min, psi), rtol=0, atol=1e-12)

@@ -144,12 +144,19 @@ def test_unitary_defect_matches_whole_matrix_expression(monkeypatch, d, rows):
         assert_allclose(_unitary_defect(v), want, rtol=1e-12, atol=1e-15, err_msg=name)
 
 
-def test_infinite_tolerance_skips_the_scan(monkeypatch):
-    def fail(a):
-        raise AssertionError("scanned")
-
-    monkeypatch.setattr(opalg, "_hermitian_defect", fail)
-    assert HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian_tol=np.inf).dim == 2
+def test_largest_entry_is_read_only_past_the_unit_floor(monkeypatch):
+    # a defect at most HERMITIAN_TOL passes whatever max |A| is, so the common case scans once
+    reads = []
+    original = opalg._max_abs
+    monkeypatch.setattr(opalg, "_max_abs", lambda a: reads.append(a.shape[0]) or original(a))
+    g = rng(14)
+    HermitianOperator(random_hermitian(g, 6, scale=1e6))
+    assert reads == []
+    u = random_unitary(g, 2)
+    scaled = u @ np.diag([0.0, 1e8]) @ u.conj().T
+    scaled[0, 1] += 2e-9  # past the floor, within 1e-9 max |A|
+    HermitianOperator(scaled)
+    assert reads == [2]
 
 
 def test_dense_construction_scan_stays_off_matrix_size():
@@ -185,6 +192,11 @@ def test_state_requires_normalization():
         PureState(np.array([1.0, 1.0]))
     st_ok = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
     assert st_ok.dim == 2
+
+
+def test_nan_state_is_refused():
+    with pytest.raises(ValidationError, match=r"not normalized: sum \|a\|\^2 = nan"):
+        PureState(np.array([np.nan, 0.0]))
 
 
 def test_basis_vector():
@@ -326,6 +338,18 @@ def test_evolve_preserves_norm_on_grid():
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("phases", [1e308, np.array([0.5, 1e308])], ids=["one", "batch"])
+@pytest.mark.parametrize("form", ["diagonal", "dense"])
+def test_overflowing_phase_raises_numerical_integrity_error(phases, form):
+    # phi * 3 overflows to inf, so exp(-i phi h) is NaN on that row
+    values = [0.0, 1.0, 3.0]
+    gen = HermitianOperator.from_diagonal(values) if form == "diagonal" else HermitianOperator(np.diag(values))
+    psi = PureState(np.ones(3) / np.sqrt(3))
+    with pytest.raises(NumericalIntegrityError, match="evolved state is not normalized: .* = nan"):
+        with pytest.warns(RuntimeWarning):
+            opalg._evolved(psi, gen, phases)
+
+
 def test_evolve_diagonal_and_dense_paths_agree():
     g = rng(18)
     d = np.array([0.0, 0.3, 1.7, 2.0])
@@ -333,7 +357,7 @@ def test_evolve_diagonal_and_dense_paths_agree():
     u = random_unitary(g, 4)
     # dense path: conjugated generator acting on the rotated state
     out_diag = evolve(PureState(psi), HermitianOperator.from_diagonal(d), 0.6)
-    dense = HermitianOperator(u @ np.diag(d) @ u.conj().T, hermitian_tol=1e-12)
+    dense = HermitianOperator(u @ np.diag(d) @ u.conj().T)
     out_dense = evolve(PureState(u @ psi), dense, 0.6)
     assert_allclose(u @ out_diag.amplitudes, out_dense.amplitudes, atol=1e-12)
 
@@ -398,8 +422,9 @@ def test_moments_near_eigenstate_variance_stays_tiny():
 
 
 def test_moments_flag_corrupted_operator():
-    bad = HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian_tol=np.inf)
-    with pytest.raises(NumericalIntegrityError):
+    # a defect of 5e-7 at max |A| = 1e3 is inside the Hermiticity rule, but <A> picks up an imaginary 2.5e-7
+    bad = HermitianOperator(np.array([[1e3, 0.0], [5e-7, 0.0]]))
+    with pytest.raises(NumericalIntegrityError, match="imaginary part"):
         moments(PureState(np.array([1.0, 1.0j]) / np.sqrt(2)), bad)
 
 

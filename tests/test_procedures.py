@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose
 
 from phasebound.cli import compare_procedures
 from phasebound.errors import UsageError, ValidationError
-from phasebound.networks import QuantumNetwork
-from phasebound.opalg import DIM_CAP, HermitianOperator, hermitian_eigensystem
+from phasebound.networks import BlackBox, QuantumNetwork, generator_analytic, generator_numeric
+from phasebound.opalg import DIM_CAP, HERMITIAN_TOL, HermitianOperator, _hermitian_defect, _max_abs, hermitian_eigensystem
 from phasebound.procedures import (
     KINDS,
     JointGenerator,
@@ -345,6 +345,41 @@ def test_rotated_build_checks_hermiticity_relative_to_its_values():
     assert gen.h_min == pytest.approx(0.0, abs=1e-6)
 
 
+def haar_rotated(g, values):
+    u = random_unitary(g, len(values))
+    b = u @ np.diag(values) @ u.conj().T
+    return HermitianOperator((b + b.conj().T) / 2)
+
+
+def extreme_dense_operators():
+    """(name, operator) for the package's own dense builds at their extreme scales."""
+    g = rng(60)
+    for lo in (0.0, -1e8):
+        spec = ProcedureSpec("linear", 10, (lo, 1e8))
+        yield f"rotated linear ({lo:g}, 1e8)", build_generator(spec, haar_rotated(g, [lo, 1e8])).generator
+    spec = ProcedureSpec("sequential-wrapped", 10, (0.0, 1.0), repetitions=10**8)
+    yield "sequential-wrapped T = 1e8", build_generator(spec, haar_rotated(g, [0.0, 1.0])).generator
+    n = 8
+    layers = [random_unitary(g, 2**n)]
+    for sites, top in (((0,), 1e6), ((3, 1, 6), 1e12), ((2, 5, 7), 1e9), ((4,), 1.0)):
+        base = haar_rotated(g, np.sort(g.uniform(0.0, top, size=2 ** len(sites))))
+        layers += [BlackBox(base, sites), random_unitary(g, 2**n)]
+    net = QuantumNetwork(n, 2, tuple(layers))
+    total, terms = generator_analytic(net, 0.4)
+    yield "analytic total", total
+    for j, term in enumerate(terms):
+        yield f"analytic term {j}", term
+    yield "numeric", generator_numeric(net, 0.4)
+
+
+def test_dense_builds_keep_a_wide_margin_under_the_hermiticity_rule():
+    # the one rule, 1e-9 max(1, max |A|), must sit far above what the builds round to, not just above it
+    for name, op in extreme_dense_operators():
+        assert not op.is_diagonal, name
+        a = op.entries
+        assert _hermitian_defect(a) <= 1e-3 * HERMITIAN_TOL * max(1.0, _max_abs(a)), name
+
+
 def test_build_generator_sequential_spec_wraps_linear():
     spec = ProcedureSpec("sequential-wrapped", 1, (0.0, 1.0), repetitions=5)
     gen = build_generator(spec)
@@ -370,7 +405,7 @@ def test_rotated_base_keeps_joint_spectrum():
     g = rng(41)
     w = random_unitary(g, 2)
     base_diag = np.diag([0.0, 1.0]).astype(complex)
-    rotated = HermitianOperator(w @ base_diag @ w.conj().T, hermitian_tol=1e-12)
+    rotated = HermitianOperator(w @ base_diag @ w.conj().T)
     for kind, extra in (("linear", {}), ("kbody", {"body_order": 2}), ("exponential", {})):
         spec = ProcedureSpec(kind, 3, (0.0, 1.0), **extra)
         plain = build_generator(spec)
