@@ -9,13 +9,22 @@ Estimation is local: the true phase is assumed to sit inside a known search
 interval shorter than the likelihood period set by the generator's spectrum,
 so the global phase ambiguity never enters.  Outcome sampling is multinomial
 with a splittable counter-based seed scheme (one child stream per trial), so
-results are reproducible and independent of execution order.  When the
-fringe vectors are extreme eigenvectors of the trial's generator, p+ is the
-closed form 1/2 + V cos(Delta phi + theta) and each estimate is a fringe
-inversion; every other measurement is estimated on a phase grid, refined
-by bisection on the sign of the log-likelihood score.  The score's slope is
-the analytic phase derivative that also gives the Fisher information
-(``mle_estimate``, on a model callable, takes a central difference).
+results are reproducible and independent of execution order.  A trial's
+estimator takes one of three paths:
+
+- fringe: when the fringe vectors are extreme eigenvectors of the trial's
+  generator, p+ is the closed form 1/2 + V cos(Delta phi + theta) and each
+  estimate is a fringe inversion (``_fringe_estimate``);
+- reduced: a site-product measurement of (I +/- X)/2 on every site, X
+  swapping two site levels, under a diagonal generator, with a product
+  probe on a site-sum generator or a two-word (GHZ-type) probe, has a
+  likelihood that depends on one count: the + site outcomes, or the words
+  with an even number of - outcomes.  That count goes to the same fringe
+  inversion (``_reduced_fringe``);
+- grid: every other measurement is estimated on a phase grid, refined by
+  bisection on the sign of the log-likelihood score.  The score's slope is
+  the analytic phase derivative that also gives the Fisher information
+  (``mle_estimate``, on a model callable, takes a central difference).
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import numpy as np
 from .errors import BoundaryWarning, UsageError, ValidationError
 from .metrology import (Measurement, _probabilities_and_slope, _require_measurement, classical_fisher,
                         outcome_probabilities)
-from .opalg import HermitianOperator, PureState, _evolved, evolve, hermitian_eigensystem
+from .opalg import HermitianOperator, PureState, _evolved, _lifted_site_values, evolve, hermitian_eigensystem
 from .procedures import JointGenerator
 from .states import _extreme_columns
 
@@ -40,6 +49,8 @@ REFINE_TOL = 1e-8
 MODEL_STEP = 1e-6  # central-difference step of mle_estimate's score
 MAX_TRIALS = 10**6
 MAX_SHOTS = 10**9  # multinomial draws need a C long, 32 bits on some platforms
+_SWAP_TOL = 1e-12  # entry error of a site element read as (I +/- X)/2
+_FACTOR_TOL = 1e-8  # residual of a product or two-word probe; relative to the spectral scale for a site sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +122,16 @@ def optimal_povm(gen: JointGenerator) -> Measurement:
     return Measurement._of_fringe(vec_max, vec_min)
 
 
+def _outcome_sampler(state: PureState, povm: Measurement):
+    """(shots, seed) -> multinomial counts, on outcome probabilities computed and checked once."""
+    probs = outcome_probabilities(state, povm)
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValidationError(f"outcome probabilities sum to {total!r}, not 1")
+    probs = probs / total
+    return lambda shots, seed: np.random.default_rng(seed).multinomial(shots, probs)
+
+
 def sample_outcomes(state: PureState, povm: Measurement, shots: int, seed) -> np.ndarray:
     """Multinomial outcome counts for the given probe and measurement.
 
@@ -119,12 +140,7 @@ def sample_outcomes(state: PureState, povm: Measurement, shots: int, seed) -> np
     """
     if shots < 1:
         raise UsageError("shots must be >= 1")
-    probs = outcome_probabilities(state, povm)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"outcome probabilities sum to {total!r}, not 1")
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, probs / total)
+    return _outcome_sampler(state, povm)(shots, seed)
 
 
 def _floored_log(probs: np.ndarray) -> np.ndarray:
@@ -193,6 +209,98 @@ def _fringe_estimate(delta: float, vis: float, theta: float, lo: float, hi: floa
     return float(best)
 
 
+def _site_swap(povm: Measurement) -> tuple[int, int, int] | None:
+    """(plus, i, j) when the site elements are (I + X)/2, at index ``plus``, and (I - X)/2; else None.
+
+    X swaps site levels i and j.  Each element must match its form within
+    _SWAP_TOL in every entry; a fringe or a site with other than two
+    elements gives None.
+    """
+    if povm._fringe is not None or len(povm.site) != 2:
+        return None
+    e0, e1 = (element.entries for element in povm.site)
+    i, j = np.unravel_index(np.argmax(np.abs(e0 - e1)), e0.shape)  # e0 - e1 = +/- X
+    if i == j:
+        return None
+    x = np.zeros(e0.shape)
+    x[i, j] = x[j, i] = 1.0
+    eye = np.eye(e0.shape[0])
+    for plus, sign in ((0, 1.0), (1, -1.0)):
+        if max(np.abs(e0 - (eye + sign * x) / 2).max(), np.abs(e1 - (eye - sign * x) / 2).max()) <= _SWAP_TOL:
+            return plus, int(i), int(j)
+    return None
+
+
+def _tensor_root(psi: np.ndarray, n: int, ds: int) -> np.ndarray | None:
+    """A unit site state s with psi = c s^(xn) within _FACTOR_TOL, or None; s is read through psi's peak."""
+    peak = np.unravel_index(np.argmax(np.abs(psi)), [ds] * n)
+    site = psi.reshape([ds] * n)[(slice(None),) + peak[1:]]
+    site = site / np.linalg.norm(site)
+    power = functools.reduce(np.kron, [site] * n)
+    return site if np.linalg.norm(psi - np.vdot(power, psi) * power) <= _FACTOR_TOL else None
+
+
+def _site_sum(v: np.ndarray, n: int, ds: int, tol: float) -> np.ndarray | None:
+    """Site values g with v(b) = v(0) + sum_j g(b_j) within tol on every word b, or None; g(0) = 0."""
+    g = v.reshape([ds] * n)[(slice(None),) + (0,) * (n - 1)] - v[0]  # site 0's levels, every other site at 0
+    lifted = v[0] + sum(_lifted_site_values(g, j, n, ds) for j in range(n))
+    return g if np.max(np.abs(v - lifted)) <= tol else None
+
+
+def _pair_fringe(amplitudes: np.ndarray, values: np.ndarray, i: int, j: int) -> tuple[float, float, float] | None:
+    """(Delta, V, theta) of p+ = 1/2 + Re(conj(a_i) a_j), a_k = amplitudes[k] exp(-i phi values[k]); None when flat.
+
+    p+ is symmetric in i and j, so i is taken as the level with the larger
+    value and Delta = values[i] - values[j] >= 0.
+    """
+    if values[i] < values[j]:
+        i, j = j, i
+    z = np.conj(amplitudes[i]) * amplitudes[j]
+    delta = float(values[i] - values[j])
+    return (delta, float(abs(z)), float(np.angle(z))) if delta > 0 and z != 0 else None
+
+
+def _reduced_fringe(povm: Measurement, gen: JointGenerator, state: PureState):
+    """(fringe, rows): the site-product counts reduce to the fringe counts rows @ counts; None when they do not.
+
+    It needs a diagonal generator and site elements (I +/- X)/2, X swapping
+    site levels M and m (``_site_swap``), and recognises two probes:
+
+    - a product probe c s^(xN) under a generator that is a sum of one set of
+      site values, v(b) = sum_j g(b_j): every site shows the one-site fringe
+      p+ = 1/2 + Re(conj(s_M) s_m), so the + outcomes over all nu N site
+      draws are the count;
+    - a two-word probe on the all-M and all-m words, under any diagonal
+      generator: a word's probability depends only on the parity of its -
+      outcomes, and the even words carry the parity fringe (Bollinger et
+      al., PRA 54, R4649, 1996) with Delta = v(all-M) - v(all-m).
+
+    Both are recognised in O(N d), and (Delta, V, theta) is oriented for
+    ``_fringe_estimate``.  A flat fringe gives None.
+    """
+    swap = _site_swap(povm)
+    if swap is None or not gen.generator.is_diagonal:
+        return None
+    plus, i, j = swap
+    n, ds = povm.n_sites, povm.site[0].dim
+    v, psi = gen.generator.diagonal, state.amplitudes
+    # plus_sites[k]: the sites with outcome + in word k, site 0 most significant
+    plus_sites = sum(_lifted_site_values((np.arange(2) == plus).astype(int), k, n, 2) for k in range(n))
+    site = _tensor_root(psi, n, ds)
+    g = None if site is None else _site_sum(v, n, ds, _FACTOR_TOL * max(1.0, abs(gen.h_min), abs(gen.h_max)))
+    if g is not None:
+        fringe, rows = _pair_fringe(site, g, i, j), np.stack([plus_sites, n - plus_sites])
+    else:
+        words = [level * (ds**n - 1) // (ds - 1) for level in (i, j)]  # the all-i and all-j words
+        rest = psi.copy()
+        rest[words] = 0
+        if np.linalg.norm(rest) > _FACTOR_TOL:
+            return None
+        even = (n - plus_sites) % 2 == 0
+        fringe, rows = _pair_fringe(psi[words], v[words], 0, 1), np.stack([even, ~even]).astype(int)
+    return None if fringe is None else (fringe, rows)
+
+
 def _scan_and_refine(counts, log_table: np.ndarray, grid: np.ndarray, slope) -> float:
     """Maximize the floored log-likelihood of the counts over [grid[0], grid[-1]].
 
@@ -253,10 +361,13 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
     Each trial draws its RNG stream from (rng_seed, trial_index), so the
     result does not depend on scheduling; the predicted error is the
     Cramer-Rao value 1/sqrt(shots * F) at the true phase, with F the exact
-    Fisher information of ``classical_fisher``.  A fringe on the extreme
-    eigenvectors of ``gen`` is estimated by ``_fringe_estimate``; any other
+    Fisher information of ``classical_fisher``, on the full measurement.
+    The outcome probabilities at the true phase are computed once per call.
+    A fringe on the extreme eigenvectors of ``gen`` is estimated by
+    ``_fringe_estimate``; a site-product measurement that ``_reduced_fringe``
+    recognises by the same inversion, on its one reduced count; any other
     measurement by a grid scan, on outcome probabilities tabulated once per
-    call, refined by bisection on the score.  Either path raises one
+    call, refined by bisection on the score.  Every path raises one
     BoundaryWarning per estimate that equals an interval end.
     """
     if state.dim != gen.dim:
@@ -273,15 +384,18 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
     fisher = classical_fisher(povm, state, gen.generator, config.phi_true)
     if fisher <= 0:
         raise ValidationError("measurement carries no phase information at phi_true")
-    if (fringe := _fringe_model(povm, gen, state)) is not None:
+    rows = None  # the reduced path sums the counts to (n+, n-) before the fringe estimate
+    if (fringe := _fringe_model(povm, gen, state)) is None and (reduced := _reduced_fringe(povm, gen, state)):
+        fringe, rows = reduced
+    if fringe is not None:
         estimate = functools.partial(_fringe_estimate, *fringe, lo, hi)
     else:
         estimate = _grid_estimator(state, gen.generator, povm, lo, hi)
-    truth = evolve(state, gen.generator, config.phi_true)
+    draw = _outcome_sampler(evolve(state, gen.generator, config.phi_true), povm)
     estimates = np.empty(config.n_trials)
     for trial in range(config.n_trials):
-        stream = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(trial,))
-        estimates[trial] = estimate(sample_outcomes(truth, povm, config.shots_per_trial, stream))
+        counts = draw(config.shots_per_trial, np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(trial,)))
+        estimates[trial] = estimate(counts if rows is None else rows @ counts)
     rmse = float(np.sqrt(np.mean((estimates - config.phi_true) ** 2)))
     crb = 1.0 / math.sqrt(config.shots_per_trial * fisher)
     return TrialResult(estimates, rmse, crb)

@@ -19,7 +19,7 @@ import phasebound.cli as cli
 import phasebound.estimation as estimation
 from phasebound.errors import NumericalIntegrityError
 from phasebound.opalg import DIM_CAP, evolve
-from util import product_probe_mle
+from util import fringe_mle_bounded, product_probe_mle, site_product_reduced_counts
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -752,6 +752,40 @@ def test_site_product_scenario_estimates_are_the_closed_form_mle(tmp_path, monke
     ]
     np.testing.assert_allclose(estimates, reference, rtol=0, atol=estimation.REFINE_TOL)
 
+
+
+def test_ghz_scenario_estimates_are_the_parity_fringe_mle(tmp_path, monkeypatch):
+    # optimal_mu (mu = 1/2) over kbody:2 at N = 6: the even words carry p_even = 1/2 + cos(15 phi)/2,
+    # with 15 = C(6, 2) the all-ones value of the generator and no fringe extremum in the interval
+    monkeypatch.chdir(tmp_path)
+    path = str(SCENARIOS / "ghz_n6_siteprod.json")
+    assert cli.main(["run", path]) == 0
+    estimates = json.loads((tmp_path / "out" / "ghz_n6_siteprod_trial.json").read_text())["estimates"]
+    raw = cli.load_scenario(path)
+    spec, gen, probe = cli.realize_scenario(raw)
+    config = cli._build_trial_config(raw, spec, gen)
+    truth = evolve(probe, gen.generator, config.phi_true)
+    reference = []
+    for t in range(config.n_trials):
+        counts = estimation.sample_outcomes(truth, config.povm, config.shots_per_trial,
+                                            np.random.SeedSequence(config.rng_seed, spawn_key=(t,)))
+        n_even = site_product_reduced_counts(counts, spec.n_systems)[1]
+        reference.append(fringe_mle_bounded(15.0, 0.5, 0.0, *config.search_interval,
+                                            (n_even, config.shots_per_trial - n_even)))
+    assert len(estimates) == config.n_trials == 20
+    np.testing.assert_allclose(estimates, reference, rtol=0, atol=estimation.REFINE_TOL)
+
+
+def test_bundled_trials_never_tabulate_outcomes(tmp_path, monkeypatch):
+    # every bundled trial is a fringe, closed-form or reduced from site-product counts: no grid table is built
+    monkeypatch.chdir(tmp_path)
+    tables, original = [], estimation._outcome_table
+    monkeypatch.setattr(estimation, "_outcome_table", lambda *args: tables.append(args[2]) or original(*args))
+    trials = [path for path in sorted(SCENARIOS.glob("*.json")) if "trial" in json.loads(path.read_text())]
+    assert {path.name for path in trials} >= {"ghz_n6_siteprod.json", "linear_n8_siteprod.json", "noon_n3_trial.json"}
+    for path in trials:
+        assert cli.main(["run", str(path)]) == 0, path.name
+    assert tables == []
 
 
 def test_site_product_trial_far_from_zero_phase_finishes(tmp_path):

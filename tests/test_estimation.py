@@ -17,6 +17,7 @@ from phasebound.estimation import (
     _fringe_estimate,
     _grid_estimator,
     _outcome_table,
+    _reduced_fringe,
     _scan_and_refine,
     mle_estimate,
     optimal_povm,
@@ -25,7 +26,7 @@ from phasebound.estimation import (
 )
 from phasebound.metrology import Measurement, outcome_probabilities, validate_povm
 from phasebound.opalg import HermitianOperator, PureState, _evolved, evolve, hermitian_eigensystem
-from phasebound.procedures import JointGenerator, ProcedureSpec, build_generator
+from phasebound.procedures import JointGenerator, ProcedureSpec, base_diagonal, build_generator
 from phasebound.states import mode_number_generator, noon_state, optimal_state, product_balanced_state
 
 from util import (
@@ -37,6 +38,7 @@ from util import (
     random_state_vector,
     random_unitary,
     rng,
+    site_product_reduced_counts,
 )
 
 
@@ -60,6 +62,16 @@ def noon_grid_estimator(interval):
 
 def qubit_base():
     return HermitianOperator.from_diagonal([0.0, 1.0])
+
+
+def count_fringe_estimates(monkeypatch):
+    """The argument tuples of every ``_fringe_estimate`` call from here on."""
+    import phasebound.estimation as estimation
+
+    calls = []
+    original = estimation._fringe_estimate
+    monkeypatch.setattr(estimation, "_fringe_estimate", lambda *args: calls.append(args) or original(*args))
+    return calls
 
 
 # ----------------------------------------------------------------- POVM tools
@@ -413,11 +425,7 @@ def test_trial_matches_per_trial_mle_estimate(case, phi_true):
 
 def test_fringe_on_a_rotated_generator_takes_the_grid_path(monkeypatch):
     # the fringe's vectors are no eigenvectors of U H U^dag, so p+ is no cosine in phi there
-    import phasebound.estimation as estimation
-
-    closed = []
-    original = estimation._fringe_estimate
-    monkeypatch.setattr(estimation, "_fringe_estimate", lambda *args: closed.append(args) or original(*args))
+    closed = count_fringe_estimates(monkeypatch)
     gen = mode_number_generator(3)
     u = random_unitary(rng(21), 4)
     rotated = JointGenerator(HermitianOperator(u @ gen.generator.entries @ u.conj().T), 1)
@@ -609,3 +617,151 @@ def test_invalid_site_rejected_at_construction():
     with pytest.raises(ValidationError):
         Measurement([HermitianOperator.from_diagonal([0.5, 0.5])], 4)
     assert Measurement(qubit_optimal_site(), 2).n_outcomes == 4
+
+
+def test_truth_probabilities_are_computed_once_per_run(monkeypatch):
+    # every trial's counts are sample_outcomes' on that trial's stream, from one probability evaluation
+    import phasebound.estimation as estimation
+
+    calls, seen = [], []
+    original_probabilities, original_estimate = estimation.outcome_probabilities, estimation._fringe_estimate
+    monkeypatch.setattr(estimation, "outcome_probabilities", lambda *a: calls.append(1) or original_probabilities(*a))
+    monkeypatch.setattr(estimation, "_fringe_estimate", lambda *a: seen.append(a[-1]) or original_estimate(*a))
+    gen = mode_number_generator(3)
+    probe, povm = noon_state(3), optimal_povm(gen)
+    cfg = TrialConfig(0.4, 300, 7, 12, povm, (0.1, 0.9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        precision_trial(gen, probe, cfg)
+    assert len(calls) == 1
+    truth = evolve(probe, gen.generator, cfg.phi_true)
+    for t, counts in enumerate(seen):
+        reference = sample_outcomes(truth, povm, cfg.shots_per_trial, np.random.SeedSequence(12, spawn_key=(t,)))
+        assert counts.tolist() == reference.tolist()
+
+
+# --------------------------------------------- reduced site-product fringes
+
+def site_product_povm(spec):
+    """The CLI's site-product measurement: the optimal fringe of the default site base on every site."""
+    base = HermitianOperator.from_diagonal(base_diagonal(spec))
+    return Measurement(optimal_povm(JointGenerator(base, 1)).site, spec.n_systems)
+
+
+def symmetric_probe(spec, gen, kind):
+    """A product_balanced probe, or the two-word optimal_mu probe with mu = 0.3 and relative phase 0.4."""
+    if kind == "product":
+        base = HermitianOperator.from_diagonal(base_diagonal(spec))
+        return product_balanced_state(spec.n_systems, hermitian_eigensystem(base))
+    return optimal_state(gen, 0.3, 0.4)
+
+
+# (spec, probe, search interval): no fringe extremum lies inside any interval
+REDUCED_CASES = {
+    "product-linear": (ProcedureSpec("linear", 4, (0.0, 1.0)), "product", (0.2, 1.2)),
+    "product-qutrit": (ProcedureSpec("linear", 3, (0.0, 1.0), subsystem_dim=3), "product", (0.2, 1.2)),
+    "product-negative-base": (ProcedureSpec("linear", 3, (-0.5, 0.7)), "product", (0.2, 1.2)),
+    "product-sequential": (ProcedureSpec("sequential-wrapped", 3, (0.0, 1.0), repetitions=2), "product", (0.2, 0.9)),
+    "two-word-linear": (ProcedureSpec("linear", 3, (0.0, 1.0)), "two-word", (0.1, 0.9)),
+    "two-word-kbody": (ProcedureSpec("kbody", 3, (0.0, 1.0), body_order=2), "two-word", (0.1, 0.9)),
+    "two-word-exponential": (ProcedureSpec("exponential", 3, (0.0, 1.0)), "two-word", (0.05, 0.35)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCED_CASES))
+def test_reduced_estimates_match_the_grid_path(monkeypatch, case):
+    spec, kind, interval = REDUCED_CASES[case]
+    gen = build_generator(spec)
+    probe, povm = symmetric_probe(spec, gen, kind), site_product_povm(spec)
+    cfg = TrialConfig(sum(interval) / 2, 400, 6, 13, povm, interval)
+    grid = _grid_estimator(probe, gen.generator, povm, *interval)
+    truth = evolve(probe, gen.generator, cfg.phi_true)
+    closed = count_fringe_estimates(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        res = precision_trial(gen, probe, cfg)
+        reference = [
+            grid(sample_outcomes(truth, povm, cfg.shots_per_trial, np.random.SeedSequence(13, spawn_key=(t,))))
+            for t in range(cfg.n_trials)
+        ]
+    assert len(closed) == cfg.n_trials  # a site-product measurement has no fringe form: each call is a reduced one
+    assert_allclose(res.estimates, reference, rtol=0, atol=REFINE_TOL)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("kind", ["product", "two-word"])
+@pytest.mark.parametrize("plus", [0, 1])
+def test_reduced_counts_and_fringe_match_the_outcome_words(n, kind, plus):
+    # the reduction against an enumeration of the 2^n words, and its fringe against every word's probability
+    spec = ProcedureSpec("linear", n, (0.0, 1.0))
+    gen = build_generator(spec)
+    probe = symmetric_probe(spec, gen, kind)
+    site = qubit_optimal_site()[::-1] if plus else qubit_optimal_site()
+    (delta, vis, theta), rows = _reduced_fringe(Measurement(site, n), gen, probe)
+    counts = rng(n).integers(0, 50, size=2**n)
+    n_plus, n_even = site_product_reduced_counts(counts, n, plus)
+    shots = int(counts.sum())
+    assert (rows @ counts).tolist() == ([n_plus, n * shots - n_plus] if kind == "product" else [n_even, shots - n_even])
+    phi = 0.37
+    p_plus = 0.5 + vis * math.cos(delta * phi + theta)
+    evolved = np.exp(-1j * phi * gen.generator.diagonal) * probe.amplitudes
+    words = dense_product_probabilities([e.entries for e in site], n, evolved)
+    pluses = np.array([word.count(plus) for word in map(list, np.ndindex(*[2] * n))])
+    if kind == "product":  # p(word) = p+^(+ sites) p-^(- sites)
+        expected = p_plus**pluses * (1 - p_plus) ** (n - pluses)
+    else:  # p(word) = p_even or p_odd, shared by the 2^(n-1) words of that parity
+        expected = np.where((n - pluses) % 2 == 0, p_plus, 1 - p_plus) / 2 ** (n - 1)
+    assert_allclose(words, expected, rtol=0, atol=1e-14)
+
+
+def test_a_mirror_tie_goes_to_the_smaller_phase():
+    # optimal_mu over linear N = 3: p_even = (1 + cos 3 phi)/2, whose minimum pi/3 lies inside [5/6, 7/6],
+    # so the two roots of each count mirror about pi/3 and tie exactly
+    spec = ProcedureSpec("linear", 3, (0.0, 1.0))
+    gen = build_generator(spec)
+    lo, hi = 5 / 6, 7 / 6
+    cfg = TrialConfig(1.0, 200, 10, 3, site_product_povm(spec), (lo, hi))
+    probe = optimal_state(gen, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        res = precision_trial(gen, probe, cfg)
+    truth = evolve(probe, gen.generator, cfg.phi_true)
+    mirrored = 0
+    for t, estimate in enumerate(res.estimates):
+        counts = sample_outcomes(truth, cfg.povm, cfg.shots_per_trial, np.random.SeedSequence(3, spawn_key=(t,)))
+        angle = math.acos(2 * site_product_reduced_counts(counts, 3)[1] / cfg.shots_per_trial - 1)
+        smaller, larger = angle / 3, (2 * math.pi - angle) / 3
+        mirrored += lo <= smaller < larger - 0.01 < hi
+        # acos is steep near -1, so an all-odd count lands within REFINE_TOL of pi/3, not at it
+        assert estimate == pytest.approx(max(smaller, lo), abs=REFINE_TOL)
+    assert mirrored > 0  # two distinct roots inside the interval: an exact tie the smaller phase won
+
+
+REFUSED_CASES = {
+    "product-kbody": (ProcedureSpec("kbody", 3, (0.3, 1.0), body_order=2), "product", "site", (0.2, 1.2)),
+    "product-exponential": (ProcedureSpec("exponential", 3, (0.0, 1.0)), "product", "site", (0.1, 0.6)),
+    "non-product-probe": (ProcedureSpec("linear", 3, (0.0, 1.0)), "random", "site", (0.2, 1.2)),
+    "rotated-generator": (ProcedureSpec("linear", 3, (0.0, 1.0)), "product", "site", (0.2, 1.2)),
+    "three-outcome-site": (ProcedureSpec("linear", 3, (0.0, 1.0)), "product", "random-3", (0.2, 1.2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_CASES))
+def test_unreduced_trials_take_the_grid_path(monkeypatch, case):
+    # a product probe on kbody or exponential does not factor, since the evolution entangles the sites
+    spec, kind, site, interval = REFUSED_CASES[case]
+    if case == "rotated-generator":
+        u = random_unitary(rng(4), 2)
+        gen = build_generator(spec, HermitianOperator(u @ np.diag(base_diagonal(spec)) @ u.conj().T))
+        assert not gen.generator.is_diagonal
+    else:
+        gen = build_generator(spec)
+    probe = PureState(random_state_vector(rng(6), gen.dim)) if kind == "random" else symmetric_probe(spec, gen, kind)
+    povm = Measurement(random_three_outcome_site(), 3) if site == "random-3" else site_product_povm(spec)
+    assert _reduced_fringe(povm, gen, probe) is None
+    closed = count_fringe_estimates(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        res = precision_trial(gen, probe, TrialConfig(sum(interval) / 2, 100, 2, 9, povm, interval))
+    assert closed == [] and res.estimates.shape == (2,)
+

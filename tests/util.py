@@ -205,6 +205,22 @@ def product_probe_mle(counts, n, lo, hi):
     return min(max(peak, lo), hi)
 
 
+def site_product_reduced_counts(counts, n, plus=0):
+    """(n+, n_even) of two-outcome site-product word counts, by enumerating the 2^n words.
+
+    Words run over itertools.product, site 0 most significant, and site
+    outcome ``plus`` is the + one: n+ adds each word's count once per +
+    site, and n_even adds the counts of words with an even number of -
+    sites.
+    """
+    n_plus = n_even = 0
+    for count, word in zip(counts, itertools.product(range(2), repeat=n)):
+        pluses = word.count(plus)
+        n_plus += int(count) * pluses
+        n_even += int(count) * ((n - pluses) % 2 == 0)
+    return n_plus, n_even
+
+
 def dense_score_mle(elements, generator, amplitudes, counts, lo, hi, points=1501):
     """argmax over [lo, hi] of sum_k n_k log p_k, p_k = <psi|E_k|psi> with psi = expm(-i phi H) psi_0, all dense.
 
