@@ -167,6 +167,19 @@ def _warn_boundary() -> None:
     )
 
 
+def _pair_fringe(amplitudes: np.ndarray, values: np.ndarray, i: int, j: int) -> tuple[float, float, float] | None:
+    """(Delta, V, theta) of p+ = 1/2 + Re(conj(a_i) a_j), a_k = amplitudes[k] exp(-i phi values[k]); None when flat.
+
+    p+ is symmetric in i and j, so i is taken as the level with the larger
+    value and Delta = values[i] - values[j] >= 0.
+    """
+    if values[i] < values[j]:
+        i, j = j, i
+    z = np.conj(amplitudes[i]) * amplitudes[j]
+    delta = float(values[i] - values[j])
+    return (delta, float(abs(z)), float(np.angle(z))) if delta > 0 and z != 0 else None
+
+
 def _fringe_model(povm: Measurement, gen: JointGenerator, state: PureState) -> tuple[float, float, float] | None:
     """(Delta, V, theta) of p+(phi) = 1/2 + V cos(Delta phi + theta), or None when that form does not hold.
 
@@ -181,9 +194,7 @@ def _fringe_model(povm: Measurement, gen: JointGenerator, state: PureState) -> t
     for v, h in zip(povm._fringe, (gen.h_max, gen.h_min)):
         if np.linalg.norm(gen.generator.apply(v) - h * v) > tol:
             return None
-    a, b = povm._fringe.conj() @ state.amplitudes
-    z = a.conj() * b
-    return (gen.seminorm, float(abs(z)), float(np.angle(z))) if z != 0 else None
+    return _pair_fringe(povm._fringe.conj() @ state.amplitudes, np.array([gen.h_max, gen.h_min]), 0, 1)
 
 
 def _fringe_estimate(delta: float, vis: float, theta: float, lo: float, hi: float, counts) -> float:
@@ -245,19 +256,6 @@ def _site_sum(v: np.ndarray, n: int, ds: int, tol: float) -> np.ndarray | None:
     g = v.reshape([ds] * n)[(slice(None),) + (0,) * (n - 1)] - v[0]  # site 0's levels, every other site at 0
     lifted = v[0] + sum(_lifted_site_values(g, j, n, ds) for j in range(n))
     return g if np.max(np.abs(v - lifted)) <= tol else None
-
-
-def _pair_fringe(amplitudes: np.ndarray, values: np.ndarray, i: int, j: int) -> tuple[float, float, float] | None:
-    """(Delta, V, theta) of p+ = 1/2 + Re(conj(a_i) a_j), a_k = amplitudes[k] exp(-i phi values[k]); None when flat.
-
-    p+ is symmetric in i and j, so i is taken as the level with the larger
-    value and Delta = values[i] - values[j] >= 0.
-    """
-    if values[i] < values[j]:
-        i, j = j, i
-    z = np.conj(amplitudes[i]) * amplitudes[j]
-    delta = float(values[i] - values[j])
-    return (delta, float(abs(z)), float(np.angle(z))) if delta > 0 and z != 0 else None
 
 
 def _reduced_fringe(povm: Measurement, gen: JointGenerator, state: PureState):
