@@ -14,8 +14,9 @@ The fixed unitaries are copied at construction and frozen, so a network
 never changes after it is built.  That lets a network remember its latest
 analytic generator: ``generator_analytic`` keeps its total, for the phi it
 ran at, and ``procedures.from_network`` at that phi returns the same
-operator without a second backward pass.  Only the total is kept, never the
-per-term list.
+operator without a second backward pass.  The pass adds each term into the
+total as it makes it, so it holds O(d^2) memory whatever Q is; the per-term
+list is not kept, and its terms are built when first read.
 
 The generator of the composite evolution is extracted two ways: numerically,
 as ``i * dU/dphi * U^dag`` by central differences from two compositions, at
@@ -23,14 +24,15 @@ phi + eps and phi - eps, with U(phi) taken as their mean (accurate to
 O(eps^2)); and analytically, as the sum of Q unitary conjugations of the box
 generators.  The two routes cross-check each other; the numeric route never
 reads the memoised total.  The numeric definition is the authoritative sign
-convention.  Terms, totals and numeric generators all pass the one
-Hermiticity rule of ``HermitianOperator``.
+convention.  Totals, numeric generators and each term, when it is built,
+all pass the one Hermiticity rule of ``HermitianOperator``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +43,8 @@ from .opalg import hermitian_eigensystem
 
 UNITARY_TOL = 1e-10
 DEFAULT_FD_STEP = 1e-6
+# generator_numeric refuses eps * scale above this: its truncation error there is about 7e-7 relative
+MAX_FD_STEP_SCALE = 1e-3
 # Residue model for the Hermitized numeric generator: truncation grows with
 # eps^2 times the cube of the generator scale, roundoff with eps^-1.
 _ROUNDOFF_FLOOR = 32 * np.finfo(float).eps
@@ -202,12 +206,21 @@ def generator_numeric(net: QuantumNetwork, phi: float, eps: float = DEFAULT_FD_S
     taken as the mean of the two, which is accurate to O(eps^2), the same
     order as the central difference, so no third pass at phi is needed.
 
-    The anti-Hermitian residue must stay within the combined truncation plus
-    roundoff model before the result is Hermitized; a violation usually means
-    eps is too large for the generator's scale.
+    A step the difference cannot resolve is refused before any composition:
+    eps times the generator scale (the summed largest box eigenvalues, at
+    least 1) must not exceed ``MAX_FD_STEP_SCALE`` = 1e-3, where the
+    truncation error is about 7e-7 of the scale.  The anti-Hermitian residue
+    must then stay within the combined truncation plus roundoff model before
+    the result is Hermitized; a violation means the compositions disagree.
     """
     if not 0 < eps <= 1e-3:
         raise UsageError(f"eps must lie in (0, 1e-3], got {eps!r}")
+    scale = _generator_scale(net)
+    if eps * scale > MAX_FD_STEP_SCALE:
+        raise StepSizeError(
+            f"eps * scale = {eps * scale:.3e} exceeds {MAX_FD_STEP_SCALE:g}; "
+            f"try eps <= {MAX_FD_STEP_SCALE / scale:.3g} or generator_analytic"
+        )
     u_plus, u_minus = network_unitary(net, phi + eps), network_unitary(net, phi - eps)
     du, mean = u_plus - u_minus, u_plus + u_minus
     del u_plus, u_minus  # the steps below work in place, so at most four d x d arrays are alive
@@ -215,42 +228,75 @@ def generator_numeric(net: QuantumNetwork, phi: float, eps: float = DEFAULT_FD_S
     du *= 1j
     mean /= 2
     raw = du @ mean.conj().T
+    del du, mean
     residue = float(_hermitian_defect(raw)) / 2
-    scale = _generator_scale(net)
     bound = 10.0 * eps**2 * scale**3 + _ROUNDOFF_FLOOR * scale / eps
     if residue > bound:
         raise StepSizeError(
             f"anti-Hermitian residue {residue:.3e} exceeds {bound:.3e}; try eps = {eps / 10:g}"
         )
-    return HermitianOperator((raw + raw.conj().T) / 2)
+    raw += raw.conj().T
+    raw *= 0.5
+    return HermitianOperator(raw)
 
 
-def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperator, list[HermitianOperator]]:
-    """The generator as a sum of Q conjugated box terms, plus the terms themselves.
+def _conjugated_terms(net: QuantumNetwork, phi: float):
+    """Yield each dense term W_j H_j W_j^dag of one backward pass, term Q first, down to term 1.
 
-    Term j is W_j H_j W_j^dag with W_j the partial product of all layers after
-    box j (inclusive of V_j); each term therefore carries exactly the spectrum
-    of the embedded box generator, whatever the fixed unitaries are.  The
-    loop carries W_j^dag, so H_j W_j^dag and O_j^dag W_j^dag act on the box's
-    target axes only.  The total is also kept on ``net`` for this phi (see
-    the module docstring).
+    W_j is the partial product of all layers after box j (inclusive of V_j).
+    The pass carries W_j^dag, so H_j W_j^dag and O_j^dag W_j^dag act on the
+    box's target axes only.  Each yielded array is fresh and owned by the caller.
     """
-    _check_phi(phi)
-    phi = float(phi)  # compute at exactly the value the memo key names
-    n, d, dim = net.n_subsystems, net.subsystem_dim, net.dim
-    terms_rev: list[np.ndarray] = []
+    n, d = net.n_subsystems, net.subsystem_dim
     w_dag = np.ascontiguousarray(net.layers[-1].conj().T)  # V_Q^dag
     for pos in range(len(net.layers) - 2, 0, -2):
         box = net.layers[pos]
         sites = box.target_subsystems
-        terms_rev.append(w_dag.conj().T @ _apply_on_sites(box.base_generator.entries, sites, w_dag, n, d))
+        yield w_dag.conj().T @ _apply_on_sites(box.base_generator.entries, sites, w_dag, n, d)
         if pos > 1:  # no term reads V_0^dag O_1^dag W_1^dag
             o_dag = _box_unitary(box, phi).conj().T
             w_dag = net.layers[pos - 1].conj().T @ _apply_on_sites(o_dag, sites, w_dag, n, d)
-    terms = [HermitianOperator(t) for t in reversed(terms_rev)]
-    total = np.zeros((dim, dim), dtype=complex)
-    for t in terms:
-        total += t.entries
+
+
+class _LazyTerms(Sequence):
+    """The Q terms of ``generator_analytic``, built and checked when first read.
+
+    ``len`` runs no pass.  The first index or iteration reruns the backward
+    pass once on the (immutable) network, at the same phi, so the terms are
+    bitwise the ones the total was summed from.
+    """
+
+    def __init__(self, net: QuantumNetwork, phi: float):
+        self._net, self._phi, self._terms = net, phi, None
+
+    def __len__(self) -> int:
+        return query_count(self._net)
+
+    def __getitem__(self, index):
+        if self._terms is None:
+            rev = list(_conjugated_terms(self._net, self._phi))
+            self._terms = tuple(HermitianOperator(t) for t in reversed(rev))
+        return self._terms[index]
+
+
+def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperator, Sequence[HermitianOperator]]:
+    """The generator as a sum of Q conjugated box terms, plus the terms themselves.
+
+    Term j is W_j H_j W_j^dag with W_j the partial product of all layers after
+    box j (inclusive of V_j); each term therefore carries exactly the spectrum
+    of the embedded box generator, whatever the fixed unitaries are.  One
+    backward pass adds each term into the total as it is made, from term Q
+    down to term 1, so at most a few d x d arrays are alive at once.  The
+    terms come back as a read-only sequence in forward order (term 1 first)
+    that is built when first read (see ``_LazyTerms``).  The total is also
+    kept on ``net`` for this phi (see the module docstring).
+    """
+    _check_phi(phi)
+    phi = float(phi)  # compute at exactly the value the memo key names
+    total = np.zeros((net.dim, net.dim), dtype=complex)
+    for term in _conjugated_terms(net, phi):
+        total += term
+        del term  # free before the pass makes the next one
     total = HermitianOperator(total)
     net._analytic_memo[:] = [(_phi_key(phi), total)]
-    return total, terms
+    return total, _LazyTerms(net, phi)

@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose
 import phasebound.networks as networks
 from phasebound.errors import StepSizeError, UsageError, ValidationError
 from phasebound.networks import (
+    DEFAULT_FD_STEP,
+    MAX_FD_STEP_SCALE,
     BlackBox,
     QuantumNetwork,
     generator_analytic,
@@ -332,6 +334,22 @@ def test_generator_numeric_step_validation():
         generator_numeric(net, 0.1, eps=2e-3)
 
 
+@pytest.mark.parametrize("eps", [DEFAULT_FD_STEP, 1.01e-9])
+def test_generator_numeric_refuses_a_step_it_cannot_resolve(monkeypatch, eps):
+    # at lambda = 1e6 the default step errs by about 5e5; nothing is composed before the refusal
+    phis = []
+    monkeypatch.setattr(networks, "network_unitary", lambda net_, phi: phis.append(phi))
+    with pytest.raises(StepSizeError, match="exceeds 0.001"):
+        generator_numeric(single_box_net((0.0, 1e6)), 0.3, eps=eps)
+    assert phis == []
+
+
+def test_generator_numeric_accepts_a_step_at_its_bound():
+    lam = 1e3
+    gen = generator_numeric(single_box_net((0.0, lam)), 0.3, eps=MAX_FD_STEP_SCALE / lam)
+    assert_allclose(gen.entries, np.diag([0.0, lam]), atol=1e-6 * lam)
+
+
 def test_generator_numeric_flags_inconsistent_unitaries(monkeypatch):
     net = single_box_net()
     g = rng(27)
@@ -439,6 +457,75 @@ def test_generator_analytic_applies_each_box_twice_but_the_first_once(monkeypatc
     _, terms = generator_analytic(net, 0.35)
     assert len(terms) == query_count(net) == len(targets)
     assert len(calls) == 2 * len(targets) - 1
+
+
+@pytest.mark.parametrize("targets", [[(0,)], [(1,), (2, 0)], MIXED_TARGETS], ids=len)
+def test_generator_analytic_builds_its_terms_once_when_first_read(monkeypatch, targets):
+    net = mixed_net(rng(45), 3, 2, targets)
+    q = len(targets)
+    calls = []
+    kernel = networks._apply_on_sites
+
+    def counted(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(networks, "_apply_on_sites", counted)
+    built = []
+
+    class CountedOperator(HermitianOperator):
+        def __init__(self, entries):
+            built.append(1)
+            super().__init__(entries)
+
+    monkeypatch.setattr(networks, "HermitianOperator", CountedOperator)
+    total, terms = generator_analytic(net, 0.35)
+    assert (len(calls), len(built)) == (2 * q - 1, 1)
+    assert len(terms) == q
+    assert (len(calls), len(built)) == (2 * q - 1, 1)
+    first = terms[q - 1]
+    assert (len(calls), len(built)) == (2 * (2 * q - 1), 1 + q)
+    assert terms[q - 1] is first and list(terms)[-1] is first and terms[-1] is first
+    assert len(list(zip(terms, net.boxes))) == q
+    assert (len(calls), len(built)) == (2 * (2 * q - 1), 1 + q)
+    # the total was summed from term Q down to term 1, in the order the pass makes them
+    summed = np.zeros_like(total.entries)
+    for term in reversed(terms):
+        summed += term.entries
+    assert summed.tobytes() == total.entries.tobytes()
+    with pytest.raises(IndexError):
+        terms[q]
+
+
+def test_generator_analytic_terms_are_read_only():
+    _, terms = generator_analytic(bitflip_net(), 0.6)
+    with pytest.raises(TypeError):
+        terms[0] = terms[1]
+    assert not terms[0].entries.flags.writeable
+
+
+def eight_qubit_net():
+    g = rng(48)
+    n = 8
+    layers = [random_unitary(g, 2**n)]
+    for site in range(n):
+        layers += [BlackBox(HermitianOperator(random_hermitian(g, 2)), (site,)), random_unitary(g, 2**n)]
+    return QuantumNetwork(n, 2, tuple(layers))
+
+
+@pytest.mark.parametrize(
+    "extract, arrays", [(generator_analytic, 6), (generator_numeric, 4.5)], ids=lambda v: getattr(v, "__name__", v)
+)
+def test_generator_peak_memory_does_not_grow_with_the_query_count(extract, arrays):
+    # keeping all Q = 8 terms alive would take about (Q + 5) d x d arrays
+    net = eight_qubit_net()
+    tracemalloc.start()
+    try:
+        extract(net, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 16 * net.dim**2
 
 
 def test_generator_analytic_matches_numeric_on_random_nets():

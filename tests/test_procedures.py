@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phasebound.cli import compare_procedures
-from phasebound.errors import UsageError, ValidationError
+from phasebound.errors import StepSizeError, UsageError, ValidationError
 from phasebound.networks import BlackBox, QuantumNetwork, generator_analytic, generator_numeric
 from phasebound.opalg import DIM_CAP, HERMITIAN_TOL, HermitianOperator, _hermitian_defect, _max_abs, hermitian_eigensystem
 from phasebound.procedures import (
@@ -360,16 +360,23 @@ def extreme_dense_operators():
     spec = ProcedureSpec("sequential-wrapped", 10, (0.0, 1.0), repetitions=10**8)
     yield "sequential-wrapped T = 1e8", build_generator(spec, haar_rotated(g, [0.0, 1.0])).generator
     n = 8
-    layers = [random_unitary(g, 2**n)]
-    for sites, top in (((0,), 1e6), ((3, 1, 6), 1e12), ((2, 5, 7), 1e9), ((4,), 1.0)):
-        base = haar_rotated(g, np.sort(g.uniform(0.0, top, size=2 ** len(sites))))
-        layers += [BlackBox(base, sites), random_unitary(g, 2**n)]
-    net = QuantumNetwork(n, 2, tuple(layers))
+
+    def network(tops):
+        layers = [random_unitary(g, 2**n)]
+        for sites, top in zip(((0,), (3, 1, 6), (2, 5, 7), (4,)), tops):
+            base = haar_rotated(g, np.sort(g.uniform(0.0, top, size=2 ** len(sites))))
+            layers += [BlackBox(base, sites), random_unitary(g, 2**n)]
+        return QuantumNetwork(n, 2, tuple(layers))
+
+    net = network((1e6, 1e12, 1e9, 1.0))
     total, terms = generator_analytic(net, 0.4)
     yield "analytic total", total
     for j, term in enumerate(terms):
         yield f"analytic term {j}", term
-    yield "numeric", generator_numeric(net, 0.4)
+    # a central difference cannot resolve these boxes; the largest scale it accepts is eps * scale = 1e-3
+    with pytest.raises(StepSizeError):
+        generator_numeric(net, 0.4)
+    yield "numeric", generator_numeric(network((1e2, 5e2, 1e2, 1.0)), 0.4)
 
 
 def test_dense_builds_keep_a_wide_margin_under_the_hermiticity_rule():
