@@ -10,17 +10,14 @@ interval shorter than the likelihood period set by the generator's spectrum,
 so the global phase ambiguity never enters.  Outcome sampling is multinomial
 with a splittable counter-based seed scheme (one child stream per trial), so
 results are reproducible and independent of execution order.  A trial's
-estimator takes one of three paths:
+estimator takes one of two paths:
 
-- fringe: when the fringe vectors are extreme eigenvectors of the trial's
-  generator, p+ is the closed form 1/2 + V cos(Delta phi + theta) and each
-  estimate is a fringe inversion (``_fringe_estimate``);
-- reduced: a site-product measurement of (I +/- X)/2 on every site, X
-  swapping two site levels, under a diagonal generator, with a product
-  probe on a site-sum generator or a two-word (GHZ-type) probe, has a
-  likelihood that depends on one count: the + site outcomes, or the words
-  with an even number of - outcomes.  That count goes to the same fringe
-  inversion (``_reduced_fringe``);
+- fringe: ``_reduced_fringe`` finds a closed-form fringe
+  p+ = 1/2 + V cos(Delta phi + theta) on a count (n+, n-): the fringe form
+  on extreme eigenvectors of the trial's generator, or a site-product
+  measurement of (I +/- X)/2 whose + site outcomes (product probe) or even
+  words (two-word probe) are the count.  Each estimate is a fringe
+  inversion (``_fringe_estimate``);
 - grid: every other measurement is estimated on a phase grid, refined by
   bisection on the sign of the log-likelihood score.  The score's slope is
   the analytic phase derivative that also gives the Fisher information
@@ -50,7 +47,7 @@ MODEL_STEP = 1e-6  # central-difference step of mle_estimate's score
 MAX_TRIALS = 10**6
 MAX_SHOTS = 10**9  # multinomial draws need a C long, 32 bits on some platforms
 _SWAP_TOL = 1e-12  # entry error of a site element read as (I +/- X)/2
-_FACTOR_TOL = 1e-8  # residual of a product or two-word probe; relative to the spectral scale for a site sum
+_FACTOR_TOL = 1e-8  # residual of a fringe vector or a probe; relative to the spectral scale where a value enters
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,23 +177,6 @@ def _pair_fringe(amplitudes: np.ndarray, values: np.ndarray, i: int, j: int) -> 
     return (delta, float(abs(z)), float(np.angle(z))) if delta > 0 and z != 0 else None
 
 
-def _fringe_model(povm: Measurement, gen: JointGenerator, state: PureState) -> tuple[float, float, float] | None:
-    """(Delta, V, theta) of p+(phi) = 1/2 + V cos(Delta phi + theta), or None when that form does not hold.
-
-    It holds, for any probe, when the fringe vectors are eigenvectors of the
-    generator at h_max and h_min (residual within 1e-8 of the spectral scale):
-    V = |ab| and theta = arg(conj(a) b) with a = <max|psi>, b = <min|psi>.  A
-    probe with V = 0 has a flat fringe and keeps the grid path.
-    """
-    if povm._fringe is None:
-        return None
-    tol = 1e-8 * max(1.0, abs(gen.h_min), abs(gen.h_max))
-    for v, h in zip(povm._fringe, (gen.h_max, gen.h_min)):
-        if np.linalg.norm(gen.generator.apply(v) - h * v) > tol:
-            return None
-    return _pair_fringe(povm._fringe.conj() @ state.amplitudes, np.array([gen.h_max, gen.h_min]), 0, 1)
-
-
 def _fringe_estimate(delta: float, vis: float, theta: float, lo: float, hi: float, counts) -> float:
     """Maximize the floored log-likelihood of counts (n+, n-) under the fringe over [lo, hi], with no grid.
 
@@ -224,10 +204,9 @@ def _site_swap(povm: Measurement) -> tuple[int, int, int] | None:
     """(plus, i, j) when the site elements are (I + X)/2, at index ``plus``, and (I - X)/2; else None.
 
     X swaps site levels i and j.  Each element must match its form within
-    _SWAP_TOL in every entry; a fringe or a site with other than two
-    elements gives None.
+    _SWAP_TOL in every entry; a site with other than two elements gives None.
     """
-    if povm._fringe is not None or len(povm.site) != 2:
+    if len(povm.site) != 2:
         return None
     e0, e1 = (element.entries for element in povm.site)
     i, j = np.unravel_index(np.argmax(np.abs(e0 - e1)), e0.shape)  # e0 - e1 = +/- X
@@ -259,23 +238,36 @@ def _site_sum(v: np.ndarray, n: int, ds: int, tol: float) -> np.ndarray | None:
 
 
 def _reduced_fringe(povm: Measurement, gen: JointGenerator, state: PureState):
-    """(fringe, rows): the site-product counts reduce to the fringe counts rows @ counts; None when they do not.
+    """(fringe, rows): the trial's counts reduce to the fringe counts (n+, n-) = rows @ counts; None when they do not.
 
-    It needs a diagonal generator and site elements (I +/- X)/2, X swapping
-    site levels M and m (``_site_swap``), and recognises two probes:
+    The fringe p+ = 1/2 + V cos(Delta phi + theta) is oriented for
+    ``_fringe_estimate``; a flat one gives None.  Three cases hold, each to
+    _FACTOR_TOL (relative to the spectral scale for eigenvectors and site sums):
 
-    - a product probe c s^(xN) under a generator that is a sum of one set of
-      site values, v(b) = sum_j g(b_j): every site shows the one-site fringe
+    - the fringe form, decided first since ``povm.site`` would build two d x d
+      elements: its vectors are eigenvectors of the generator at h_max and
+      h_min, V = |ab| and theta = arg(conj(a) b) with a = <max|psi> and
+      b = <min|psi>, and the counts already are (n+, n-);
+    - a site-product measurement of (I +/- X)/2, X swapping site levels M and
+      m (``_site_swap``), under a diagonal generator, on a product probe
+      c s^(xN) when the generator is a sum of one set of site values,
+      v(b) = sum_j g(b_j): every site shows the one-site fringe
       p+ = 1/2 + Re(conj(s_M) s_m), so the + outcomes over all nu N site
       draws are the count;
-    - a two-word probe on the all-M and all-m words, under any diagonal
-      generator: a word's probability depends only on the parity of its -
-      outcomes, and the even words carry the parity fringe (Bollinger et
-      al., PRA 54, R4649, 1996) with Delta = v(all-M) - v(all-m).
+    - the same measurement on a two-word probe on the all-M and all-m words,
+      under any diagonal generator: a word's probability depends only on the
+      parity of its - outcomes, and the even words carry the parity fringe
+      (Bollinger et al., PRA 54, R4649, 1996) with Delta = v(all-M) - v(all-m).
 
-    Both are recognised in O(N d), and (Delta, V, theta) is oriented for
-    ``_fringe_estimate``.  A flat fringe gives None.
+    The site-product cases are recognised in O(N d).
     """
+    tol = _FACTOR_TOL * max(1.0, abs(gen.h_min), abs(gen.h_max))
+    if povm._fringe is not None:
+        for v, h in zip(povm._fringe, (gen.h_max, gen.h_min)):
+            if np.linalg.norm(gen.generator.apply(v) - h * v) > tol:
+                return None
+        fringe = _pair_fringe(povm._fringe.conj() @ state.amplitudes, np.array([gen.h_max, gen.h_min]), 0, 1)
+        return None if fringe is None else (fringe, np.eye(2, dtype=int))
     swap = _site_swap(povm)
     if swap is None or not gen.generator.is_diagonal:
         return None
@@ -285,7 +277,7 @@ def _reduced_fringe(povm: Measurement, gen: JointGenerator, state: PureState):
     # plus_sites[k]: the sites with outcome + in word k, site 0 most significant
     plus_sites = sum(_lifted_site_values((np.arange(2) == plus).astype(int), k, n, 2) for k in range(n))
     site = _tensor_root(psi, n, ds)
-    g = None if site is None else _site_sum(v, n, ds, _FACTOR_TOL * max(1.0, abs(gen.h_min), abs(gen.h_max)))
+    g = None if site is None else _site_sum(v, n, ds, tol)
     if g is not None:
         fringe, rows = _pair_fringe(site, g, i, j), np.stack([plus_sites, n - plus_sites])
     else:
@@ -361,12 +353,11 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
     Cramer-Rao value 1/sqrt(shots * F) at the true phase, with F the exact
     Fisher information of ``classical_fisher``, on the full measurement.
     The outcome probabilities at the true phase are computed once per call.
-    A fringe on the extreme eigenvectors of ``gen`` is estimated by
-    ``_fringe_estimate``; a site-product measurement that ``_reduced_fringe``
-    recognises by the same inversion, on its one reduced count; any other
-    measurement by a grid scan, on outcome probabilities tabulated once per
-    call, refined by bisection on the score.  Every path raises one
-    BoundaryWarning per estimate that equals an interval end.
+    A measurement whose counts ``_reduced_fringe`` reduces to a fringe count
+    is estimated by ``_fringe_estimate`` on that count; any other by a grid
+    scan, on outcome probabilities tabulated once per call, refined by
+    bisection on the score.  Both paths raise one BoundaryWarning per
+    estimate that equals an interval end.
     """
     if state.dim != gen.dim:
         raise UsageError(f"dimension mismatch: state {state.dim} vs generator {gen.dim}")
@@ -382,13 +373,11 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
     fisher = classical_fisher(povm, state, gen.generator, config.phi_true)
     if fisher <= 0:
         raise ValidationError("measurement carries no phase information at phi_true")
-    rows = None  # the reduced path sums the counts to (n+, n-) before the fringe estimate
-    if (fringe := _fringe_model(povm, gen, state)) is None and (reduced := _reduced_fringe(povm, gen, state)):
+    if (reduced := _reduced_fringe(povm, gen, state)) is not None:
         fringe, rows = reduced
-    if fringe is not None:
         estimate = functools.partial(_fringe_estimate, *fringe, lo, hi)
     else:
-        estimate = _grid_estimator(state, gen.generator, povm, lo, hi)
+        rows, estimate = None, _grid_estimator(state, gen.generator, povm, lo, hi)
     draw = _outcome_sampler(evolve(state, gen.generator, config.phi_true), povm)
     estimates = np.empty(config.n_trials)
     for trial in range(config.n_trials):

@@ -13,10 +13,11 @@ d x d box matrix is built.
 The fixed unitaries are copied at construction and frozen, so a network
 never changes after it is built.  That lets a network remember its latest
 analytic generator: ``generator_analytic`` keeps its total, for the phi it
-ran at, and ``procedures.from_network`` at that phi returns the same
-operator without a second backward pass.  The pass adds each term into the
-total as it makes it, so it holds O(d^2) memory whatever Q is; the per-term
-list is not kept, and its terms are built when first read.
+ran at, and a repeat call at that phi (``procedures.from_network`` makes
+one) returns the same operator without a second backward pass.  The pass
+adds each term into the total as it makes it, so it holds O(d^2) memory
+whatever Q is; the per-term list is not kept, and its terms are built when
+first read.
 
 The generator of the composite evolution is extracted two ways: numerically,
 as ``i * dU/dphi * U^dag`` by central differences from two compositions, at
@@ -167,15 +168,6 @@ def _phi_key(phi: float) -> str:
     return float(phi).hex()
 
 
-def _memoised_total(net: QuantumNetwork, phi: float) -> HermitianOperator | None:
-    """The total of the latest ``generator_analytic`` call on ``net`` if it ran at this phi."""
-    _check_phi(phi)
-    memo = net._analytic_memo
-    if memo and memo[0][0] == _phi_key(phi):
-        return memo[0][1]
-    return None
-
-
 def query_count(net: QuantumNetwork) -> int:
     """Number of black-box applications in the network."""
     return len(net.boxes)
@@ -289,10 +281,13 @@ def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperat
     down to term 1, so at most a few d x d arrays are alive at once.  The
     terms come back as a read-only sequence in forward order (term 1 first)
     that is built when first read (see ``_LazyTerms``).  The total is also
-    kept on ``net`` for this phi (see the module docstring).
+    kept on ``net`` for this phi, and a repeat call at the same phi returns
+    it with fresh lazy terms and runs no pass (see the module docstring).
     """
     _check_phi(phi)
     phi = float(phi)  # compute at exactly the value the memo key names
+    if (memo := net._analytic_memo) and memo[0][0] == _phi_key(phi):
+        return memo[0][1], _LazyTerms(net, phi)
     total = np.zeros((net.dim, net.dim), dtype=complex)
     for term in _conjugated_terms(net, phi):
         total += term

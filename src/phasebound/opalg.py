@@ -20,7 +20,10 @@ one, i.e. ``tensor_product(a, b)`` indexes the joint basis as
 ``i = i_a * dim_b + i_b`` (numpy's Kronecker order).  On n identical sites
 of dimension d, site 0 is the most significant digit of the joint index, so
 a joint vector reshapes to ``[d] * n`` with site j on axis j.  The site
-kernels at the end of this module are the only code that reshapes by site.
+kernels at the end of this module are the main readers of that order, but
+not the only ones: ``estimation._tensor_root`` and ``estimation._site_sum``
+reshape a joint vector to ``[d] * n`` themselves, and
+``estimation._reduced_fringe`` computes the joint indices of the all-i words.
 """
 
 from __future__ import annotations

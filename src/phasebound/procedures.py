@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .networks import QuantumNetwork, _memoised_total, generator_analytic, query_count
+from .networks import QuantumNetwork, generator_analytic, query_count
 from .opalg import (
     DIM_CAP,
     HermitianOperator,
@@ -76,6 +76,8 @@ class ProcedureSpec:
             raise ValidationError(f"base_eigs must satisfy lambda_max > lambda_min, got ({lo}, {hi})")
         if self.subsystem_dim < 2:
             raise ValidationError("subsystem_dim must be >= 2 to hold two distinct eigenvalues")
+        if self.subsystem_dim > DIM_CAP:  # no kind builds such a site; refused before a site base is allocated
+            raise ValidationError(f"subsystem_dim {self.subsystem_dim} exceeds the cap {DIM_CAP}")
         for name, owner in _FIELD_KINDS.items():
             value = getattr(self, name)
             if self.kind != owner:
@@ -196,10 +198,7 @@ def from_network(net: QuantumNetwork, phi: float = 0.0) -> JointGenerator:
     After ``generator_analytic(net, phi)`` this reuses that call's total
     operator, so its spectrum is cached on the operator the caller holds.
     """
-    total = _memoised_total(net, phi)
-    if total is None:
-        total, _ = generator_analytic(net, phi)
-    return JointGenerator(total, query_count(net))
+    return JointGenerator(generator_analytic(net, phi)[0], query_count(net))
 
 
 def closed_form_extremes(spec: ProcedureSpec) -> tuple[int, float, float]:

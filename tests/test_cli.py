@@ -649,6 +649,10 @@ OVERSIZE_SCENARIOS = {
     "repetitions": minimal_scenario(
         procedure={"kind": "sequential-wrapped", "n_systems": 2, "base_eigs": [0.0, 1.0], "repetitions": 10**400}
     ),
+    "subsystem_dim": minimal_scenario(
+        procedure={"kind": "linear", "n_systems": 1, "base_eigs": [0.0, 1.0], "subsystem_dim": 10**9},
+        state={"kind": "product_balanced"},
+    ),
 }
 CHILD_ADDRESS_SPACE = 2**31
 CHILD_RUN = (
@@ -673,6 +677,26 @@ def test_run_oversize_integer_exits_3_at_once(tmp_path, key):
     assert result.returncode == 3, result.stderr
     assert result.stderr.startswith("validation-error:")
     assert list(tmp_path.iterdir()) == [Path(path)]
+
+
+def test_run_wide_site_exits_3_before_allocating_it(tmp_path, monkeypatch, capsys):
+    # a product_balanced probe builds its site base from subsystem_dim: 10^7 levels would be 160 MB
+    monkeypatch.chdir(tmp_path)
+    payload = minimal_scenario(
+        procedure={"kind": "linear", "n_systems": 1, "base_eigs": [0.0, 1.0], "subsystem_dim": 10**7},
+        state={"kind": "product_balanced"},
+    )
+    path = write_scenario(tmp_path, payload)
+    tracemalloc.start()
+    try:
+        rc = cli.main(["run", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert peak < 2**20
+    assert list(tmp_path.iterdir()) == [Path(path)]
+    assert "subsystem_dim" in capsys.readouterr().err
 
 
 def test_run_integer_literal_past_the_digit_limit_exits_2(tmp_path, monkeypatch, capsys):

@@ -737,13 +737,26 @@ def test_a_mirror_tie_goes_to_the_smaller_phase():
     assert mirrored > 0  # two distinct roots inside the interval: an exact tie the smaller phase won
 
 
+def bloch_site(t):
+    """The projective qubit site (I +/- B)/2 with Bloch vector B = (sin t, 0, cos t); (I +/- X)/2 at t = pi/2."""
+    b = np.array([[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]])
+    return [HermitianOperator((np.eye(2) + b) / 2), HermitianOperator((np.eye(2) - b) / 2)]
+
+
 REFUSED_CASES = {
     "product-kbody": (ProcedureSpec("kbody", 3, (0.3, 1.0), body_order=2), "product", "site", (0.2, 1.2)),
     "product-exponential": (ProcedureSpec("exponential", 3, (0.0, 1.0)), "product", "site", (0.1, 0.6)),
     "non-product-probe": (ProcedureSpec("linear", 3, (0.0, 1.0)), "random", "site", (0.2, 1.2)),
     "rotated-generator": (ProcedureSpec("linear", 3, (0.0, 1.0)), "product", "site", (0.2, 1.2)),
     "three-outcome-site": (ProcedureSpec("linear", 3, (0.0, 1.0)), "product", "random-3", (0.2, 1.2)),
+    # |E+ - E-| peaks on the diagonal, so no two levels are swapped
+    "diagonal-peak-site": (ProcedureSpec("linear", 3, (0.0, 1.0)), "product", "bloch-0.5", (0.2, 1.2)),
+    # |E+ - E-| peaks off the diagonal, but the elements match (I +/- X)/2 with neither sign
+    "tilted-site": (ProcedureSpec("linear", 3, (0.0, 1.0)), "product", "bloch-1.2", (0.2, 1.2)),
 }
+# the site of each REFUSED_CASES row that is not the CLI's site-product one
+REFUSED_SITES = {"random-3": random_three_outcome_site, "bloch-0.5": lambda: bloch_site(0.5),
+                 "bloch-1.2": lambda: bloch_site(1.2)}
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED_CASES))
@@ -757,7 +770,7 @@ def test_unreduced_trials_take_the_grid_path(monkeypatch, case):
     else:
         gen = build_generator(spec)
     probe = PureState(random_state_vector(rng(6), gen.dim)) if kind == "random" else symmetric_probe(spec, gen, kind)
-    povm = Measurement(random_three_outcome_site(), 3) if site == "random-3" else site_product_povm(spec)
+    povm = site_product_povm(spec) if site == "site" else Measurement(REFUSED_SITES[site](), 3)
     assert _reduced_fringe(povm, gen, probe) is None
     closed = count_fringe_estimates(monkeypatch)
     with warnings.catch_warnings():

@@ -642,6 +642,18 @@ def test_from_network_reuses_the_analytic_total(monkeypatch):
     assert total._spectrum_cache
 
 
+def test_repeat_analytic_call_reuses_the_total_with_fresh_terms(monkeypatch):
+    net = mixed_net(rng(48), 3, 2, MIXED_TARGETS)
+    calls = count_box_unitaries(monkeypatch)
+    total, terms = generator_analytic(net, 0.35)
+    again, fresh = generator_analytic(net, 0.35)
+    assert again is total and fresh is not terms
+    assert len(fresh) == len(MIXED_TARGETS) and len(calls) == BOX_UNITARIES_PER_PASS
+    # the fresh terms run their own pass when read, and match the first call's bit for bit
+    assert [t.entries.tobytes() for t in fresh] == [t.entries.tobytes() for t in terms]
+    assert len(calls) == 3 * BOX_UNITARIES_PER_PASS
+
+
 @pytest.mark.parametrize("phi", [0.35, 0.0, -0.0, -1.2])
 def test_memoised_from_network_is_bitwise_a_fresh_one(phi):
     net = mixed_net(rng(46), 3, 2, MIXED_TARGETS)

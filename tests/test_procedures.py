@@ -132,6 +132,15 @@ def test_spec_counts_must_be_positive():
         ProcedureSpec("linear", 2, (0.0, 1.0), subsystem_dim=1)
 
 
+def test_spec_refuses_a_site_wider_than_the_cap():
+    assert ProcedureSpec("linear", 1, (0.0, 1.0), subsystem_dim=DIM_CAP).dim == DIM_CAP
+    with pytest.raises(ValidationError, match="subsystem_dim"):
+        ProcedureSpec("linear", 1, (0.0, 1.0), subsystem_dim=DIM_CAP + 1)
+    # snl_baseline would otherwise build a 10^9-level site base
+    with pytest.raises(ValidationError, match="subsystem_dim"):
+        snl_baseline(ProcedureSpec("linear", 1, (0, 1), subsystem_dim=10**9))
+
+
 def test_spec_dim_property():
     assert ProcedureSpec("linear", 3, (0.0, 1.0)).dim == 8
     assert ProcedureSpec("linear", 2, (0.0, 1.0), subsystem_dim=3).dim == 9
