@@ -148,7 +148,7 @@ def load_scenario(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read scenario file: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal past int's digit limit
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer past the digit limit, deep nesting
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
     raw = _expect_dict(raw, "scenario")
     _check_keys(raw, _SCENARIO_KEYS, "scenario")
@@ -183,7 +183,10 @@ def load_scenario(path: str) -> dict:
             raise ParseError(f"output type must be {_either(_OUTPUTS)}, got {entry.get('type')!r}")
         if not isinstance(entry.get("path"), str) or not entry["path"]:
             raise ParseError("every output needs a non-empty string path")
-        path = os.path.realpath(entry["path"])
+        try:
+            path = os.path.realpath(entry["path"])
+        except ValueError as exc:  # a NUL byte, or a lone surrogate the file system encoding cannot hold
+            raise ParseError(f"output path {entry['path']!r} is not a valid file name: {exc}") from exc
         if path in paths:
             raise ParseError(f"outputs {paths[path]!r} and {entry['path']!r} write to the same file")
         paths[path] = entry["path"]

@@ -29,14 +29,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryWarning, UsageError, ValidationError
 from .metrology import (Measurement, _probabilities_and_slope, _require_measurement, classical_fisher,
                         outcome_probabilities)
-from .opalg import HermitianOperator, PureState, _evolved, _lifted_site_values, evolve, hermitian_eigensystem
+from .opalg import (HermitianOperator, PureState, _evolved, _Frozen, _lifted_site_values, _read_only, evolve,
+                    hermitian_eigensystem)
 from .procedures import JointGenerator
 from .states import _extreme_columns
 
@@ -50,53 +50,43 @@ _SWAP_TOL = 1e-12  # entry error of a site element read as (I +/- X)/2
 _FACTOR_TOL = 1e-8  # residual of a fringe vector or a probe; relative to the spectral scale where a value enters
 
 
-@dataclass(frozen=True, eq=False)
-class TrialConfig:
+class TrialConfig(_Frozen):
     """Inputs of one Monte-Carlo estimation run.
 
     ``povm`` is a Measurement, kept as built.  ``n_trials`` may not exceed
     MAX_TRIALS (10^6) and ``shots_per_trial`` may not exceed MAX_SHOTS (10^9).
     """
 
-    phi_true: float
-    shots_per_trial: int
-    n_trials: int
-    rng_seed: int
-    povm: Measurement
-    search_interval: tuple[float, float]
+    __slots__ = ("phi_true", "shots_per_trial", "n_trials", "rng_seed", "povm", "search_interval")
 
-    def __post_init__(self):
-        if not 1 <= self.shots_per_trial <= MAX_SHOTS:
-            raise ValidationError(f"shots_per_trial must lie in [1, {MAX_SHOTS}], got {self.shots_per_trial}")
-        if not 1 <= self.n_trials <= MAX_TRIALS:
-            raise ValidationError(f"n_trials must lie in [1, {MAX_TRIALS}], got {self.n_trials}")
-        if self.rng_seed < 0:
+    def __init__(self, phi_true: float, shots_per_trial: int, n_trials: int, rng_seed: int, povm: Measurement,
+                 search_interval: tuple[float, float]):
+        if not 1 <= shots_per_trial <= MAX_SHOTS:
+            raise ValidationError(f"shots_per_trial must lie in [1, {MAX_SHOTS}], got {shots_per_trial}")
+        if not 1 <= n_trials <= MAX_TRIALS:
+            raise ValidationError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
+        if rng_seed < 0:
             raise ValidationError("rng_seed must be >= 0")
-        _require_measurement(self.povm)
-        lo, hi = (float(self.search_interval[0]), float(self.search_interval[1]))
+        _require_measurement(povm)
+        lo, hi = (float(search_interval[0]), float(search_interval[1]))
         if not lo < hi:
             raise ValidationError(f"search interval must satisfy lo < hi, got ({lo}, {hi})")
-        if not lo <= self.phi_true <= hi:
-            raise ValidationError(
-                f"phi_true {self.phi_true} lies outside the search interval ({lo}, {hi})"
-            )
-        object.__setattr__(self, "search_interval", (lo, hi))
+        if not lo <= phi_true <= hi:
+            raise ValidationError(f"phi_true {phi_true} lies outside the search interval ({lo}, {hi})")
+        self._set(phi_true=phi_true, shots_per_trial=shots_per_trial, n_trials=n_trials, rng_seed=rng_seed,
+                  povm=povm, search_interval=(lo, hi))
 
 
-@dataclass(frozen=True, eq=False)
-class TrialResult:
+class TrialResult(_Frozen):
     """Per-trial estimates plus the realized and predicted errors."""
 
-    estimates: np.ndarray
-    empirical_rmse: float
-    predicted_crb: float
+    __slots__ = ("estimates", "empirical_rmse", "predicted_crb")
 
-    def __post_init__(self):
-        est = np.asarray(self.estimates, dtype=float)
-        est.setflags(write=False)
-        object.__setattr__(self, "estimates", est)
-        if self.empirical_rmse < 0:
+    def __init__(self, estimates: np.ndarray, empirical_rmse: float, predicted_crb: float):
+        est = _read_only(np.asarray(estimates, dtype=float))
+        if empirical_rmse < 0:
             raise ValidationError("empirical_rmse must be >= 0")
+        self._set(estimates=est, empirical_rmse=empirical_rmse, predicted_crb=predicted_crb)
 
     def to_dict(self) -> dict:
         return {

@@ -26,8 +26,6 @@ float so serialized reports stay finite and explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalIntegrityError, UsageError, ValidationError
@@ -44,8 +42,7 @@ _PROB_FLOOR = 1e-12
 _CHUNK_AMPLITUDES = 1 << 18
 
 
-@dataclass(frozen=True, eq=False)
-class ResourceReport:
+class ResourceReport(_Frozen):
     """Every resource count and bound for one probe/generator pair.
 
     Optional fields are None when undefined: q for probes without a query
@@ -54,27 +51,22 @@ class ResourceReport:
     None fields so serialized reports omit rather than null them.
     """
 
-    expectation_raw: float
-    expectation_shifted: float
-    stddev: float
-    seminorm: float
-    bound_new_hl: float | str
-    bound_stddev: float | str
-    qfi: float
-    q: int | None = None
-    bound_query: float | None = None
-    bound_snl: float | None = None
+    __slots__ = ("expectation_raw", "expectation_shifted", "stddev", "seminorm", "bound_new_hl", "bound_stddev", "qfi",
+                 "q", "bound_query", "bound_snl")
 
-    def __post_init__(self):
-        if self.expectation_shifted < -1e-10:
-            raise ValidationError(
-                f"shifted expectation {self.expectation_shifted:.3e} is negative beyond tolerance"
-            )
-        if self.stddev < 0 or self.seminorm < 0 or self.qfi < 0:
+    def __init__(self, expectation_raw: float, expectation_shifted: float, stddev: float, seminorm: float,
+                 bound_new_hl: float | str, bound_stddev: float | str, qfi: float, q: int | None = None,
+                 bound_query: float | None = None, bound_snl: float | None = None):
+        if expectation_shifted < -1e-10:
+            raise ValidationError(f"shifted expectation {expectation_shifted:.3e} is negative beyond tolerance")
+        if stddev < 0 or seminorm < 0 or qfi < 0:
             raise ValidationError("stddev, seminorm and qfi must be non-negative")
+        self._set(expectation_raw=expectation_raw, expectation_shifted=expectation_shifted, stddev=stddev,
+                  seminorm=seminorm, bound_new_hl=bound_new_hl, bound_stddev=bound_stddev, qfi=qfi, q=q,
+                  bound_query=bound_query, bound_snl=bound_snl)
 
     def to_dict(self) -> dict:
-        return {name: value for name, value in vars(self).items() if value is not None}
+        return {name: value for name in self.__slots__ if (value := getattr(self, name)) is not None}
 
 
 def resource_count_shifted(state: PureState, gen: JointGenerator) -> float:

@@ -34,13 +34,12 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StepSizeError, UsageError, ValidationError
-from .opalg import HermitianOperator, _apply_on_sites, _check_dim, _hermitian_defect, _read_only, _unitary_defect
-from .opalg import hermitian_eigensystem
+from .opalg import DIM_CAP, HermitianOperator, _apply_on_sites, _check_dim, _Frozen, _hermitian_defect, _read_only
+from .opalg import _unitary_defect, hermitian_eigensystem
 
 UNITARY_TOL = 1e-10
 DEFAULT_FD_STEP = 1e-6
@@ -51,8 +50,7 @@ MAX_FD_STEP_SCALE = 1e-3
 _ROUNDOFF_FLOOR = 32 * np.finfo(float).eps
 
 
-@dataclass(frozen=True, eq=False)
-class BlackBox:
+class BlackBox(_Frozen):
     """One parameter-imprinting slot: exp(-i phi H) on ``target_subsystems``, ``order`` of them.
 
     The base generator is forced positive by shifting H -> H - lambda_min I
@@ -60,63 +58,58 @@ class BlackBox:
     stay consistent with the operator actually exponentiated.
     """
 
-    base_generator: HermitianOperator
-    target_subsystems: tuple[int, ...]
-    shift: float = field(default=0.0, init=False)
+    __slots__ = ("base_generator", "target_subsystems", "shift")
 
-    def __post_init__(self):
+    def __init__(self, base_generator: HermitianOperator, target_subsystems: tuple[int, ...]):
         try:
-            if any(isinstance(i, bool) for i in self.target_subsystems):
+            if any(isinstance(i, bool) for i in target_subsystems):
                 raise TypeError
-            targets = tuple(operator.index(i) for i in self.target_subsystems)
+            targets = tuple(operator.index(i) for i in target_subsystems)
         except TypeError:
-            raise ValidationError(f"box targets must be integers, got {self.target_subsystems!r}") from None
+            raise ValidationError(f"box targets must be integers, got {target_subsystems!r}") from None
         if len(set(targets)) != len(targets):
             raise ValidationError(f"box targets repeat a subsystem: {targets}")
-        spec = hermitian_eigensystem(self.base_generator)
+        spec = hermitian_eigensystem(base_generator)
         if not np.all(np.isfinite(spec.eigenvalues)):
             raise ValidationError("base generator has non-finite eigenvalues")
         shift = 0.0
-        gen = self.base_generator
         if spec.lambda_min < 0:
             shift = -spec.lambda_min
-            gen = gen.shifted(shift)
-        object.__setattr__(self, "base_generator", gen)
-        object.__setattr__(self, "target_subsystems", targets)
-        object.__setattr__(self, "shift", shift)
+            base_generator = base_generator.shifted(shift)
+        self._set(base_generator=base_generator, target_subsystems=targets, shift=shift)
 
     @property
     def order(self) -> int:
         return len(self.target_subsystems)
 
 
-@dataclass(frozen=True, eq=False)
-class QuantumNetwork:
+class QuantumNetwork(_Frozen):
     """Alternating layer list V_0, O_1, V_1, ..., O_Q, V_Q on n identical subsystems.
 
     Each fixed unitary is held as a read-only copy of the caller's array.
+    ``_analytic_memo`` holds [(phi key, total)] of the latest
+    ``generator_analytic`` call, at most one entry.
     """
 
-    n_subsystems: int
-    subsystem_dim: int
-    layers: tuple
-    # [(phi key, total)] of the latest generator_analytic call; at most one entry
-    _analytic_memo: list = field(default_factory=list, init=False, repr=False)
+    __slots__ = ("n_subsystems", "subsystem_dim", "layers", "_analytic_memo")
 
-    def __post_init__(self):
-        for name in ("n_subsystems", "subsystem_dim"):
-            value = getattr(self, name)
+    def __init__(self, n_subsystems: int, subsystem_dim: int, layers: tuple):
+        sizes = []
+        for name, value in (("n_subsystems", n_subsystems), ("subsystem_dim", subsystem_dim)):
             try:
                 if isinstance(value, bool):
                     raise TypeError
-                object.__setattr__(self, name, operator.index(value))
+                sizes.append(operator.index(value))
             except TypeError:
                 raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-        if self.n_subsystems < 1 or self.subsystem_dim < 1:
+        n, ds = sizes
+        if n < 1 or ds < 1:
             raise ValidationError("need at least one subsystem with dimension >= 1")
-        dim = self.dim
+        if ds > 1 and n >= DIM_CAP.bit_length():  # refused before ds**n is formed
+            raise ValidationError(f"joint space dimension {ds}^{n} exceeds the cap {DIM_CAP}")
+        dim = ds**n
         _check_dim(dim)  # before any fixed unitary is copied
-        layers = tuple(self.layers)
+        layers = tuple(layers)
         if len(layers) % 2 == 0 or not layers:
             raise ValidationError("layer list must be V_0 [, O_1, V_1, ...] with odd length")
         kept = []
@@ -134,15 +127,15 @@ class QuantumNetwork:
             else:
                 if not isinstance(layer, BlackBox):
                     raise ValidationError(f"layer {pos} must be a BlackBox")
-                if any(not 0 <= t < self.n_subsystems for t in layer.target_subsystems):
+                if any(not 0 <= t < n for t in layer.target_subsystems):
                     raise ValidationError(f"box at layer {pos} targets unknown subsystems")
-                expected = self.subsystem_dim ** layer.order
+                expected = ds**layer.order
                 if layer.base_generator.dim != expected:
                     raise ValidationError(
                         f"box at layer {pos} has generator dim {layer.base_generator.dim}, expected {expected}"
                     )
             kept.append(layer)
-        object.__setattr__(self, "layers", tuple(kept))
+        self._set(n_subsystems=n, subsystem_dim=ds, layers=tuple(kept), _analytic_memo=[])
 
     @property
     def dim(self) -> int:

@@ -13,8 +13,10 @@ site by site (``_rotated_diagonal``) knows its spectrum from that vector
 and the site unitary.  One kernel, ``_evolved``, applies exp(-i phi H) to a
 state for one phase or a batch of them; ``evolve`` is its one-phase case.
 
-Operators and states are immutable after construction and every operation is
-pure, so values can be shared freely between workers.  The tensor convention
+Every value class of the package, here and in the other modules, subclasses
+``_Frozen``: its attributes are ``__slots__``, each set once through
+``_Frozen._set`` and never reassigned, and every operation is pure, so
+values can be shared freely between workers.  The tensor convention
 is fixed once for the whole package: the LEFT factor is the most significant
 one, i.e. ``tensor_product(a, b)`` indexes the joint basis as
 ``i = i_a * dim_b + i_b`` (numpy's Kronecker order).  On n identical sites
@@ -27,8 +29,6 @@ reshape a joint vector to ``[d] * n`` themselves, and
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +101,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class _Frozen:
-    """Attributes are set once, through ``_set``, and never reassigned."""
+    """Base of every value class: attributes are set once, through ``_set``, and never reassigned.
+
+    The repr lists the public slots in order; private slots stay out of it.
+    """
 
     __slots__ = ()
 
@@ -118,6 +121,10 @@ class _Frozen:
     def __setstate__(self, state):
         # pickle and copy hand slot values over as (None, {slot: value})
         self._set(**state[1])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if not name.startswith("_"))
+        return f"{type(self).__name__}({fields})"
 
 
 class HermitianOperator(_Frozen):
@@ -203,20 +210,18 @@ class HermitianOperator(_Frozen):
         return f"HermitianOperator(dim={self.dim}, form={form})"
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Frozen):
     """Normalized complex amplitude vector."""
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+    def __init__(self, amplitudes: np.ndarray):
+        a = np.asarray(amplitudes, dtype=complex).reshape(-1)
         _check_dim(a.shape[0])
         norm_sq = float(np.sum(np.abs(a) ** 2))
         if not abs(norm_sq - 1.0) <= NORM_TOL:  # a NaN fails too
             raise ValidationError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
+        self._set(amplitudes=_read_only(a))
 
     @property
     def dim(self) -> int:
@@ -226,7 +231,7 @@ class PureState:
     def _of_normalized(cls, amplitudes: np.ndarray) -> "PureState":
         # amplitudes: a fresh complex vector whose norm the caller has checked
         state = object.__new__(cls)
-        object.__setattr__(state, "amplitudes", _read_only(amplitudes))
+        state._set(amplitudes=_read_only(amplitudes))
         return state
 
     @classmethod

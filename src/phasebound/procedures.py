@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .opalg import (
     DIM_CAP,
     HermitianOperator,
     PureState,
+    _Frozen,
     _lifted_site_values,
     _rotated_diagonal,
     hermitian_eigensystem,
@@ -46,8 +46,7 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max) + 1  # with one unit of slack for 
 _FIELD_KINDS = {"body_order": "kbody", "repetitions": "sequential-wrapped"}
 
 
-@dataclass(frozen=True, eq=False)
-class ProcedureSpec:
+class ProcedureSpec(_Frozen):
     """Declarative description of a procedure: kind, size, and base spectrum.
 
     ``base_eigs`` fixes the extreme eigenvalues of the single-subsystem base
@@ -57,47 +56,45 @@ class ProcedureSpec:
     wrap count T for the sequential-wrapped kind only.
     """
 
-    kind: str
-    n_systems: int
-    base_eigs: tuple[float, float]
-    body_order: int | None = None
-    repetitions: int | None = None
-    subsystem_dim: int = 2
+    __slots__ = ("kind", "n_systems", "base_eigs", "body_order", "repetitions", "subsystem_dim")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown procedure kind {self.kind!r}; expected one of {KINDS}")
-        if self.n_systems < 1:
+    def __init__(self, kind: str, n_systems: int, base_eigs: tuple[float, float], body_order: int | None = None,
+                 repetitions: int | None = None, subsystem_dim: int = 2):
+        if kind not in KINDS:
+            raise ValidationError(f"unknown procedure kind {kind!r}; expected one of {KINDS}")
+        if n_systems < 1:
             raise ValidationError("n_systems must be >= 1")
-        if len(self.base_eigs) != 2:
-            raise ValidationError(f"base_eigs must be a (lambda_min, lambda_max) pair, got {len(self.base_eigs)} values")
-        lo, hi = (float(self.base_eigs[0]), float(self.base_eigs[1]))
+        if len(base_eigs) != 2:
+            raise ValidationError(f"base_eigs must be a (lambda_min, lambda_max) pair, got {len(base_eigs)} values")
+        lo, hi = (float(base_eigs[0]), float(base_eigs[1]))
         if not hi > lo:
             raise ValidationError(f"base_eigs must satisfy lambda_max > lambda_min, got ({lo}, {hi})")
-        if self.subsystem_dim < 2:
+        if subsystem_dim < 2:
             raise ValidationError("subsystem_dim must be >= 2 to hold two distinct eigenvalues")
-        if self.subsystem_dim > DIM_CAP:  # no kind builds such a site; refused before a site base is allocated
-            raise ValidationError(f"subsystem_dim {self.subsystem_dim} exceeds the cap {DIM_CAP}")
+        if subsystem_dim > DIM_CAP:  # no kind builds such a site; refused before a site base is allocated
+            raise ValidationError(f"subsystem_dim {subsystem_dim} exceeds the cap {DIM_CAP}")
+        optional = {"body_order": body_order, "repetitions": repetitions}
         for name, owner in _FIELD_KINDS.items():
-            value = getattr(self, name)
-            if self.kind != owner:
+            value = optional[name]
+            if kind != owner:
                 if value is not None:
-                    raise ValidationError(f"{name} applies to the {owner} kind only, not {self.kind!r}")
+                    raise ValidationError(f"{name} applies to the {owner} kind only, not {kind!r}")
             elif value is None:
                 raise ValidationError(f"{owner} needs {name}")
             elif value < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        if (k := sum_orders(self)[0][-1]) > self.n_systems:
-            raise UsageError(f"body_order {k} exceeds n_systems {self.n_systems}")
-        object.__setattr__(self, "base_eigs", (lo, hi))
+        # of the highest orders in sum_orders, only kbody's can exceed n_systems
+        if kind == "kbody" and body_order > n_systems:
+            raise UsageError(f"body_order {body_order} exceeds n_systems {n_systems}")
+        self._set(kind=kind, n_systems=n_systems, base_eigs=(lo, hi), body_order=body_order,
+                  repetitions=repetitions, subsystem_dim=subsystem_dim)
 
     @property
     def dim(self) -> int:
         return self.subsystem_dim**self.n_systems
 
 
-@dataclass(frozen=True, eq=False)
-class JointGenerator:
+class JointGenerator(_Frozen):
     """A materialized joint generator with its query count and extreme eigenvalues.
 
     ``h_min``, ``h_max`` and ``seminorm`` are read from the generator's
@@ -105,20 +102,14 @@ class JointGenerator:
     query count (a coherent probe knows its photon number only on average).
     """
 
-    generator: HermitianOperator
-    query_complexity: int | None
-    h_min: float = field(init=False)
-    h_max: float = field(init=False)
-    seminorm: float = field(init=False)
+    __slots__ = ("generator", "query_complexity", "h_min", "h_max", "seminorm")
 
-    def __post_init__(self):
-        if self.query_complexity is not None and self.query_complexity < 1:
+    def __init__(self, generator: HermitianOperator, query_complexity: int | None):
+        if query_complexity is not None and query_complexity < 1:
             raise ValidationError("query_complexity must be >= 1 when defined")
-        spec = hermitian_eigensystem(self.generator)
+        spec = hermitian_eigensystem(generator)
         lo, hi = spec.lambda_min, spec.lambda_max
-        object.__setattr__(self, "h_min", lo)
-        object.__setattr__(self, "h_max", hi)
-        object.__setattr__(self, "seminorm", hi - lo)
+        self._set(generator=generator, query_complexity=query_complexity, h_min=lo, h_max=hi, seminorm=hi - lo)
 
     @property
     def dim(self) -> int:

@@ -699,6 +699,24 @@ def test_run_wide_site_exits_3_before_allocating_it(tmp_path, monkeypatch, capsy
     assert "subsystem_dim" in capsys.readouterr().err
 
 
+MALFORMED_SCENARIOS = {
+    "deep-nesting": "[" * 100000 + "]" * 100000,
+    "nul-path": json.dumps(minimal_scenario(outputs=[{"type": "report", "path": "out/a\u0000.json"}])),
+    "lone-surrogate-path": json.dumps(minimal_scenario(outputs=[{"type": "report", "path": "out/a\ud800.json"}])),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "estimate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_exits_2_without_writing(tmp_path, monkeypatch, capsys, case, command):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "scenario.json"
+    path.write_text(MALFORMED_SCENARIOS[case])
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse-error:")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_run_integer_literal_past_the_digit_limit_exits_2(tmp_path, monkeypatch, capsys):
     if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
         pytest.skip("this interpreter has no integer digit limit")

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,16 @@ def test_network_rejects_dim_above_cap_before_reading_layers():
 
     with pytest.raises(ValidationError, match="exceeds the cap"):
         QuantumNetwork(13, 2, (Unreadable(), qubit_box((0.0, 1.0)), Unreadable()))
+
+
+@pytest.mark.parametrize("n", [10**6, 10**10])
+def test_network_refuses_huge_subsystem_count_before_the_power(n):
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        QuantumNetwork(n, 2, (I2, qubit_box((0.0, 1.0)), I2))
+    assert time.perf_counter() - start < 1.0  # 2**n is never formed
+    one = np.eye(1)
+    assert QuantumNetwork(n, 1, (one, BlackBox(HermitianOperator.identity(1), (0,)), one)).dim == 1
 
 
 def test_network_unitarity_check_peaks_at_the_kept_copies():

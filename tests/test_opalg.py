@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phasebound.errors import NumericalIntegrityError, UsageError, ValidationError
+from phasebound.estimation import TrialConfig, TrialResult, optimal_povm
+from phasebound.metrology import Measurement, build_report
+from phasebound.networks import BlackBox, QuantumNetwork, generator_analytic
 from phasebound.opalg import (
     DIM_CAP,
     HermitianOperator,
@@ -23,6 +28,8 @@ from phasebound.opalg import (
     moments,
     tensor_product,
 )
+from phasebound.procedures import ProcedureSpec, build_generator
+from phasebound.states import optimal_state
 from util import (
     charpoly_eigenvalues,
     kron_all,
@@ -438,3 +445,73 @@ def test_moments_variance_nonnegative_and_mean_in_range(seed, dim):
     w = np.linalg.eigvalsh(a)
     assert var >= 0.0
     assert w[0] - 1e-9 <= mean <= w[-1] + 1e-9
+
+
+# ------------------------------------------------------------ value classes
+
+def _value_instances():
+    """One instance of each value class, by class name."""
+    spec = ProcedureSpec("linear", 2, (0, 1))
+    gen = build_generator(spec)
+    probe = optimal_state(gen, 0.5)
+    box = BlackBox(HermitianOperator.from_diagonal([-1.0, 1.0]), (0,))
+    net = QuantumNetwork(1, 2, (np.eye(2), box, np.eye(2)))
+    generator_analytic(net, 0.3)  # fills the memo
+    zero, one = HermitianOperator.from_diagonal([1.0, 0.0]), HermitianOperator.from_diagonal([0.0, 1.0])
+    return {
+        "HermitianOperator": HermitianOperator(random_hermitian(rng(1), 3)),
+        "Spectrum": hermitian_eigensystem(HermitianOperator.from_diagonal([2.0, 0.0, 1.0])),
+        "PureState": probe,
+        "Measurement": Measurement((zero, one), 2),
+        "BlackBox": box,
+        "QuantumNetwork": net,
+        "ProcedureSpec": spec,
+        "JointGenerator": gen,
+        "TrialConfig": TrialConfig(0.3, 10, 2, 1, optimal_povm(gen), (0, 1)),
+        "TrialResult": TrialResult([0.1, 0.2], 0.1, 0.05),
+        "ResourceReport": build_report(probe, gen, spec),
+    }
+
+
+def _public(obj) -> dict:
+    """Every public non-method attribute, properties included."""
+    return {name: getattr(obj, name) for name in dir(obj) if not name.startswith("_") and not callable(getattr(obj, name))}
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, opalg._Frozen):
+        return type(a) is type(b) and _same(_public(a), _public(b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("name", sorted(_value_instances()))
+def test_value_class_is_frozen_and_copies(name):
+    obj = _value_instances()[name]
+    assert type(obj).__name__ == name and isinstance(obj, opalg._Frozen)
+    first = type(obj).__slots__[0]
+    for target in (first, "extra"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obj, target, None)
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(obj, first)
+    assert _public(obj)
+    for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert _same(_public(clone), _public(obj))
+
+
+def test_value_reprs_list_public_slots():
+    values = _value_instances()
+    assert repr(ProcedureSpec("linear", 3, (0, 1))) == (
+        "ProcedureSpec(kind='linear', n_systems=3, base_eigs=(0.0, 1.0), body_order=None, repetitions=None, "
+        "subsystem_dim=2)"
+    )
+    assert values["QuantumNetwork"]._analytic_memo
+    assert repr(values["QuantumNetwork"]).startswith("QuantumNetwork(n_subsystems=1, subsystem_dim=2, layers=(")
+    assert "_analytic_memo" not in repr(values["QuantumNetwork"])
+    assert repr(values["Measurement"]) == "Measurement(n_sites=2, dim=4, n_outcomes=4)"
