@@ -83,7 +83,7 @@ class TrialResult(_Frozen):
     __slots__ = ("estimates", "empirical_rmse", "predicted_crb")
 
     def __init__(self, estimates: np.ndarray, empirical_rmse: float, predicted_crb: float):
-        est = _read_only(np.asarray(estimates, dtype=float))
+        est = _read_only(np.array(estimates, dtype=float))  # a copy, so the caller's array stays writable
         if empirical_rmse < 0:
             raise ValidationError("empirical_rmse must be >= 0")
         self._set(estimates=est, empirical_rmse=empirical_rmse, predicted_crb=predicted_crb)

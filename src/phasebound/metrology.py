@@ -148,8 +148,8 @@ class Measurement(_Frozen):
     The fringe form, built by ``_of_fringe``, is the two-outcome (I +/- X)/2
     of X = |max><min| + h.c., held as its two vectors, whose orthonormality
     is checked once.  Its probabilities are p+/- = 1/2 +/- Re(conj(<max|psi>)
-    <min|psi>), O(d) per state; ``site`` builds the two dense elements only
-    when it is first read, and ``Measurement(site, n)`` validates them.
+    <min|psi>), O(d) per state; ``site`` builds the two dense elements on
+    each read, and ``Measurement(site, n)`` validates them.
     """
 
     __slots__ = ("n_sites", "dim", "n_outcomes", "_fringe", "_site", "_rows_t", "_weights_t", "_chunk")
@@ -173,7 +173,7 @@ class Measurement(_Frozen):
             dim=site[0].dim**n_sites,
             n_outcomes=len(site) ** n_sites,
             _fringe=None,
-            _site=[site],
+            _site=site,
             _rows_t=rows_t,
             _weights_t=np.vstack(weights),  # (R, K): signed eigenvalues by outcome
             _chunk=max(1, _CHUNK_AMPLITUDES // rows_t.shape[1] ** n_sites),
@@ -187,18 +187,18 @@ class Measurement(_Frozen):
         if defect > POVM_TOL:
             raise ValidationError(f"fringe vectors are not orthonormal: defect {defect:.3e}")
         meas = object.__new__(cls)
-        meas._set(n_sites=1, dim=vectors.shape[1], n_outcomes=2, _fringe=_read_only(vectors), _site=[])
+        meas._set(n_sites=1, dim=vectors.shape[1], n_outcomes=2, _fringe=_read_only(vectors), _site=())
         return meas
 
     @property
     def site(self) -> tuple:
-        """The site elements; the fringe form builds its two d x d elements (I +/- X)/2 on first read, unvalidated."""
-        if not self._site:
-            cross = np.outer(self._fringe[0], self._fringe[1].conj())
-            x = cross + cross.conj().T  # X = |max><min| + h.c.
-            eye = np.eye(self.dim)
-            self._site.append((HermitianOperator((eye + x) / 2), HermitianOperator((eye - x) / 2)))
-        return self._site[0]
+        """The site elements; the fringe form builds its two d x d elements (I +/- X)/2 on each read, unvalidated."""
+        if self._fringe is None:
+            return self._site
+        cross = np.outer(self._fringe[0], self._fringe[1].conj())
+        x = cross + cross.conj().T  # X = |max><min| + h.c.
+        eye = np.eye(self.dim)
+        return HermitianOperator((eye + x) / 2), HermitianOperator((eye - x) / 2)
 
     def probabilities(self, amplitudes) -> np.ndarray:
         """Outcome probabilities of one state (dim,) or of each row of a batch (G, dim).

@@ -16,8 +16,7 @@ analytic generator: ``generator_analytic`` keeps its total, for the phi it
 ran at, and a repeat call at that phi (``procedures.from_network`` makes
 one) returns the same operator without a second backward pass.  The pass
 adds each term into the total as it makes it, so it holds O(d^2) memory
-whatever Q is; the per-term list is not kept, and its terms are built when
-first read.
+whatever Q is; the terms come back as a generator that reruns the pass.
 
 The generator of the composite evolution is extracted two ways: numerically,
 as ``i * dU/dphi * U^dag`` by central differences from two compositions, at
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -243,28 +242,12 @@ def _conjugated_terms(net: QuantumNetwork, phi: float):
             w_dag = net.layers[pos - 1].conj().T @ _apply_on_sites(o_dag, sites, w_dag, n, d)
 
 
-class _LazyTerms(Sequence):
-    """The Q terms of ``generator_analytic``, built and checked when first read.
-
-    ``len`` runs no pass.  The first index or iteration reruns the backward
-    pass once on the (immutable) network, at the same phi, so the terms are
-    bitwise the ones the total was summed from.
-    """
-
-    def __init__(self, net: QuantumNetwork, phi: float):
-        self._net, self._phi, self._terms = net, phi, None
-
-    def __len__(self) -> int:
-        return query_count(self._net)
-
-    def __getitem__(self, index):
-        if self._terms is None:
-            rev = list(_conjugated_terms(self._net, self._phi))
-            self._terms = tuple(HermitianOperator(t) for t in reversed(rev))
-        return self._terms[index]
+def _forward_terms(net: QuantumNetwork, phi: float):
+    """Yield the Q terms as checked operators, term 1 first; the first ``next`` reruns the pass and builds all Q."""
+    yield from [HermitianOperator(t) for t in reversed(list(_conjugated_terms(net, phi)))]
 
 
-def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperator, Sequence[HermitianOperator]]:
+def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperator, Iterator[HermitianOperator]]:
     """The generator as a sum of Q conjugated box terms, plus the terms themselves.
 
     Term j is W_j H_j W_j^dag with W_j the partial product of all layers after
@@ -272,19 +255,20 @@ def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperat
     of the embedded box generator, whatever the fixed unitaries are.  One
     backward pass adds each term into the total as it is made, from term Q
     down to term 1, so at most a few d x d arrays are alive at once.  The
-    terms come back as a read-only sequence in forward order (term 1 first)
-    that is built when first read (see ``_LazyTerms``).  The total is also
-    kept on ``net`` for this phi, and a repeat call at the same phi returns
-    it with fresh lazy terms and runs no pass (see the module docstring).
+    Q terms (``query_count``) come back as a generator in forward order, term
+    1 first, that runs no pass until its first ``next`` reruns it on the
+    (immutable) network, so they are bitwise the terms summed.  The total is
+    kept on ``net`` for this phi; a repeat call at the same phi returns it
+    with a fresh generator and runs no pass (see the module docstring).
     """
     _check_phi(phi)
     phi = float(phi)  # compute at exactly the value the memo key names
     if (memo := net._analytic_memo) and memo[0][0] == _phi_key(phi):
-        return memo[0][1], _LazyTerms(net, phi)
+        return memo[0][1], _forward_terms(net, phi)
     total = np.zeros((net.dim, net.dim), dtype=complex)
     for term in _conjugated_terms(net, phi):
         total += term
         del term  # free before the pass makes the next one
     total = HermitianOperator(total)
     net._analytic_memo[:] = [(_phi_key(phi), total)]
-    return total, _LazyTerms(net, phi)
+    return total, _forward_terms(net, phi)

@@ -16,7 +16,9 @@ state for one phase or a batch of them; ``evolve`` is its one-phase case.
 Every value class of the package, here and in the other modules, subclasses
 ``_Frozen``: its attributes are ``__slots__``, each set once through
 ``_Frozen._set`` and never reassigned, and every operation is pure, so
-values can be shared freely between workers.  The tensor convention
+values can be shared freely between workers.  Two private slots are caches
+that fill after construction: ``HermitianOperator._spectrum_cache`` and
+``networks.QuantumNetwork._analytic_memo``.  The tensor convention
 is fixed once for the whole package: the LEFT factor is the most significant
 one, i.e. ``tensor_product(a, b)`` indexes the joint basis as
 ``i = i_a * dim_b + i_b`` (numpy's Kronecker order).  On n identical sites
@@ -103,7 +105,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _Frozen:
     """Base of every value class: attributes are set once, through ``_set``, and never reassigned.
 
-    The repr lists the public slots in order; private slots stay out of it.
+    The repr lists the public slots in order; private slots, the caches included, stay out of it.
     """
 
     __slots__ = ()
@@ -216,7 +218,7 @@ class PureState(_Frozen):
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes: np.ndarray):
-        a = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        a = np.array(amplitudes, dtype=complex).reshape(-1)  # a copy: the caller keeps its array
         _check_dim(a.shape[0])
         norm_sq = float(np.sum(np.abs(a) ** 2))
         if not abs(norm_sq - 1.0) <= NORM_TOL:  # a NaN fails too

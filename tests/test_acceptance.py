@@ -125,7 +125,7 @@ def test_criterion_03_generator_equivalence():
         phi = float(g.uniform(-2.0, 2.0))
         ana, terms = generator_analytic(net, phi)
         num = generator_numeric(net, phi)
-        assert len(terms) == query_count(net)
+        assert len(list(terms)) == query_count(net)
         worst = max(worst, float(np.max(np.abs(ana.entries - num.entries))))
     ok = worst <= 1e-6
     verdict(3, ok, f"100 random two-qubit networks, worst |analytic - numeric| = {worst:.2e}")

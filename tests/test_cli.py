@@ -19,7 +19,7 @@ import phasebound.cli as cli
 import phasebound.estimation as estimation
 from phasebound.errors import NumericalIntegrityError
 from phasebound.opalg import DIM_CAP, evolve
-from util import fringe_mle_bounded, product_probe_mle, site_product_reduced_counts
+from util import dense_product_probabilities, fringe_mle_bounded, product_probe_mle, site_product_reduced_counts
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -828,6 +828,51 @@ def test_bundled_trials_never_tabulate_outcomes(tmp_path, monkeypatch):
     for path in trials:
         assert cli.main(["run", str(path)]) == 0, path.name
     assert tables == []
+
+
+def test_grid_trial_runs_end_to_end_and_matches_the_dense_mle(tmp_path, monkeypatch):
+    # a product probe on kbody:2 is neither a site sum nor a two-word probe, so no fringe count exists
+    payload = minimal_scenario(
+        name="grid", procedure={"kind": "kbody", "n_systems": 6, "base_eigs": [0.0, 1.0], "body_order": 2},
+        state={"kind": "product_balanced"}, phi=0.1, outputs=[{"type": "trial", "path": "out/trial.json"}],
+        trial={"phi_true": 0.1, "shots_per_trial": 500, "n_trials": 5, "rng_seed": 3,
+               "search_interval": [0.03, 0.18], "povm": "site-product"},
+    )
+    path = write_scenario(tmp_path, payload)
+    tables, original = [], estimation._outcome_table
+    monkeypatch.setattr(estimation, "_outcome_table", lambda *args: tables.append(args[2]) or original(*args))
+    written = []
+    for rerun in ("a", "b"):
+        (tmp_path / rerun).mkdir()
+        monkeypatch.chdir(tmp_path / rerun)
+        assert cli.main(["run", path]) == 0
+        assert len(tables) == len(written) + 1  # one grid table per run
+        written.append((tmp_path / rerun / "out" / "trial.json").read_bytes())
+    assert written[0] == written[1]
+    raw = cli.load_scenario(path)
+    spec, gen, probe = cli.realize_scenario(raw)
+    config = cli._build_trial_config(raw, spec, gen)
+    site = [element.entries for element in config.povm.site]
+    # the kron-chain oracle, tabulated in one batch on mle_estimate's grid and evaluated singly off it
+    grid = np.linspace(*config.search_interval, estimation.GRID_POINTS)
+    states = np.stack([evolve(probe, gen.generator, phi).amplitudes for phi in grid])
+    tabled = dict(zip(grid.tolist(), dense_product_probabilities(site, spec.n_systems, states)))
+
+    def model(phi):
+        if phi in tabled:
+            return tabled[phi]
+        return dense_product_probabilities(site, spec.n_systems, evolve(probe, gen.generator, phi).amplitudes)
+
+    truth = evolve(probe, gen.generator, config.phi_true)
+    reference = [
+        estimation.mle_estimate(estimation.sample_outcomes(truth, config.povm, config.shots_per_trial,
+                                                           np.random.SeedSequence(config.rng_seed, spawn_key=(t,))),
+                                model, config.search_interval)
+        for t in range(config.n_trials)
+    ]
+    estimates = json.loads(written[0])["estimates"]
+    assert len(estimates) == 5
+    np.testing.assert_allclose(estimates, reference, rtol=0, atol=estimation.REFINE_TOL)
 
 
 def test_site_product_trial_far_from_zero_phase_finishes(tmp_path):

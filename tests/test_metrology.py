@@ -306,9 +306,14 @@ def test_fringe_builds_dense_elements_only_on_request(monkeypatch):
     gen, vec_max, vec_min, _, g = fringe_case(5, 6, "dense")
     povm = optimal_povm(gen)
     assert calls == []
-    assert povm.site is povm.site and calls == []  # built once, on the first read; Measurement(site, n) validates
+    site = povm.site
+    assert calls == []  # built on each read, unvalidated; Measurement(site, n) validates
+    assert [e.entries.tobytes() for e in povm.site] == [e.entries.tobytes() for e in site]
+    cross = np.outer(vec_max, vec_min.conj())
+    x, eye = cross + cross.conj().T, np.eye(6)
+    assert_allclose([e.entries for e in site], [(eye + x) / 2, (eye - x) / 2], rtol=0, atol=1e-12)
     psi = random_state_vector(g, 6)
-    dense = [np.vdot(psi, e.entries @ psi).real for e in povm.site]
+    dense = [np.vdot(psi, e.entries @ psi).real for e in site]
     assert_allclose(dense, parity_pair_probabilities(vec_max, vec_min, psi), rtol=0, atol=1e-12)
 
 

@@ -505,6 +505,20 @@ def test_value_class_is_frozen_and_copies(name):
         assert _same(_public(clone), _public(obj))
 
 
+def test_pure_state_copies_the_callers_array():
+    v = np.array([1.0, 0.0], dtype=complex)
+    state = PureState(v)
+    v[:] = [5, 5]
+    assert state.amplitudes.tolist() == [1, 0] and not state.amplitudes.flags.writeable
+
+
+def test_trial_result_copies_the_callers_array():
+    a = np.array([0.1, 0.2])
+    result = TrialResult(a, 0.1, 0.05)
+    a[:] = 9.0  # the caller's array stays writable
+    assert result.estimates.tolist() == [0.1, 0.2] and not result.estimates.flags.writeable
+
+
 def test_value_reprs_list_public_slots():
     values = _value_instances()
     assert repr(ProcedureSpec("linear", 3, (0, 1))) == (
