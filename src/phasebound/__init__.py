@@ -51,7 +51,6 @@ from .opalg import (
     evolve,
     hermitian_eigensystem,
     moments,
-    tensor_product,
 )
 from .procedures import (
     JointGenerator,
@@ -123,5 +122,4 @@ __all__ = [
     "resource_count_shifted",
     "sample_outcomes",
     "snl_baseline",
-    "tensor_product",
 ]

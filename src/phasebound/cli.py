@@ -249,8 +249,9 @@ def realize_scenario(raw: dict):
 def _site_product(spec: ProcedureSpec | None, gen: JointGenerator) -> Measurement:
     if spec is None:
         raise ValidationError("site-product POVM needs a procedure section")
-    site_gen = JointGenerator(HermitianOperator.from_diagonal(base_diagonal(spec)), 1)
-    return Measurement(optimal_povm(site_gen).site, spec.n_systems)
+    x = np.zeros((spec.subsystem_dim,) * 2)  # X swaps base levels 0 and d_s - 1, the lowest and highest (hi > lo)
+    x[0, -1] = x[-1, 0] = 1.0
+    return Measurement([HermitianOperator((np.eye(len(x)) + sign * x) / 2) for sign in (1, -1)], spec.n_systems)
 
 
 # each trial povm token and its measurement constructor

@@ -35,8 +35,8 @@ import numpy as np
 from .errors import BoundaryWarning, UsageError, ValidationError
 from .metrology import (Measurement, _probabilities_and_slope, _require_measurement, classical_fisher,
                         outcome_probabilities)
-from .opalg import (HermitianOperator, PureState, _evolved, _Frozen, _lifted_site_values, _read_only, evolve,
-                    hermitian_eigensystem)
+from .opalg import (HermitianOperator, PureState, _evolved, _Frozen, _kron_power, _lifted_site_values, _read_only,
+                    evolve, hermitian_eigensystem)
 from .procedures import JointGenerator
 from .states import _extreme_columns
 
@@ -48,6 +48,7 @@ MAX_TRIALS = 10**6
 MAX_SHOTS = 10**9  # multinomial draws need a C long, 32 bits on some platforms
 _SWAP_TOL = 1e-12  # entry error of a site element read as (I +/- X)/2
 _FACTOR_TOL = 1e-8  # residual of a fringe vector or a probe; relative to the spectral scale where a value enters
+_CHUNK_AMPLITUDES = 1 << 18  # evolved or site-eigenbasis amplitudes one chunk of the grid table may hold (4 MB)
 
 
 class TrialConfig(_Frozen):
@@ -103,7 +104,7 @@ def optimal_povm(gen: JointGenerator) -> Measurement:
     On probes confined to the plane of the two extreme eigenstates this is
     the parity-type measurement whose statistics carry the full quantum
     Fisher information of the balanced superposition.  Only the two extreme
-    eigenvectors are kept; ``.site`` builds the dense elements, unvalidated, on request.
+    eigenvectors are kept: no d x d element is built, and ``.site`` is ().
     """
     vec_min, vec_max = _extreme_columns(hermitian_eigensystem(gen.generator))
     return Measurement._of_fringe(vec_max, vec_min)
@@ -134,15 +135,16 @@ def _floored_log(probs: np.ndarray) -> np.ndarray:
     return np.log(np.clip(probs, 1e-300, None))
 
 
-def _outcome_table(state: PureState, gen: HermitianOperator, povm: Measurement, grid) -> np.ndarray:
-    """P[g, k] = outcome_probabilities(evolve(state, gen, grid[g]), povm)[k]; one row (K,) for a float grid.
+def _outcome_table(state: PureState, gen: HermitianOperator, povm: Measurement, grid: np.ndarray) -> np.ndarray:
+    """P[g, k] = outcome_probabilities(evolve(state, gen, grid[g]), povm)[k] for a 1-D array of phases.
 
-    The probe is evolved to every phase at once by ``opalg._evolved``, which
-    checks each row's norm, and the batch goes through the measurement's
-    probability kernel, which rejects probabilities below -1e-12.
+    The probe is evolved (``opalg._evolved`` checks each row's norm) and measured (the kernel rejects probabilities
+    below -1e-12) in chunks of phases holding at most _CHUNK_AMPLITUDES amplitudes, evolved or site-eigenbasis.
     """
-    _require_measurement(povm)
-    return povm.probabilities(_evolved(state, gen, grid))
+    # a site element of rank r keeps r eigen-rows, so a state can take more site-eigenbasis amplitudes than d
+    width = state.dim if povm._fringe is not None else max(state.dim, povm._rows_t.shape[1] ** povm.n_sites)
+    step = max(1, _CHUNK_AMPLITUDES // width)
+    return np.vstack([povm.probabilities(_evolved(state, gen, grid[i:i + step])) for i in range(0, grid.size, step)])
 
 
 def _warn_boundary() -> None:
@@ -216,7 +218,7 @@ def _tensor_root(psi: np.ndarray, n: int, ds: int) -> np.ndarray | None:
     peak = np.unravel_index(np.argmax(np.abs(psi)), [ds] * n)
     site = psi.reshape([ds] * n)[(slice(None),) + peak[1:]]
     site = site / np.linalg.norm(site)
-    power = functools.reduce(np.kron, [site] * n)
+    power = _kron_power(site, n)
     return site if np.linalg.norm(psi - np.vdot(power, psi) * power) <= _FACTOR_TOL else None
 
 
@@ -234,10 +236,10 @@ def _reduced_fringe(povm: Measurement, gen: JointGenerator, state: PureState):
     ``_fringe_estimate``; a flat one gives None.  Three cases hold, each to
     _FACTOR_TOL (relative to the spectral scale for eigenvectors and site sums):
 
-    - the fringe form, decided first since ``povm.site`` would build two d x d
-      elements: its vectors are eigenvectors of the generator at h_max and
-      h_min, V = |ab| and theta = arg(conj(a) b) with a = <max|psi> and
-      b = <min|psi>, and the counts already are (n+, n-);
+    - the fringe form, decided first since it has no site elements: its
+      vectors are eigenvectors of the generator at h_max and h_min, V = |ab|
+      and theta = arg(conj(a) b) with a = <max|psi> and b = <min|psi>, and
+      the counts already are (n+, n-);
     - a site-product measurement of (I +/- X)/2, X swapping site levels M and
       m (``_site_swap``), under a diagonal generator, on a product probe
       c s^(xN) when the generator is a sum of one set of site values,

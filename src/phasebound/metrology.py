@@ -8,9 +8,9 @@ superpositions all of them collapse to the same number.
 
 A measurement is a ``Measurement``, and nothing else is accepted: one site
 factor, validated once when it is built, applied to each of N sites, or the
-two-outcome fringe (I +/- X)/2 held as two vectors.  One kernel gives the
-outcome probabilities of a single state or of a batch of states, by
-contracting the amplitudes site axis by site axis (the ``opalg`` site
+two-outcome fringe (I +/- X)/2 held as two vectors and no site elements.
+One kernel gives the outcome probabilities of one state, or of a batch the
+caller sizes, in one contraction: site axis by site axis (the ``opalg`` site
 kernel) or with the two fringe vectors, so neither form needs an element of
 the joint space.
 
@@ -38,8 +38,6 @@ NO_SENSITIVITY = "no-sensitivity"
 ZERO_RESOURCE_TOL = 1e-12
 POVM_TOL = 1e-9
 _PROB_FLOOR = 1e-12
-# site-eigenbasis amplitudes one chunk of a probability batch may hold (4 MB)
-_CHUNK_AMPLITUDES = 1 << 18
 
 
 class ResourceReport(_Frozen):
@@ -146,13 +144,12 @@ class Measurement(_Frozen):
     qubit site.
 
     The fringe form, built by ``_of_fringe``, is the two-outcome (I +/- X)/2
-    of X = |max><min| + h.c., held as its two vectors, whose orthonormality
-    is checked once.  Its probabilities are p+/- = 1/2 +/- Re(conj(<max|psi>)
-    <min|psi>), O(d) per state; ``site`` builds the two dense elements on
-    each read, and ``Measurement(site, n)`` validates them.
+    of X = |max><min| + h.c., held as its two vectors and nothing else; their
+    orthonormality is checked once.  Its probabilities are p+/- = 1/2 +/-
+    Re(conj(<max|psi>) <min|psi>), O(d) per state, and its ``site`` is ().
     """
 
-    __slots__ = ("n_sites", "dim", "n_outcomes", "_fringe", "_site", "_rows_t", "_weights_t", "_chunk")
+    __slots__ = ("n_sites", "dim", "n_outcomes", "_fringe", "_site", "_rows_t", "_weights_t")
 
     def __init__(self, site, n_sites: int = 1):
         site = tuple(site)
@@ -167,17 +164,9 @@ class Measurement(_Frozen):
             block = np.zeros((np.count_nonzero(keep), len(site)))
             block[:, k] = spec.eigenvalues[keep]
             weights.append(block)
-        rows_t = np.hstack(columns)  # (d_s, R): the eigen-rows, transposed
-        self._set(
-            n_sites=n_sites,
-            dim=site[0].dim**n_sites,
-            n_outcomes=len(site) ** n_sites,
-            _fringe=None,
-            _site=site,
-            _rows_t=rows_t,
-            _weights_t=np.vstack(weights),  # (R, K): signed eigenvalues by outcome
-            _chunk=max(1, _CHUNK_AMPLITUDES // rows_t.shape[1] ** n_sites),
-        )
+        self._set(n_sites=n_sites, dim=site[0].dim**n_sites, n_outcomes=len(site) ** n_sites, _fringe=None,
+                  _site=site, _rows_t=np.hstack(columns),  # (d_s, R): the eigen-rows, transposed
+                  _weights_t=np.vstack(weights))  # (R, K): signed eigenvalues by outcome
 
     @classmethod
     def _of_fringe(cls, vec_max: np.ndarray, vec_min: np.ndarray) -> "Measurement":
@@ -192,20 +181,13 @@ class Measurement(_Frozen):
 
     @property
     def site(self) -> tuple:
-        """The site elements; the fringe form builds its two d x d elements (I +/- X)/2 on each read, unvalidated."""
-        if self._fringe is None:
-            return self._site
-        cross = np.outer(self._fringe[0], self._fringe[1].conj())
-        x = cross + cross.conj().T  # X = |max><min| + h.c.
-        eye = np.eye(self.dim)
-        return HermitianOperator((eye + x) / 2), HermitianOperator((eye - x) / 2)
+        """The site elements; () for the fringe form, which has none."""
+        return self._site
 
     def probabilities(self, amplitudes) -> np.ndarray:
-        """Outcome probabilities of one state (dim,) or of each row of a batch (G, dim).
+        """Outcome probabilities of one state (dim,) or of each row of a batch (G, dim), in one contraction.
 
-        Probabilities below -1e-12 raise ValidationError; the rest are clipped
-        at 0.  A batch is contracted in chunks of grid states, so no chunk holds
-        more than _CHUNK_AMPLITUDES site-eigenbasis amplitudes.
+        Probabilities below -1e-12 raise ValidationError; the rest are clipped at 0.
         """
         psi = np.asarray(amplitudes)
         if psi.shape[-1] != self.dim:
@@ -215,12 +197,9 @@ class Measurement(_Frozen):
             half = (ab[..., 0].conj() * ab[..., 1]).real
             probs = np.stack([0.5 + half, 0.5 - half], axis=-1)
         else:
-            batch = psi.reshape(-1, self.dim)
-            n, step = self.n_sites, self._chunk
-            probs = np.concatenate([
-                _contract_sites(np.abs(_contract_sites(batch[i:i + step], self._rows_t, n)) ** 2, self._weights_t, n)
-                for i in range(0, batch.shape[0], step)
-            ]).reshape(psi.shape[:-1] + (self.n_outcomes,))
+            n = self.n_sites
+            r = _contract_sites(psi.reshape(-1, self.dim), self._rows_t, n)  # site-eigenbasis amplitudes
+            probs = _contract_sites(np.abs(r) ** 2, self._weights_t, n).reshape(psi.shape[:-1] + (self.n_outcomes,))
         if probs.min() < -1e-12:
             raise ValidationError(f"negative outcome probability {probs.min():.3e}")
         return np.maximum(probs, 0.0)

@@ -221,7 +221,7 @@ def generator_numeric(net: QuantumNetwork, phi: float, eps: float = DEFAULT_FD_S
         )
     raw += raw.conj().T
     raw *= 0.5
-    return HermitianOperator(raw)
+    return HermitianOperator._of_matrix(raw)
 
 
 def _conjugated_terms(net: QuantumNetwork, phi: float):
@@ -244,7 +244,7 @@ def _conjugated_terms(net: QuantumNetwork, phi: float):
 
 def _forward_terms(net: QuantumNetwork, phi: float):
     """Yield the Q terms as checked operators, term 1 first; the first ``next`` reruns the pass and builds all Q."""
-    yield from [HermitianOperator(t) for t in reversed(list(_conjugated_terms(net, phi)))]
+    yield from [HermitianOperator._of_matrix(t) for t in reversed(list(_conjugated_terms(net, phi)))]
 
 
 def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperator, Iterator[HermitianOperator]]:
@@ -269,6 +269,6 @@ def generator_analytic(net: QuantumNetwork, phi: float) -> tuple[HermitianOperat
     for term in _conjugated_terms(net, phi):
         total += term
         del term  # free before the pass makes the next one
-    total = HermitianOperator(total)
+    total = HermitianOperator._of_matrix(total)
     net._analytic_memo[:] = [(_phi_key(phi), total)]
     return total, _forward_terms(net, phi)

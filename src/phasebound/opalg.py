@@ -20,17 +20,20 @@ values can be shared freely between workers.  Two private slots are caches
 that fill after construction: ``HermitianOperator._spectrum_cache`` and
 ``networks.QuantumNetwork._analytic_memo``.  The tensor convention
 is fixed once for the whole package: the LEFT factor is the most significant
-one, i.e. ``tensor_product(a, b)`` indexes the joint basis as
-``i = i_a * dim_b + i_b`` (numpy's Kronecker order).  On n identical sites
-of dimension d, site 0 is the most significant digit of the joint index, so
-a joint vector reshapes to ``[d] * n`` with site j on axis j.  The site
-kernels at the end of this module are the main readers of that order, but
-not the only ones: ``estimation._tensor_root`` and ``estimation._site_sum``
-reshape a joint vector to ``[d] * n`` themselves, and
-``estimation._reduced_fringe`` computes the joint indices of the all-i words.
+one: ``np.kron(a, b)`` indexes the joint basis as ``i = i_a * dim_b + i_b``,
+and ``_kron_power`` folds n site factors in that order.  On n identical
+sites of dimension d, site 0 is the most significant digit of the joint
+index, so a joint vector reshapes to ``[d] * n`` with site j on axis j.
+The site kernels at the end of this module are the main readers of that
+order, but not the only ones: ``estimation._tensor_root`` and
+``estimation._site_sum`` reshape a joint vector to ``[d] * n`` themselves,
+and ``estimation._reduced_fringe`` computes the joint indices of the all-i
+words.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -42,13 +45,6 @@ NORM_TOL = 1e-12
 _SCAN_BLOCK_BYTES = 1 << 19  # largest row block of the Hermiticity scan
 
 
-def _as_complex_matrix(entries) -> np.ndarray:
-    a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise UsageError(f"operator entries must be a square matrix, got shape {a.shape}")
-    return a
-
-
 def _check_dim(dim: int) -> None:
     if dim < 1:
         raise ValidationError("dimension must be >= 1")
@@ -56,6 +52,10 @@ def _check_dim(dim: int) -> None:
         raise ValidationError(
             f"dimension {dim} exceeds the cap {DIM_CAP}; this toolkit targets desk-scale spaces"
         )
+
+
+def _scan_rows(d: int) -> int:
+    return max(1, _SCAN_BLOCK_BYTES // (16 * d))  # rows of a d-column complex block: at most _SCAN_BLOCK_BYTES
 
 
 def _hermitian_defect(a: np.ndarray) -> float:
@@ -68,13 +68,13 @@ def _hermitian_defect(a: np.ndarray) -> float:
     expression's exactly.
     """
     d = a.shape[0]
-    rows = max(1, _SCAN_BLOCK_BYTES // (16 * d))
+    rows = _scan_rows(d)
     return np.max([np.max(np.abs(a[i:i + rows, i:] - a[i:, i:i + rows].conj().T)) for i in range(0, d, rows)])
 
 
 def _max_abs(a: np.ndarray) -> float:
     """max |A| over the row blocks of ``_hermitian_defect``; a NaN propagates."""
-    rows = max(1, _SCAN_BLOCK_BYTES // (16 * a.shape[0]))
+    rows = _scan_rows(a.shape[0])
     return float(np.max([np.max(np.abs(a[i:i + rows])) for i in range(0, a.shape[0], rows)]))
 
 
@@ -86,10 +86,9 @@ def _unitary_defect(v: np.ndarray) -> float:
     from column i on is conj(conj(V[r]) @ V[i:].T): the transpose is a view,
     so only the block is conjugated.  A NaN propagates.
     """
-    d = v.shape[0]
-    rows = max(1, _SCAN_BLOCK_BYTES // (16 * d))
+    rows = _scan_rows(v.shape[0])
     worst = []
-    for i in range(0, d, rows):
+    for i in range(0, v.shape[0], rows):
         block = np.conj(v[i:i + rows].conj() @ v[i:].T)
         r = np.arange(block.shape[0])
         block[r, r] -= 1.0
@@ -100,6 +99,19 @@ def _unitary_defect(v: np.ndarray) -> float:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _hermitian_matrix(entries) -> np.ndarray:
+    """``entries`` as a read-only complex square matrix under ``HermitianOperator``'s rule; a complex array is kept."""
+    a = np.asarray(entries, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise UsageError(f"operator entries must be a square matrix, got shape {a.shape}")
+    _check_dim(a.shape[0])
+    if not (defect := _hermitian_defect(a)) <= HERMITIAN_TOL:
+        tol = HERMITIAN_TOL * max(1.0, _max_abs(a))
+        if not defect <= tol:
+            raise ValidationError(f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol:.3e}")
+    return _read_only(a)
 
 
 class _Frozen:
@@ -136,19 +148,20 @@ class HermitianOperator(_Frozen):
     matrix, under one Hermiticity rule with no tolerance parameter: a NaN or a
     defect max |A - A^dag| above HERMITIAN_TOL times max(1, max |A|), the scale
     of the rounding in A, fails construction; max |A| is read only past
-    HERMITIAN_TOL.  ``from_diagonal`` builds the diagonal form, Hermitian by construction.
+    HERMITIAN_TOL.  It copies the caller's array; ``_of_matrix`` keeps a fresh one under the same rule.
+    ``from_diagonal`` builds the diagonal form, Hermitian by construction.
     """
 
     __slots__ = ("_matrix", "_diagonal", "_spectrum_cache")
 
     def __init__(self, entries):
-        a = _as_complex_matrix(entries)
-        _check_dim(a.shape[0])
-        if not (defect := _hermitian_defect(a)) <= HERMITIAN_TOL:
-            tol = HERMITIAN_TOL * max(1.0, _max_abs(a))
-            if not defect <= tol:
-                raise ValidationError(f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol:.3e}")
-        self._set(_matrix=_read_only(a), _diagonal=None, _spectrum_cache=[])
+        self._set(_matrix=_hermitian_matrix(np.array(entries, dtype=complex)), _diagonal=None, _spectrum_cache=[])
+
+    @classmethod
+    def _of_matrix(cls, a: np.ndarray) -> "HermitianOperator":
+        op = object.__new__(cls)
+        op._set(_matrix=_hermitian_matrix(a), _diagonal=None, _spectrum_cache=[])
+        return op
 
     @classmethod
     def _of_vector(cls, values: np.ndarray) -> "HermitianOperator":
@@ -205,7 +218,7 @@ class HermitianOperator(_Frozen):
         """A + offset * I."""
         if self._diagonal is not None:
             return HermitianOperator._of_vector(self._diagonal + offset)
-        return HermitianOperator(self._matrix + offset * np.eye(self.dim))
+        return HermitianOperator._of_matrix(self._matrix + offset * np.eye(self.dim))
 
     def __repr__(self) -> str:
         form = "diagonal" if self._diagonal is not None else "dense"
@@ -256,13 +269,20 @@ class Spectrum(_Frozen):
     __slots__ = ("eigenvalues", "_vectors", "_order")
 
     def __init__(self, eigenvalues, eigenvectors):
-        w = np.asarray(eigenvalues, dtype=float).reshape(-1)
-        v = np.asarray(eigenvectors, dtype=complex)
+        w = np.array(eigenvalues, dtype=float).reshape(-1)  # copies: the caller's arrays stay writable
+        v = np.array(eigenvectors, dtype=complex)
         if np.any(np.diff(w) < 0):
             raise ValidationError("eigenvalues must be sorted ascending")
         if v.shape != (w.shape[0], w.shape[0]):
             raise ValidationError("eigenvector matrix shape must match eigenvalue count")
         self._set(eigenvalues=_read_only(w), _vectors=_read_only(v), _order=None)
+
+    @classmethod
+    def _of_eigensystem(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "Spectrum":
+        # fresh arrays the new spectrum owns: real eigenvalues ascending, complex eigenvector columns to match
+        spec = object.__new__(cls)
+        spec._set(eigenvalues=_read_only(eigenvalues), _vectors=_read_only(eigenvectors), _order=None)
+        return spec
 
     @classmethod
     def _of_permutation(cls, eigenvalues: np.ndarray, order: np.ndarray) -> "Spectrum":
@@ -293,13 +313,6 @@ class Spectrum(_Frozen):
         return float(self.eigenvalues[-1])
 
 
-def tensor_product(a: PureState, b: PureState) -> PureState:
-    """Kronecker product of two states (left = most significant)."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes))
-    raise UsageError(f"tensor_product needs two states, got {type(a).__name__} and {type(b).__name__}")
-
-
 def hermitian_eigensystem(a: HermitianOperator) -> Spectrum:
     """Eigenvalues ascending with orthonormal eigenvectors (cached on the operator).
 
@@ -312,8 +325,7 @@ def hermitian_eigensystem(a: HermitianOperator) -> Spectrum:
         order = np.argsort(a._diagonal, kind="stable")
         spec = Spectrum._of_permutation(a._diagonal[order], order)
     else:
-        w, v = np.linalg.eigh(a.entries)
-        spec = Spectrum(w, v)
+        spec = Spectrum._of_eigensystem(*np.linalg.eigh(a.entries))
     a._spectrum_cache.append(spec)
     return spec
 
@@ -370,6 +382,11 @@ def moments(state: PureState, a: HermitianOperator) -> tuple[float, float]:
 # A joint space of n identical sites of dimension d, site 0 most significant.
 
 
+def _kron_power(a: np.ndarray, n: int) -> np.ndarray:
+    """a^(xn) for a site vector or matrix, as the left fold kron(kron(a, a), ...): site 0 most significant."""
+    return functools.reduce(np.kron, [a] * n)
+
+
 def _lifted_site_values(values: np.ndarray, site: int, n: int, d: int) -> np.ndarray:
     """The entry of ``values`` that ``site`` reads on every product basis state."""
     stride = d ** (n - 1 - site)
@@ -413,14 +430,12 @@ def _rotated_diagonal(u: np.ndarray, values: np.ndarray, n: int) -> HermitianOpe
     cached: the eigenvalues are ``values`` stably sorted, and eigenvector i is
     the matching column of U^(xn).  ``HermitianOperator``'s one rule checks the product.
     """
-    vectors = u
-    for _ in range(n - 1):
-        vectors = np.kron(vectors, u)
+    vectors = _kron_power(u, n)
     x = np.multiply(vectors.T, values[:, None], order="C")
     np.conj(x, out=x)  # diag(values) U^(xn)^dag, laid out by row for the site passes
     for site in range(n):
         x = _apply_on_sites(u, (site,), x, n, u.shape[0])
-    op = HermitianOperator(x)
+    op = HermitianOperator._of_matrix(x)
     order = np.argsort(values, kind="stable")
-    op._spectrum_cache.append(Spectrum(values[order], vectors[:, order]))
+    op._spectrum_cache.append(Spectrum._of_eigensystem(values[order], vectors[:, order]))
     return op

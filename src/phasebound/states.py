@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateGeneratorError, ValidationError
-from .opalg import HermitianOperator, PureState, Spectrum, _check_dim, hermitian_eigensystem, tensor_product
+from .opalg import HermitianOperator, PureState, Spectrum, _check_dim, _kron_power, hermitian_eigensystem
 from .procedures import JointGenerator
 
 COHERENT_DEFICIT_TOL = 1e-8
@@ -95,11 +95,7 @@ def product_balanced_state(n_systems: int, base_spectrum: Spectrum) -> PureState
     if n_systems < 1:
         raise ValidationError("n_systems must be >= 1")
     vec_min, vec_max = _extreme_columns(base_spectrum)
-    site = PureState((vec_min + vec_max) / math.sqrt(2))
-    out = site
-    for _ in range(n_systems - 1):
-        out = tensor_product(out, site)
-    return out
+    return PureState(_kron_power((vec_min + vec_max) / math.sqrt(2), n_systems))
 
 
 def coherent_state(alpha: complex, cutoff: int) -> PureState:

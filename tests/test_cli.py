@@ -875,6 +875,30 @@ def test_grid_trial_runs_end_to_end_and_matches_the_dense_mle(tmp_path, monkeypa
     np.testing.assert_allclose(estimates, reference, rtol=0, atol=estimation.REFINE_TOL)
 
 
+def test_grid_trial_at_n10_tabulates_in_chunks(tmp_path, monkeypatch):
+    # the 1000-phase grid table is evolved and measured a chunk at a time, so the run never
+    # holds all 1000 x 1024 evolved amplitudes (16 MB) and their images at once
+    monkeypatch.chdir(tmp_path)
+    payload = minimal_scenario(
+        name="grid", procedure={"kind": "kbody", "n_systems": 10, "base_eigs": [0.0, 1.0], "body_order": 2},
+        state={"kind": "product_balanced"}, phi=0.05, outputs=[{"type": "trial", "path": "out/trial.json"}],
+        trial={"phi_true": 0.05, "shots_per_trial": 500, "n_trials": 10, "rng_seed": 3,
+               "search_interval": [0.03, 0.08], "povm": "site-product"},
+    )
+    path = write_scenario(tmp_path, payload)
+    tables, original = [], estimation._outcome_table
+    monkeypatch.setattr(estimation, "_outcome_table", lambda *args: tables.append(args[2]) or original(*args))
+    tracemalloc.start()
+    try:
+        rc = cli.main(["run", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and len(tables) == 1  # the grid path ran
+    assert peak < 28 * 2**20
+    assert len(json.loads((tmp_path / "out" / "trial.json").read_text())["estimates"]) == 10
+
+
 def test_site_product_trial_far_from_zero_phase_finishes(tmp_path):
     # near 1e8 adjacent floats are 1.5e-8 apart, wider than REFINE_TOL, so bisection must stop on float spacing
     lo = 1e8

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import phasebound.estimation as estimation
 from phasebound.errors import BoundaryWarning, UsageError, ValidationError
 from phasebound.estimation import (
     GRID_POINTS,
@@ -33,6 +34,7 @@ from util import (
     dense_product_probabilities,
     dense_score_mle,
     fringe_mle_bounded,
+    fringe_pair,
     product_probe_mle,
     random_hermitian,
     random_state_vector,
@@ -57,7 +59,7 @@ def binary_grid_estimate(counts, interval):
 def noon_grid_estimator(interval):
     """NOON N = 3 with the dense parity elements: no fringe form, so precision_trial would take the grid path."""
     gen = mode_number_generator(3)
-    return _grid_estimator(noon_state(3), gen.generator, Measurement(optimal_povm(gen).site), *interval)
+    return _grid_estimator(noon_state(3), gen.generator, Measurement(fringe_pair(optimal_povm(gen))), *interval)
 
 
 def qubit_base():
@@ -81,11 +83,11 @@ def test_optimal_povm_is_valid_and_binary():
     povm = optimal_povm(gen)
     assert isinstance(povm, Measurement)
     assert (povm.n_sites, povm.n_outcomes, povm.dim) == (1, 2, 4)
-    validate_povm(povm.site)
+    validate_povm(fringe_pair(povm))
     # projects onto (|min> +/- |max>)/sqrt(2)
     plus = (PureState.basis_vector(4, 0).amplitudes + PureState.basis_vector(4, 3).amplitudes) / math.sqrt(2)
-    assert_allclose(povm.site[0].entries @ plus, plus, atol=1e-12)
-    assert_allclose(povm.site[1].entries @ plus, np.zeros(4), atol=1e-12)
+    assert_allclose(fringe_pair(povm)[0].entries @ plus, plus, atol=1e-12)
+    assert_allclose(fringe_pair(povm)[1].entries @ plus, np.zeros(4), atol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -107,17 +109,15 @@ def test_optimal_povm_matches_dense_parity_pair(dim):
 def test_raw_element_list_is_refused_by_sampling_and_trials():
     povm = optimal_povm(mode_number_generator(2))
     state = noon_state(2)
-    for raw in (list(povm.site), tuple(povm.site)):
+    for raw in (list(fringe_pair(povm)), tuple(fringe_pair(povm))):
         with pytest.raises(UsageError, match="must be a Measurement"):
             sample_outcomes(state, raw, 10, seed=1)
         with pytest.raises(UsageError, match="must be a Measurement"):
             TrialConfig(0.4, 100, 10, 1, raw, (0.1, 0.9))
-        with pytest.raises(UsageError, match="must be a Measurement"):
-            _outcome_table(state, mode_number_generator(2).generator, raw, np.linspace(0.1, 0.9, 5))
 
 
 def test_tensor_power_povm_counts_and_completeness():
-    site = optimal_povm(JointGenerator(qubit_base(), 1)).site
+    site = fringe_pair(optimal_povm(JointGenerator(qubit_base(), 1)))
     joint = Measurement(site, 3)
     assert (joint.n_outcomes, joint.dim, joint.n_sites) == (8, 8, 3)
     g = rng(3)
@@ -285,7 +285,7 @@ def test_trial_rmse_tracks_crb_for_separable_probe():
     n = 4
     gen = build_generator(ProcedureSpec("linear", n, (0.0, 1.0)))
     probe = product_balanced_state(n, hermitian_eigensystem(qubit_base()))
-    povm = Measurement(optimal_povm(JointGenerator(qubit_base(), 1)).site, n)
+    povm = Measurement(fringe_pair(optimal_povm(JointGenerator(qubit_base(), 1))), n)
     cfg = TrialConfig(0.7, 1000, 200, 42, povm, (0.2, 1.2))
     res = precision_trial(gen, probe, cfg)
     assert res.predicted_crb == pytest.approx(1.0 / math.sqrt(1000 * n), rel=1e-13)
@@ -324,7 +324,7 @@ def per_point_table(state, generator, povm, grid):
 def site_product_case(n):
     gen = build_generator(ProcedureSpec("linear", n, (0.0, 1.0)))
     probe = product_balanced_state(n, hermitian_eigensystem(qubit_base()))
-    povm = Measurement(optimal_povm(JointGenerator(qubit_base(), 1)).site, n)
+    povm = Measurement(fringe_pair(optimal_povm(JointGenerator(qubit_base(), 1))), n)
     return gen, probe, povm
 
 
@@ -362,26 +362,45 @@ def test_table_matches_per_point_site_product():
     assert_allclose(table, per_point_table(probe, gen.generator, povm, grid), rtol=0, atol=TABLE_ATOL)
 
 
-@pytest.mark.parametrize("form", ["diagonal", "dense"])
-def test_table_and_evolve_share_one_kernel(form):
-    # a one-phase table is evolve's state through the measurement, bit for bit;
-    # a batch differs from it only where BLAS blocks the batched products differently
+@pytest.mark.parametrize("form", ["diagonal", "dense", "dense-chunked"])
+def test_table_and_evolve_share_one_kernel(form, monkeypatch):
+    # a table row is evolve's state through the measurement, except where BLAS blocks the
+    # batched products differently, and a table is evolved and measured in chunks of at most
+    # _CHUNK_AMPLITUDES amplitudes
     if form == "diagonal":
         gen = mode_number_generator(3)
         generator, probe, povm = gen.generator, noon_state(3), optimal_povm(gen)
     else:
         generator, probe, povm = nondiagonal_case()
+    if form == "dense-chunked":
+        monkeypatch.setattr(estimation, "_CHUNK_AMPLITUDES", 5 * probe.dim)  # 5 phases a chunk
     assert generator.is_diagonal is (form == "diagonal")
     grid = np.linspace(-0.9, 0.9, 37)
     amplitudes = _evolved(probe, generator, grid)
+    chunks = []
+    monkeypatch.setattr(estimation, "_evolved", lambda *args: chunks.append(np.size(args[2])) or _evolved(*args))
     table = _outcome_table(probe, generator, povm, grid)
+    assert chunks == ([5] * 7 + [2] if form == "dense-chunked" else [37])
     atol = 0.0 if form == "diagonal" else 1e-12
     for g, phi in enumerate(grid):
         psi = evolve(probe, generator, float(phi))
         row = outcome_probabilities(psi, povm)
-        assert np.array_equal(_outcome_table(probe, generator, povm, float(phi)), row)
         assert_allclose(amplitudes[g], psi.amplitudes, rtol=0, atol=atol)
         assert_allclose(table[g], row, rtol=0, atol=max(atol, 1e-15))
+
+
+def test_table_chunks_bound_the_site_eigenbasis_amplitudes(monkeypatch):
+    # full-rank site elements keep 6 eigen-rows a qubit site, so one 2-site state takes 36 kernel amplitudes, not 4
+    generator, probe, _ = nondiagonal_case(dim=4)
+    povm = Measurement(random_three_outcome_site(), 2)
+    monkeypatch.setattr(estimation, "_CHUNK_AMPLITUDES", 5 * 36)  # 5 phases a chunk
+    grid = np.linspace(-0.9, 0.9, 37)
+    chunks = []
+    monkeypatch.setattr(estimation, "_evolved", lambda *args: chunks.append(np.size(args[2])) or _evolved(*args))
+    table = _outcome_table(probe, generator, povm, grid)
+    assert chunks == [5] * 7 + [2]
+    rows = [outcome_probabilities(evolve(probe, generator, float(phi)), povm) for phi in grid]
+    assert_allclose(table, rows, rtol=0, atol=1e-12)
 
 
 def test_table_rejects_negative_probabilities():
@@ -511,12 +530,12 @@ REFERENCE_ATOL = 1e-12
 
 
 def qubit_optimal_site():
-    return optimal_povm(JointGenerator(qubit_base(), 1)).site
+    return fringe_pair(optimal_povm(JointGenerator(qubit_base(), 1)))
 
 
 def qutrit_optimal_site():
     # (I +/- X)/2 with X = |2><0| + h.c.: eigenvalue 1/2 on |1>, so not projective
-    return optimal_povm(JointGenerator(HermitianOperator.from_diagonal([0.0, 0.5, 1.0]), 1)).site
+    return fringe_pair(optimal_povm(JointGenerator(HermitianOperator.from_diagonal([0.0, 0.5, 1.0]), 1)))
 
 
 def random_three_outcome_site(seed=33):
@@ -645,7 +664,7 @@ def test_truth_probabilities_are_computed_once_per_run(monkeypatch):
 def site_product_povm(spec):
     """The CLI's site-product measurement: the optimal fringe of the default site base on every site."""
     base = HermitianOperator.from_diagonal(base_diagonal(spec))
-    return Measurement(optimal_povm(JointGenerator(base, 1)).site, spec.n_systems)
+    return Measurement(fringe_pair(optimal_povm(JointGenerator(base, 1))), spec.n_systems)
 
 
 def symmetric_probe(spec, gen, kind):

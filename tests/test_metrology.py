@@ -30,6 +30,7 @@ from phasebound.procedures import JointGenerator, ProcedureSpec, build_generator
 from phasebound.states import mode_number_generator, noon_state, optimal_state
 from util import (
     fringe_fisher,
+    fringe_pair,
     kron_all,
     moments_by_eigensystem,
     parity_pair_probabilities,
@@ -178,7 +179,7 @@ def test_classical_fisher_never_beats_qfi():
 
 
 def qubit_optimal_site():
-    return [e.entries for e in optimal_povm(build_generator(ProcedureSpec("linear", 1, (0.0, 1.0)))).site]
+    return [e.entries for e in fringe_pair(optimal_povm(build_generator(ProcedureSpec("linear", 1, (0.0, 1.0)))))]
 
 
 def qutrit_parity_site():
@@ -299,22 +300,22 @@ def test_fringe_fisher_matches_closed_form(seed, dim, form, phi):
     assert abs(classical_fisher(optimal_povm(gen), probe, gen.generator, phi) - expected) <= 1e-10 * expected
 
 
-def test_fringe_builds_dense_elements_only_on_request(monkeypatch):
+def test_fringe_has_no_site_elements(monkeypatch):
     calls = []
     original = metrology.validate_povm
     monkeypatch.setattr(metrology, "validate_povm", lambda povm: calls.append(len(povm)) or original(povm))
     gen, vec_max, vec_min, _, g = fringe_case(5, 6, "dense")
     povm = optimal_povm(gen)
+    assert povm.site == () and povm.site is povm.site  # nothing is built on a read
     assert calls == []
-    site = povm.site
-    assert calls == []  # built on each read, unvalidated; Measurement(site, n) validates
-    assert [e.entries.tobytes() for e in povm.site] == [e.entries.tobytes() for e in site]
+    pair = fringe_pair(povm)
     cross = np.outer(vec_max, vec_min.conj())
     x, eye = cross + cross.conj().T, np.eye(6)
-    assert_allclose([e.entries for e in site], [(eye + x) / 2, (eye - x) / 2], rtol=0, atol=1e-12)
-    psi = random_state_vector(g, 6)
-    dense = [np.vdot(psi, e.entries @ psi).real for e in site]
-    assert_allclose(dense, parity_pair_probabilities(vec_max, vec_min, psi), rtol=0, atol=1e-12)
+    assert_allclose([e.entries for e in pair], [(eye + x) / 2, (eye - x) / 2], rtol=0, atol=1e-12)
+    for psi in (random_state_vector(g, 6), np.stack([random_state_vector(g, 6) for _ in range(3)])):
+        dense = np.einsum("...i,kij,...j->...k", psi.conj(), np.array([e.entries for e in pair]), psi).real
+        assert_allclose(povm.probabilities(psi), dense, rtol=0, atol=1e-12)
+        assert_allclose(dense, parity_pair_probabilities(vec_max, vec_min, psi), rtol=0, atol=1e-12)
 
 
 def test_fringe_vectors_must_be_orthonormal():

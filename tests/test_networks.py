@@ -492,9 +492,10 @@ def test_generator_analytic_builds_its_terms_once_when_first_read(monkeypatch, t
     built = []
 
     class CountedOperator(HermitianOperator):
-        def __init__(self, entries):
+        @classmethod
+        def _of_matrix(cls, a):
             built.append(1)
-            super().__init__(entries)
+            return super()._of_matrix(a)
 
     monkeypatch.setattr(networks, "HermitianOperator", CountedOperator)
     total, terms = generator_analytic(net, 0.35)

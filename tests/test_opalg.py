@@ -21,12 +21,12 @@ from phasebound.opalg import (
     Spectrum,
     _contract_sites,
     _hermitian_defect,
+    _kron_power,
     _lifted_site_values,
     _unitary_defect,
     evolve,
     hermitian_eigensystem,
     moments,
-    tensor_product,
 )
 from phasebound.procedures import ProcedureSpec, build_generator
 from phasebound.states import optimal_state
@@ -282,19 +282,15 @@ def test_contract_sites_matches_kron_power(a, b):
 # ------------------------------------------------------------- tensor product
 
 def test_tensor_index_convention():
-    # e_i (x) e_j lands at i * dim_b + j
-    a = PureState.basis_vector(2, 1)
-    b = PureState.basis_vector(3, 2)
-    joint = tensor_product(a, b)
-    assert joint.dim == 6
-    assert_allclose(joint.amplitudes, np.eye(6)[1 * 3 + 2])
-
-
-def test_tensor_mixed_kinds_rejected():
-    with pytest.raises(UsageError):
-        tensor_product(PureState(np.array([1.0, 0.0])), HermitianOperator.identity(2))
-    with pytest.raises(UsageError):
-        tensor_product(HermitianOperator.identity(2), HermitianOperator.identity(3))
+    # a^(xn) is the left fold of np.kron: site j is digit j of the joint index, site 0 most significant
+    a = np.array([1.0, 2.0, 3.0j])
+    joint = _kron_power(a, 3)
+    assert joint.tobytes() == np.kron(np.kron(a, a), a).tobytes()
+    for i, j, k in np.ndindex(3, 3, 3):
+        assert joint[i * 9 + j * 3 + k] == a[i] * a[j] * a[k]
+    u = random_unitary(rng(14), 2)
+    assert _kron_power(u, 3).tobytes() == np.kron(np.kron(u, u), u).tobytes()
+    assert _kron_power(a, 1) is a
 
 
 # -------------------------------------------------------------------- evolve
@@ -510,6 +506,24 @@ def test_pure_state_copies_the_callers_array():
     state = PureState(v)
     v[:] = [5, 5]
     assert state.amplitudes.tolist() == [1, 0] and not state.amplitudes.flags.writeable
+
+
+def test_dense_operator_copies_the_callers_array():
+    m = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+    op = HermitianOperator(m)
+    m[0, 0] = 9.0  # the caller's array stays writable
+    assert op.entries[0, 0] == 1.0 and not op.entries.flags.writeable
+    a = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+    assert HermitianOperator._of_matrix(a).entries is a  # the package's own builders hand their array over
+    assert not a.flags.writeable
+
+
+def test_spectrum_copies_the_callers_arrays():
+    w, v = np.array([0.0, 1.0]), np.eye(2, dtype=complex)
+    spec = Spectrum(w, v)
+    w[0], v[0, 0] = -5.0, 9.0  # the caller's arrays stay writable
+    assert spec.eigenvalues.tolist() == [0.0, 1.0] and spec.eigenvectors.tolist() == [[1, 0], [0, 1]]
+    assert not spec.eigenvalues.flags.writeable and not spec.eigenvectors.flags.writeable
 
 
 def test_trial_result_copies_the_callers_array():

@@ -130,17 +130,32 @@ def kron_embedding(small, sites, n, d):
     return total
 
 
+def parity_pair(vec_max, vec_min):
+    """(I + X)/2 and (I - X)/2 with X = |max><min| + h.c., as explicit d x d matrices."""
+    cross = np.outer(vec_max, np.conj(vec_min))
+    x = cross + cross.conj().T
+    eye = np.eye(len(vec_max))
+    return (eye + x) / 2, (eye - x) / 2
+
+
+def fringe_pair(povm):
+    """The dense pair ``parity_pair`` of a fringe-form measurement's two vectors, as operators.
+
+    The package keeps only the vectors, so this is the only place the pair is built.
+    """
+    from phasebound.opalg import HermitianOperator
+
+    return tuple(HermitianOperator(e) for e in parity_pair(*povm._fringe))
+
+
 def parity_pair_probabilities(vec_max, vec_min, amplitudes):
     """<psi|(I +/- X)/2|psi> with X = |max><min| + h.c. built as an explicit d x d matrix.
 
     ``amplitudes`` is one state (d,) or a batch (G, d); the result has a
     trailing outcome axis (+, -).
     """
-    cross = np.outer(vec_max, np.conj(vec_min))
-    x = cross + cross.conj().T
-    eye = np.eye(len(vec_max))
     batch = np.atleast_2d(np.asarray(amplitudes, dtype=complex))
-    probs = [[np.vdot(psi, e @ psi).real for e in ((eye + x) / 2, (eye - x) / 2)] for psi in batch]
+    probs = [[np.vdot(psi, e @ psi).real for e in parity_pair(vec_max, vec_min)] for psi in batch]
     return np.array(probs).reshape(np.shape(amplitudes)[:-1] + (2,))
 
 
