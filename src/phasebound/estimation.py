@@ -35,8 +35,8 @@ import numpy as np
 from .errors import BoundaryWarning, UsageError, ValidationError
 from .metrology import (Measurement, _probabilities_and_slope, _require_measurement, classical_fisher,
                         outcome_probabilities)
-from .opalg import (HermitianOperator, PureState, _evolved, _Frozen, _kron_power, _lifted_site_values, _read_only,
-                    evolve, hermitian_eigensystem)
+from .opalg import (HermitianOperator, PureState, _as_count, _evolved, _Frozen, _kron_power, _lifted_site_values,
+                    _read_only, evolve, hermitian_eigensystem)
 from .procedures import JointGenerator
 from .states import _extreme_columns
 
@@ -54,20 +54,21 @@ _CHUNK_AMPLITUDES = 1 << 18  # evolved or site-eigenbasis amplitudes one chunk o
 class TrialConfig(_Frozen):
     """Inputs of one Monte-Carlo estimation run.
 
-    ``povm`` is a Measurement, kept as built.  ``n_trials`` may not exceed
-    MAX_TRIALS (10^6) and ``shots_per_trial`` may not exceed MAX_SHOTS (10^9).
+    ``povm`` is a Measurement, kept as built.  The three counts are integers,
+    ``n_trials`` <= MAX_TRIALS (10^6) and ``shots_per_trial`` <= MAX_SHOTS (10^9).
     """
 
     __slots__ = ("phi_true", "shots_per_trial", "n_trials", "rng_seed", "povm", "search_interval")
 
     def __init__(self, phi_true: float, shots_per_trial: int, n_trials: int, rng_seed: int, povm: Measurement,
                  search_interval: tuple[float, float]):
-        if not 1 <= shots_per_trial <= MAX_SHOTS:
+        shots_per_trial = _as_count(shots_per_trial, "shots_per_trial", 1)
+        if shots_per_trial > MAX_SHOTS:
             raise ValidationError(f"shots_per_trial must lie in [1, {MAX_SHOTS}], got {shots_per_trial}")
-        if not 1 <= n_trials <= MAX_TRIALS:
+        n_trials = _as_count(n_trials, "n_trials", 1)
+        if n_trials > MAX_TRIALS:
             raise ValidationError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
-        if rng_seed < 0:
-            raise ValidationError("rng_seed must be >= 0")
+        rng_seed = _as_count(rng_seed, "rng_seed", 0)
         _require_measurement(povm)
         lo, hi = (float(search_interval[0]), float(search_interval[1]))
         if not lo < hi:
@@ -342,9 +343,9 @@ def precision_trial(gen: JointGenerator, state: PureState, config: TrialConfig) 
 
     Each trial draws its RNG stream from (rng_seed, trial_index), so the
     result does not depend on scheduling; the predicted error is the
-    Cramer-Rao value 1/sqrt(shots * F) at the true phase, with F the exact
-    Fisher information of ``classical_fisher``, on the full measurement.
-    The outcome probabilities at the true phase are computed once per call.
+    Cramer-Rao value 1/sqrt(shots * F), F the exact ``classical_fisher`` of the
+    full measurement at the true phase, whose outcome probabilities are
+    computed twice per call (there and for the sampler), never per trial.
     A measurement whose counts ``_reduced_fringe`` reduces to a fringe count
     is estimated by ``_fringe_estimate`` on that count; any other by a grid
     scan, on outcome probabilities tabulated once per call, refined by

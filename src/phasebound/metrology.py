@@ -7,7 +7,8 @@ lower bound on the phase uncertainty; for the balanced extreme-eigenvector
 superpositions all of them collapse to the same number.
 
 A measurement is a ``Measurement``, and nothing else is accepted: one site
-factor, validated once when it is built, applied to each of N sites, or the
+factor applied to each of N sites, its elements checked (positive, summing to
+I) and N checked against the cap in one pass when it is built, or the
 two-outcome fringe (I +/- X)/2 held as two vectors and no site elements.
 One kernel gives the outcome probabilities of one state, or of a batch the
 caller sizes, in one contraction: site axis by site axis (the ``opalg`` site
@@ -29,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalIntegrityError, UsageError, ValidationError
-from .opalg import (HermitianOperator, PureState, _contract_sites, _Frozen, _read_only, evolve,
+from .opalg import (HermitianOperator, PureState, _as_count, _contract_sites, _Frozen, _read_only, _site_power, evolve,
                     hermitian_eigensystem, moments)
 from .procedures import JointGenerator, ProcedureSpec, snl_baseline, sum_orders
 from .states import optimal_state
@@ -108,34 +109,13 @@ def query_bound(q: int, lambda_min: float, lambda_max: float, k: int) -> float:
     return 1.0 / (span * q)
 
 
-def validate_povm(povm: list[HermitianOperator]) -> None:
-    """Reject an empty list, mixed dimensions, a negative eigenvalue or a sum other than I.
-
-    Each element's eigensystem is computed, and cached on the element, on
-    the way; ``Measurement`` reads it from that cache.
-    """
-    if not povm:
-        raise ValidationError("POVM must have at least one element")
-    dim = povm[0].dim
-    total = np.zeros((dim, dim), dtype=complex)
-    for element in povm:
-        if element.dim != dim:
-            raise ValidationError("POVM elements must share one dimension")
-        if hermitian_eigensystem(element).lambda_min < -POVM_TOL:
-            raise ValidationError("POVM element has a negative eigenvalue beyond tolerance")
-        total += element.entries
-    defect = float(np.max(np.abs(total - np.eye(dim))))
-    if defect > POVM_TOL:
-        raise ValidationError(f"POVM does not sum to identity: defect {defect:.3e}")
-
-
 class Measurement(_Frozen):
     """A POVM given by one site factor applied to each of ``n_sites`` sites, or a fringe.
 
     Outcome (k_0, ..., k_{N-1}) has the element E_{k_0} (x) ... (x) E_{k_{N-1}}
     of the ``site`` elements; outcomes are numbered in word order, site 0 most
     significant (the package's tensor order); N = 1 measures the whole space.
-    The site elements are validated once, here.  Each is kept as the rows of
+    One loop validates each site element, once, and keeps it as the rows of
     its eigensystem (eigenvalues within rounding of zero dropped) and its
     signed eigenvalues: a probability is |amplitudes contracted with the rows
     on every site axis|^2, contracted with those eigenvalues on every axis.
@@ -153,18 +133,29 @@ class Measurement(_Frozen):
 
     def __init__(self, site, n_sites: int = 1):
         site = tuple(site)
-        if n_sites < 1:
-            raise UsageError(f"site count must be >= 1, got {n_sites}")
-        validate_povm(site)
+        n_sites = _as_count(n_sites, "n_sites", 1)
+        if not site:
+            raise ValidationError("POVM must have at least one element")
+        ds = site[0].dim
+        dim = _site_power(ds, n_sites)
+        total = np.zeros((ds, ds), dtype=complex)
         columns, weights = [], []
         for k, element in enumerate(site):
-            spec = hermitian_eigensystem(element)  # cached by validate_povm
-            keep = np.abs(spec.eigenvalues) > element.dim * np.finfo(float).eps
+            if element.dim != ds:
+                raise ValidationError("POVM elements must share one dimension")
+            spec = hermitian_eigensystem(element)
+            if spec.lambda_min < -POVM_TOL:
+                raise ValidationError("POVM element has a negative eigenvalue beyond tolerance")
+            total += element.entries
+            keep = np.abs(spec.eigenvalues) > ds * np.finfo(float).eps
             columns.append(spec.eigenvectors[:, keep].conj())
             block = np.zeros((np.count_nonzero(keep), len(site)))
             block[:, k] = spec.eigenvalues[keep]
             weights.append(block)
-        self._set(n_sites=n_sites, dim=site[0].dim**n_sites, n_outcomes=len(site) ** n_sites, _fringe=None,
+        defect = float(np.max(np.abs(total - np.eye(ds))))
+        if defect > POVM_TOL:
+            raise ValidationError(f"POVM does not sum to identity: defect {defect:.3e}")
+        self._set(n_sites=n_sites, dim=dim, n_outcomes=len(site) ** n_sites, _fringe=None,
                   _site=site, _rows_t=np.hstack(columns),  # (d_s, R): the eigen-rows, transposed
                   _weights_t=np.vstack(weights))  # (R, K): signed eigenvalues by outcome
 
@@ -254,8 +245,6 @@ def mu_sweep(gen: JointGenerator, grid) -> list[tuple[float, float, float]]:
     rows = []
     for mu in grid:
         mu = float(mu)
-        if not 0.0 <= mu <= 1.0:
-            raise ValidationError(f"mu grid values must lie in [0, 1], got {mu}")
         probe = optimal_state(gen, mu)
         expectation, variance = moments(probe, gen.generator)
         rows.append((mu, expectation - gen.h_min, float(np.sqrt(variance))))

@@ -31,13 +31,12 @@ all pass the one Hermiticity rule of ``HermitianOperator``.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterator
 
 import numpy as np
 
 from .errors import StepSizeError, UsageError, ValidationError
-from .opalg import DIM_CAP, HermitianOperator, _apply_on_sites, _check_dim, _Frozen, _hermitian_defect, _read_only
+from .opalg import HermitianOperator, _apply_on_sites, _as_count, _Frozen, _hermitian_defect, _read_only, _site_power
 from .opalg import _unitary_defect, hermitian_eigensystem
 
 UNITARY_TOL = 1e-10
@@ -61,11 +60,9 @@ class BlackBox(_Frozen):
 
     def __init__(self, base_generator: HermitianOperator, target_subsystems: tuple[int, ...]):
         try:
-            if any(isinstance(i, bool) for i in target_subsystems):
-                raise TypeError
-            targets = tuple(operator.index(i) for i in target_subsystems)
+            targets = tuple(_as_count(i, "box target", 0) for i in target_subsystems)
         except TypeError:
-            raise ValidationError(f"box targets must be integers, got {target_subsystems!r}") from None
+            raise ValidationError(f"box targets must be a sequence of integers, got {target_subsystems!r}") from None
         if len(set(targets)) != len(targets):
             raise ValidationError(f"box targets repeat a subsystem: {targets}")
         spec = hermitian_eigensystem(base_generator)
@@ -93,21 +90,8 @@ class QuantumNetwork(_Frozen):
     __slots__ = ("n_subsystems", "subsystem_dim", "layers", "_analytic_memo")
 
     def __init__(self, n_subsystems: int, subsystem_dim: int, layers: tuple):
-        sizes = []
-        for name, value in (("n_subsystems", n_subsystems), ("subsystem_dim", subsystem_dim)):
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                sizes.append(operator.index(value))
-            except TypeError:
-                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-        n, ds = sizes
-        if n < 1 or ds < 1:
-            raise ValidationError("need at least one subsystem with dimension >= 1")
-        if ds > 1 and n >= DIM_CAP.bit_length():  # refused before ds**n is formed
-            raise ValidationError(f"joint space dimension {ds}^{n} exceeds the cap {DIM_CAP}")
-        dim = ds**n
-        _check_dim(dim)  # before any fixed unitary is copied
+        n, ds = _as_count(n_subsystems, "n_subsystems", 1), _as_count(subsystem_dim, "subsystem_dim", 1)
+        dim = _site_power(ds, n)  # before any fixed unitary is copied
         layers = tuple(layers)
         if len(layers) % 2 == 0 or not layers:
             raise ValidationError("layer list must be V_0 [, O_1, V_1, ...] with odd length")

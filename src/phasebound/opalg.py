@@ -18,22 +18,23 @@ Every value class of the package, here and in the other modules, subclasses
 ``_Frozen._set`` and never reassigned, and every operation is pure, so
 values can be shared freely between workers.  Two private slots are caches
 that fill after construction: ``HermitianOperator._spectrum_cache`` and
-``networks.QuantumNetwork._analytic_memo``.  The tensor convention
-is fixed once for the whole package: the LEFT factor is the most significant
-one: ``np.kron(a, b)`` indexes the joint basis as ``i = i_a * dim_b + i_b``,
-and ``_kron_power`` folds n site factors in that order.  On n identical
-sites of dimension d, site 0 is the most significant digit of the joint
-index, so a joint vector reshapes to ``[d] * n`` with site j on axis j.
-The site kernels at the end of this module are the main readers of that
-order, but not the only ones: ``estimation._tensor_root`` and
-``estimation._site_sum`` reshape a joint vector to ``[d] * n`` themselves,
-and ``estimation._reduced_fringe`` computes the joint indices of the all-i
-words.
+``networks.QuantumNetwork._analytic_memo``.  Every count a class holds is
+read by ``_as_count``, and every space of n sites is sized by ``_site_power``.
+The tensor convention is fixed once for the whole package: the LEFT factor is
+the most significant one: ``np.kron(a, b)`` indexes the joint basis as
+``i = i_a * dim_b + i_b``, and ``_kron_power`` folds n site factors in that
+order.  On n identical sites of dimension d, site 0 is the most significant
+digit of the joint index, so a joint vector reshapes to ``[d] * n`` with site
+j on axis j.  The site kernels at the end of this module are the main readers
+of that order, but not the only ones: ``estimation._tensor_root`` and
+``estimation._site_sum`` reshape a joint vector to ``[d] * n`` themselves, and
+``estimation._reduced_fringe`` computes the joint indices of the all-i words.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -52,6 +53,27 @@ def _check_dim(dim: int) -> None:
         raise ValidationError(
             f"dimension {dim} exceeds the cap {DIM_CAP}; this toolkit targets desk-scale spaces"
         )
+
+
+def _as_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``; a numpy integer passes, a bool or a non-integer is refused."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}")
+    return count
+
+
+def _site_power(ds: int, n: int) -> int:
+    """ds**n, the dimension of n sites of dimension ds; past DIM_CAP it is refused before the power is formed."""
+    # ds >= 2 sites past log2(DIM_CAP) are refused by their count alone
+    if (ds > 1 and n >= DIM_CAP.bit_length()) or (dim := ds**n) > DIM_CAP:
+        raise ValidationError(f"joint space dimension {ds}^{n} exceeds the cap {DIM_CAP}")
+    return dim
 
 
 def _scan_rows(d: int) -> int:

@@ -33,9 +33,11 @@ from .opalg import (
     DIM_CAP,
     HermitianOperator,
     PureState,
+    _as_count,
     _Frozen,
     _lifted_site_values,
     _rotated_diagonal,
+    _site_power,
     hermitian_eigensystem,
     moments,
 )
@@ -62,15 +64,13 @@ class ProcedureSpec(_Frozen):
                  repetitions: int | None = None, subsystem_dim: int = 2):
         if kind not in KINDS:
             raise ValidationError(f"unknown procedure kind {kind!r}; expected one of {KINDS}")
-        if n_systems < 1:
-            raise ValidationError("n_systems must be >= 1")
+        n_systems = _as_count(n_systems, "n_systems", 1)
         if len(base_eigs) != 2:
             raise ValidationError(f"base_eigs must be a (lambda_min, lambda_max) pair, got {len(base_eigs)} values")
         lo, hi = (float(base_eigs[0]), float(base_eigs[1]))
         if not hi > lo:
             raise ValidationError(f"base_eigs must satisfy lambda_max > lambda_min, got ({lo}, {hi})")
-        if subsystem_dim < 2:
-            raise ValidationError("subsystem_dim must be >= 2 to hold two distinct eigenvalues")
+        subsystem_dim = _as_count(subsystem_dim, "subsystem_dim", 2)  # two distinct eigenvalues need two levels
         if subsystem_dim > DIM_CAP:  # no kind builds such a site; refused before a site base is allocated
             raise ValidationError(f"subsystem_dim {subsystem_dim} exceeds the cap {DIM_CAP}")
         optional = {"body_order": body_order, "repetitions": repetitions}
@@ -81,13 +81,12 @@ class ProcedureSpec(_Frozen):
                     raise ValidationError(f"{name} applies to the {owner} kind only, not {kind!r}")
             elif value is None:
                 raise ValidationError(f"{owner} needs {name}")
-            elif value < 1:
-                raise ValidationError(f"{name} must be >= 1")
+            else:
+                optional[name] = _as_count(value, name, 1)
         # of the highest orders in sum_orders, only kbody's can exceed n_systems
-        if kind == "kbody" and body_order > n_systems:
-            raise UsageError(f"body_order {body_order} exceeds n_systems {n_systems}")
-        self._set(kind=kind, n_systems=n_systems, base_eigs=(lo, hi), body_order=body_order,
-                  repetitions=repetitions, subsystem_dim=subsystem_dim)
+        if kind == "kbody" and optional["body_order"] > n_systems:
+            raise UsageError(f"body_order {optional['body_order']} exceeds n_systems {n_systems}")
+        self._set(kind=kind, n_systems=n_systems, base_eigs=(lo, hi), subsystem_dim=subsystem_dim, **optional)
 
     @property
     def dim(self) -> int:
@@ -105,8 +104,8 @@ class JointGenerator(_Frozen):
     __slots__ = ("generator", "query_complexity", "h_min", "h_max", "seminorm")
 
     def __init__(self, generator: HermitianOperator, query_complexity: int | None):
-        if query_complexity is not None and query_complexity < 1:
-            raise ValidationError("query_complexity must be >= 1 when defined")
+        if query_complexity is not None:
+            query_complexity = _as_count(query_complexity, "query_complexity", 1)
         spec = hermitian_eigensystem(generator)
         lo, hi = spec.lambda_min, spec.lambda_max
         self._set(generator=generator, query_complexity=query_complexity, h_min=lo, h_max=hi, seminorm=hi - lo)
@@ -149,12 +148,7 @@ def _symmetric_sums(w: np.ndarray, n: int, k: int) -> np.ndarray:
 
 def build_generator(spec: ProcedureSpec, base: HermitianOperator | None = None) -> JointGenerator:
     """The joint generator of the spec's kind, over ``base`` or the default diagonal base."""
-    # subsystem_dim >= 2, so an n_systems past log2(DIM_CAP) is refused before the power is formed
-    if spec.n_systems >= DIM_CAP.bit_length() or spec.dim > DIM_CAP:
-        raise ValidationError(
-            f"joint space dimension {spec.subsystem_dim}^{spec.n_systems} exceeds the cap {DIM_CAP}; "
-            "closed_form_extremes and snl_baseline still work at this size"
-        )
+    _site_power(spec.subsystem_dim, spec.n_systems)
     if base is None:
         base = HermitianOperator.from_diagonal(base_diagonal(spec))
     elif base.dim != spec.subsystem_dim:

@@ -19,7 +19,8 @@ import phasebound.cli as cli
 import phasebound.estimation as estimation
 from phasebound.errors import NumericalIntegrityError
 from phasebound.opalg import DIM_CAP, evolve
-from util import dense_product_probabilities, fringe_mle_bounded, product_probe_mle, site_product_reduced_counts
+from util import (count_measurement_builds, dense_product_probabilities, fringe_mle_bounded, product_probe_mle,
+                  site_product_reduced_counts)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -766,12 +767,8 @@ def test_run_site_product_trial_at_n10_stays_small(tmp_path, monkeypatch):
 
 
 def test_site_product_run_validates_the_site_once(tmp_path, monkeypatch):
-    import phasebound.metrology as metrology
-
     monkeypatch.chdir(tmp_path)
-    calls = []
-    original = metrology.validate_povm
-    monkeypatch.setattr(metrology, "validate_povm", lambda povm: calls.append(len(povm)) or original(povm))
+    calls = count_measurement_builds(monkeypatch)
     assert cli.main(["run", str(SCENARIOS / "linear_n8_siteprod.json")]) == 0
     assert calls == [2]
 

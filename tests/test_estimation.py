@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -25,12 +26,13 @@ from phasebound.estimation import (
     precision_trial,
     sample_outcomes,
 )
-from phasebound.metrology import Measurement, outcome_probabilities, validate_povm
-from phasebound.opalg import HermitianOperator, PureState, _evolved, evolve, hermitian_eigensystem
+from phasebound.metrology import Measurement, outcome_probabilities
+from phasebound.opalg import DIM_CAP, HermitianOperator, PureState, _evolved, evolve, hermitian_eigensystem
 from phasebound.procedures import JointGenerator, ProcedureSpec, base_diagonal, build_generator
 from phasebound.states import mode_number_generator, noon_state, optimal_state, product_balanced_state
 
 from util import (
+    count_measurement_builds,
     dense_product_probabilities,
     dense_score_mle,
     fringe_mle_bounded,
@@ -83,7 +85,7 @@ def test_optimal_povm_is_valid_and_binary():
     povm = optimal_povm(gen)
     assert isinstance(povm, Measurement)
     assert (povm.n_sites, povm.n_outcomes, povm.dim) == (1, 2, 4)
-    validate_povm(fringe_pair(povm))
+    Measurement(fringe_pair(povm))
     # projects onto (|min> +/- |max>)/sqrt(2)
     plus = (PureState.basis_vector(4, 0).amplitudes + PureState.basis_vector(4, 3).amplitudes) / math.sqrt(2)
     assert_allclose(fringe_pair(povm)[0].entries @ plus, plus, atol=1e-12)
@@ -238,6 +240,22 @@ def test_trial_config_validation():
         TrialConfig(1.5, 100, 10, 1, povm, (0.1, 0.9))
     with pytest.raises(ValidationError):
         TrialConfig(0.4, 100, 10, -1, povm, (0.1, 0.9))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("shots_per_trial", 10.5), ("shots_per_trial", True), ("n_trials", 2.0), ("rng_seed", 1.5)]
+)
+def test_trial_config_counts_must_be_integers(field, value):
+    counts = {"shots_per_trial": 100, "n_trials": 10, "rng_seed": 1, field: value}
+    with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+        TrialConfig(0.4, povm=optimal_povm(mode_number_generator(2)), search_interval=(0.1, 0.9), **counts)
+
+
+def test_trial_config_stores_numpy_counts_as_int():
+    cfg = TrialConfig(0.4, np.int64(100), np.int32(10), np.uint64(1), optimal_povm(mode_number_generator(2)),
+                      (0.1, 0.9))
+    assert [type(c) for c in (cfg.shots_per_trial, cfg.n_trials, cfg.rng_seed)] == [int] * 3
+    assert (cfg.shots_per_trial, cfg.n_trials, cfg.rng_seed) == (100, 10, 1)
 
 
 def test_trial_interval_must_fit_one_period():
@@ -611,7 +629,7 @@ def test_measurement_dimension_mismatch_is_usage_error():
     meas = Measurement(qubit_optimal_site(), 3)
     with pytest.raises(UsageError):
         outcome_probabilities(PureState.basis_vector(4, 0), meas)
-    with pytest.raises(UsageError):
+    with pytest.raises(ValidationError, match="n_sites must be >= 1"):
         Measurement(qubit_optimal_site(), 0)
     gen = build_generator(ProcedureSpec("linear", 2, (0.0, 1.0)))
     cfg = TrialConfig(0.7, 10, 2, 1, meas, (0.2, 1.2))
@@ -619,12 +637,36 @@ def test_measurement_dimension_mismatch_is_usage_error():
         precision_trial(gen, product_balanced_state(2, hermitian_eigensystem(qubit_base())), cfg)
 
 
-def test_measurement_is_validated_once(monkeypatch):
-    import phasebound.metrology as metrology
+@pytest.mark.parametrize("n", [13, 20000])
+def test_measurement_refuses_a_joint_space_past_the_cap(n):
+    assert Measurement(qubit_optimal_site(), 12).dim == DIM_CAP
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        Measurement(qubit_optimal_site(), n)
 
-    calls = []
-    original = metrology.validate_povm
-    monkeypatch.setattr(metrology, "validate_povm", lambda povm: calls.append(len(povm)) or original(povm))
+
+@pytest.mark.parametrize("n", [10**6, 3 * 10**6])
+def test_measurement_refuses_many_qutrit_sites_before_the_power(n):
+    site = qutrit_optimal_site()
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        Measurement(site, n)
+    assert time.perf_counter() - start < 1.0  # 3**n is never formed
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+def test_measurement_site_count_must_be_an_integer(n):
+    with pytest.raises(ValidationError, match="^n_sites must be an integer"):
+        Measurement(qubit_optimal_site(), n)
+
+
+def test_measurement_stores_a_numpy_site_count_as_int():
+    meas = Measurement(qubit_optimal_site(), np.int64(3))
+    assert type(meas.n_sites) is int and type(meas.dim) is int and type(meas.n_outcomes) is int
+    assert (meas.n_sites, meas.dim, meas.n_outcomes) == (3, 8, 8)
+
+
+def test_measurement_is_validated_once(monkeypatch):
+    calls = count_measurement_builds(monkeypatch)
     gen, probe, povm = site_product_case(3)
     assert calls == [2]  # the three-site measurement; reading the fringe's site validates nothing
     cfg = TrialConfig(0.7, 50, 2, 4, povm, (0.2, 1.2))

@@ -23,12 +23,12 @@ from phasebound.metrology import (
     outcome_probabilities,
     query_bound,
     resource_count_shifted,
-    validate_povm,
 )
-from phasebound.opalg import HermitianOperator, PureState, evolve, moments
+from phasebound.opalg import HermitianOperator, PureState, evolve, hermitian_eigensystem, moments
 from phasebound.procedures import JointGenerator, ProcedureSpec, build_generator
-from phasebound.states import mode_number_generator, noon_state, optimal_state
+from phasebound.states import mode_number_generator, noon_state, optimal_state, product_balanced_state
 from util import (
+    count_measurement_builds,
     fringe_fisher,
     fringe_pair,
     kron_all,
@@ -120,20 +120,20 @@ def test_qfi_is_four_variances():
 # ---------------------------------------------------------------- measurement
 
 def test_validate_povm_accepts_parity_pair():
-    validate_povm(noon_parity_povm().site)
+    assert Measurement(noon_parity_povm().site).n_outcomes == 2
 
 
 def test_validate_povm_rejects_incomplete():
     e = HermitianOperator.from_diagonal([0.5, 0.5])
-    with pytest.raises(ValidationError):
-        validate_povm((e,))
+    with pytest.raises(ValidationError, match="does not sum to identity"):
+        Measurement((e,))
 
 
 def test_validate_povm_rejects_negative_element():
     up = HermitianOperator.from_diagonal([1.5, 0.0])
     down = HermitianOperator.from_diagonal([-0.5, 1.0])
-    with pytest.raises(ValidationError):
-        validate_povm((up, down))
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        Measurement((up, down))
 
 
 def test_outcome_probabilities_cosine_law():
@@ -301,9 +301,7 @@ def test_fringe_fisher_matches_closed_form(seed, dim, form, phi):
 
 
 def test_fringe_has_no_site_elements(monkeypatch):
-    calls = []
-    original = metrology.validate_povm
-    monkeypatch.setattr(metrology, "validate_povm", lambda povm: calls.append(len(povm)) or original(povm))
+    calls = count_measurement_builds(monkeypatch)
     gen, vec_max, vec_min, _, g = fringe_case(5, 6, "dense")
     povm = optimal_povm(gen)
     assert povm.site == () and povm.site is povm.site  # nothing is built on a read
@@ -455,6 +453,22 @@ def test_mu_sweep_endpoints_and_crossing():
             assert abs(shifted - stddev) < 1e-10
         else:
             assert abs(shifted - stddev) > 1e-3
+    with pytest.raises(ValidationError, match=r"^mu must lie in \[0, 1\], got 1.5$"):
+        mu_sweep(gen, [0.5, 1.5])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_exponential_product_probe_counts_match_closed_forms(n):
+    # x_j is 0 or 1 with weight 1/2 on each site, and H = prod(1 + x_j) - 1, so
+    # <H - h_min> = (3/2)^N - 1 and Var H = (5/2)^N - (9/4)^N
+    spec = ProcedureSpec("exponential", n, (0.0, 1.0))
+    probe = product_balanced_state(n, hermitian_eigensystem(HermitianOperator.from_diagonal([0.0, 1.0])))
+    report = build_report(probe, build_generator(spec), spec)
+    shifted = 1.5**n - 1
+    assert abs(report.expectation_shifted - shifted) <= 1e-12 * shifted
+    assert abs(report.stddev**2 - (2.5**n - 2.25**n)) <= 1e-12 * (2.5**n - 2.25**n)
+    # the spread exceeds the paper's count from N = 6 on (Var H <= (h_max - <H>)(<H> - h_min) allows it)
+    assert (report.stddev > report.expectation_shifted) == (n >= 6)
 
 
 def test_bound_new_hl_strictly_decreasing_in_mu():

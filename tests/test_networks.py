@@ -91,14 +91,15 @@ def test_blackbox_rejects_duplicate_targets():
         BlackBox(HermitianOperator.identity(4), (1, 1))
 
 
-@pytest.mark.parametrize("targets", [(0.7,), (True,), ("0",)])
+@pytest.mark.parametrize("targets", [(0.7,), (True,), ("0",), 0])
 def test_blackbox_rejects_non_integer_target(targets):
     with pytest.raises(ValidationError):
         BlackBox(HermitianOperator.identity(2), targets)
 
 
 def test_blackbox_accepts_numpy_integer_target():
-    assert BlackBox(HermitianOperator.identity(2), (np.int64(1),)).target_subsystems == (1,)
+    targets = BlackBox(HermitianOperator.identity(2), (np.int64(1),)).target_subsystems
+    assert targets == (1,) and type(targets[0]) is int
 
 
 def test_network_rejects_box_with_wrong_generator_dim():

@@ -132,6 +132,33 @@ def test_spec_counts_must_be_positive():
         ProcedureSpec("linear", 2, (0.0, 1.0), subsystem_dim=1)
 
 
+@pytest.mark.parametrize(
+    "args, fields, name",
+    [
+        (("linear", 2.5), {}, "n_systems"),
+        (("linear", True), {}, "n_systems"),
+        (("linear", 2), {"subsystem_dim": 3.0}, "subsystem_dim"),
+        (("kbody", 3), {"body_order": 2.0}, "body_order"),
+        (("sequential-wrapped", 3), {"repetitions": 1.5}, "repetitions"),
+    ],
+)
+def test_spec_counts_must_be_integers(args, fields, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+        ProcedureSpec(*args, (0.0, 1.0), **fields)
+
+
+def test_numpy_counts_are_stored_as_int():
+    kbody = ProcedureSpec("kbody", np.int64(3), (0, 1), body_order=np.int32(2), subsystem_dim=np.uint8(3))
+    wrapped = ProcedureSpec("sequential-wrapped", np.int64(2), (0, 1), repetitions=np.int64(3))
+    counts = [kbody.n_systems, kbody.body_order, kbody.subsystem_dim, wrapped.repetitions]
+    assert counts == [3, 2, 3, 3] and all(type(c) is int for c in counts)
+    gen = JointGenerator(HermitianOperator.from_diagonal([0.0, 1.0]), np.int64(4))
+    assert type(gen.query_complexity) is int and gen.query_complexity == 4
+    for q in (2.5, True):
+        with pytest.raises(ValidationError, match="^query_complexity must be an integer"):
+            JointGenerator(HermitianOperator.from_diagonal([0.0, 1.0]), q)
+
+
 def test_spec_refuses_a_site_wider_than_the_cap():
     assert ProcedureSpec("linear", 1, (0.0, 1.0), subsystem_dim=DIM_CAP).dim == DIM_CAP
     with pytest.raises(ValidationError, match="subsystem_dim"):

@@ -148,6 +148,21 @@ def fringe_pair(povm):
     return tuple(HermitianOperator(e) for e in parity_pair(*povm._fringe))
 
 
+def count_measurement_builds(monkeypatch):
+    """A list that records the element count of each ``Measurement`` built, each one a validation of its site."""
+    from phasebound.metrology import Measurement
+
+    calls, original = [], Measurement.__init__
+
+    def counted(self, site, *args):
+        site = tuple(site)
+        calls.append(len(site))
+        original(self, site, *args)
+
+    monkeypatch.setattr(Measurement, "__init__", counted)
+    return calls
+
+
 def parity_pair_probabilities(vec_max, vec_min, amplitudes):
     """<psi|(I +/- X)/2|psi> with X = |max><min| + h.c. built as an explicit d x d matrix.
 
